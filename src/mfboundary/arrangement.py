@@ -94,7 +94,7 @@ def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     return ProjPoint(_primitive([Fraction(c) for c in cross]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiPoint:
     """An intersection point of the arrangement, recorded combinatorially:
     the sorted tuple of labels of all lines through it."""
@@ -217,14 +217,24 @@ def moment_curve_lines(n: int) -> list[ProjLine]:
     return [ProjLine.from_coeffs((1, t, t * t), t) for t in range(n)]
 
 
+# distinct projective lines with coefficients in the box [-2, 2]^3
+RANDOM_BOX_LINES = 49
+
+
 def random_rational_lines(n: int, rng: random.Random) -> list[ProjLine]:
     """n pairwise distinct lines with small integer coefficients.
 
     Coefficients are drawn from a deliberately small box so that coincident
-    intersections (triple and higher points) actually occur.
+    intersections (triple and higher points) actually occur.  The box holds
+    only RANDOM_BOX_LINES distinct lines, so larger n is refused.
     """
     if n < 2:
         raise InvalidSize("need n >= 2")
+    if n > RANDOM_BOX_LINES:
+        raise InvalidSize(
+            f"random arrangements have at most {RANDOM_BOX_LINES} lines, "
+            f"the distinct lines with coefficients in [-2, 2]; got n = {n}"
+        )
     seen: set[Triple] = set()
     lines: list[ProjLine] = []
     while len(lines) < n:

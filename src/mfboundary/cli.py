@@ -375,8 +375,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MFBoundaryError as exc:
         sys.stderr.write(json.dumps(exc.payload()) + "\n")
         return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(json.dumps({"error": "FileNotFound", "message": str(exc)}) + "\n")
+    except OSError as exc:  # a path that cannot be read or written
+        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else "FileError"
+        sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
         return 1
 
 

@@ -86,3 +86,11 @@ class NonSimpleGraph(MFBoundaryError):
 
 class MissingEuler(MFBoundaryError):
     kind = "MissingEuler"
+
+
+# -- internal ---------------------------------------------------------------
+
+class InternalError(MFBoundaryError):
+    """An invariant the algorithms guarantee did not hold: a bug, not bad
+    input.  Raised explicitly so the check survives ``python -O``."""
+    kind = "InternalError"

@@ -7,21 +7,26 @@ incidence matrix A (Euler numbers on the diagonal, edge signs off it); then
     H_1 = Z^(corank A + 2*total genus + b_1(graph)) (+) torsion of A,
 
 the torsion being the invariant factors of A that exceed 1.  Invariant
-factors come from an exact integer Smith normal form: fraction-free
-elimination on a sparse representation, always pivoting on an entry of
-minimal absolute value, with a divisibility-repair pass so the diagonal
-comes out as a divisibility chain.  Everything runs over unbounded Python
-integers; no floating point anywhere.
+factors come from one exact sparse Smith normal form engine.  It takes its
+unit pivots from a priority queue ordered by Markowitz cost, divides out
+the content when no unit is left, and finishes a unit-free core modulo a
+multiple R of its last invariant factor, where every entry coprime to R is
+a unit.  `smith_normal_form` hands the engine the nonzeros of a dense
+matrix; `homology_of_graph` hands it the nonzeros straight from the graph,
+so the V x V matrix is never built on that route.  Everything runs over
+unbounded Python integers; no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from .arrangement import IncidenceData
-from .errors import InvalidInput, MissingEuler, NonSimpleGraph
+from .errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
 from .graph_core import PlumbingGraph, first_betti_of_graph, vertex_order
 
 
@@ -53,26 +58,34 @@ class SmithForm:
                 raise InvalidInput(f"invariant factors out of order: {self.factors}")
 
 
-def _validate_matrix(M: Sequence[Sequence[int]]) -> tuple[int, int]:
+def _sparse_rows(M: Sequence[Sequence[int]]) -> tuple[int, int, dict[int, dict[int, int]]]:
+    """Validate a dense integer matrix and return (rows, cols, nonzeros by
+    row)."""
     if not isinstance(M, (list, tuple)):
         raise InvalidInput("matrix must be a list of rows")
     nrows = len(M)
     ncols = None
-    for row in M:
+    sparse: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(M):
         if not isinstance(row, (list, tuple)):
             raise InvalidInput("matrix rows must be lists")
         if ncols is None:
             ncols = len(row)
+            positions = range(ncols)
         elif len(row) != ncols:
             raise InvalidInput("matrix rows have unequal lengths")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidInput(f"matrix entries must be integers, got {v!r}")
-    return nrows, (ncols or 0)
+        if not set(map(type, row)) <= {int}:  # the per-entry check only when needed
+            for v in row:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InvalidInput(f"matrix entries must be integers, got {v!r}")
+        nonzero = list(compress(positions, row))
+        if nonzero:
+            sparse[i] = {j: row[j] for j in nonzero}
+    return nrows, (ncols or 0), sparse
 
 
 def _bareiss_rank_modulus(B: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination of a dense integer matrix (destroyed).
+    """Fraction-free elimination of a dense integer matrix (left unchanged).
 
     Returns (rank, R) where R is a positive multiple of the largest
     nonzero invariant factor, or (0, 0) for a zero matrix.  Bareiss keeps
@@ -82,134 +95,154 @@ def _bareiss_rank_modulus(B: list[list[int]]) -> tuple[int, int]:
     therefore a multiple of the r-th determinantal divisor, hence of the
     last invariant factor d_r.  That gcd is usually far smaller than any
     single minor, which keeps the modular stage below cheap.
+
+    Each step builds the next live block as new lists, so the block the
+    last pivot came from is still whole when the loop ends, whether it ran
+    out of rows or columns or the block became zero.
     """
-    nr = len(B)
-    nc = len(B[0]) if nr else 0
-    rows_act = list(range(nr))
-    cols_act = list(range(nc))
+    block = B
+    last: list[list[int]] = []
     prev = 1
     r = 0
-    final_block: list[int] = []
-    while r < min(nr, nc):
-        best = None
-        for ii in range(r, nr):
-            bi = B[rows_act[ii]]
-            for jj in range(r, nc):
-                v = bi[cols_act[jj]]
-                if v:
-                    key = (abs(v), ii, jj)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+    while block and block[0]:
+        # pivot: an entry of least absolute value, the first in row-major
+        # order among those
+        least = [min(map(abs, filter(None, row)), default=0) for row in block]
+        m = min(filter(None, least), default=0)
+        if not m:
             break
-        final_block = [
-            B[rows_act[ii]][cols_act[jj]]
-            for ii in range(r, nr)
-            for jj in range(r, nc)
-            if B[rows_act[ii]][cols_act[jj]]
-        ]
-        _, pi, pj = best
-        rows_act[r], rows_act[pi] = rows_act[pi], rows_act[r]
-        cols_act[r], cols_act[pj] = cols_act[pj], cols_act[r]
-        prow = B[rows_act[r]]
-        pcol = cols_act[r]
-        p = prow[pcol]
-        for ii in range(r + 1, nr):
-            brow = B[rows_act[ii]]
-            f = brow[pcol]
-            for jj in range(r + 1, nc):
-                c = cols_act[jj]
-                brow[c] = (brow[c] * p - f * prow[c]) // prev
-            brow[pcol] = 0
+        pi = least.index(m)
+        prow = block[pi]
+        pj = next(jj for jj, v in enumerate(prow) if v == m or v == -m)
+        p = prow[pj]
+        # the first row and column move into the pivot's places
+        rest = block[1:]
+        if pi:
+            rest[pi - 1] = block[0]
+        pk = prow[1:]
+        if pj:
+            pk[pj - 1] = prow[0]
+        nxt = []
+        for row in rest:
+            f = row[pj]
+            rk = row[1:]
+            if pj:
+                rk[pj - 1] = row[0]
+            if f:
+                nxt.append([(x * p - f * y) // prev for x, y in zip(rk, pk)])
+            else:
+                nxt.append([x * p // prev for x in rk])
+        last = block
+        block = nxt
         prev = p
         r += 1
     if r == 0:
         return 0, 0
     g = 0
-    for v in final_block:
-        g = math.gcd(g, v)
+    for row in last:
+        g = math.gcd(g, *row)
         if g == 1:
             break
     return r, g
 
 
-def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
-    """Invariant factors of an integer matrix, by exact sparse elimination.
+def _invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
+    """The Smith normal form engine: the invariant factors d_1 | d_2 | ...
+    of the sparse integer matrix ``rows`` (row -> {column: nonzero entry}),
+    which it consumes.
 
-    Strategy, tuned for the mostly-empty matrices of boundary graphs:
-
-      * pivot on +-1 entries while any exist, chosen to minimize fill-in;
-        these eliminate without remainders and keep entries small;
-      * when no unit entry is left, the gcd g of the remaining entries is
+      * Unit pivots come from a heap of (Markowitz cost, row, column), the
+        cost being (row length - 1) * (column length - 1).  Entries enter
+        it when elimination writes a unit, so a pivot costs what its row
+        and column cost, not a scan of the matrix.  Keys go stale as rows
+        and columns change length; a popped entry that is gone or no longer
+        a unit is dropped, one that got dearer goes back with its true
+        cost, and the heap is rebuilt once stale keys outnumber the live
+        entries.
+      * When no unit entry is left, the gcd g of the remaining entries is
         the next invariant factor's content: divide it out (the factors of
         g*M are g times those of M), which in the graph cases turns the
-        torsion core back into a unit-pivot matrix;
-      * a content-1 remainder with no unit entry is finished by a bounded
+        torsion core back into a unit-pivot matrix.
+      * A content-1 remainder with no unit entry is finished by a bounded
         modular pass: one Bareiss sweep yields the exact rank r and a
         modulus R (a multiple of the last invariant factor), after which
         elimination may reduce every entry symmetrically mod R, because
         the presented group is unchanged by adding R times a basis vector
-        to any row.  Each pivot p then contributes gcd(p, R), rows that
-        vanish mod R contribute R itself, and the first r factors of that
-        chain are the remaining invariant factors.  Nothing can blow up:
-        every entry stays below R.
-
-    The naive minimum-entry Euclidean strategy is catastrophic here: on
-    the raw boundary graph of ten generic lines it manufactures pivots
-    with hundreds of digits.  The unit phase plus the modular finish keep
-    the whole computation in word-sized integers unless the input really
-    has giant invariant factors.
+        to any row.  This computes the Smith form over Z/R, whose first r
+        factors are gcd(d_i, R) = d_i.  Over Z/R every entry coprime to R
+        is a unit: it is eliminated with its inverse mod R like a +-1.
+        When no unit is left, the content is g = gcd(entries, R); it is
+        divided out as above and the work goes on mod R/g.  Only when that
+        content is 1 as well are entries chased by Euclid steps; such a
+        pivot p contributes gcd(p, R), rows that vanish mod R contribute R
+        itself.  Nothing can blow up: every entry stays below R.
 
     Entries are unbounded Python integers throughout; nothing is floated.
     """
-    nrows, ncols = _validate_matrix(M)
-    rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(M):
-        for j, v in enumerate(row):
-            if v:
-                rows.setdefault(i, {})[j] = v
-                cols.setdefault(j, set()).add(i)
+    for i, ri in rows.items():
+        for c in ri:
+            cols.setdefault(c, set()).add(i)
+    nnz = sum(map(len, rows.values()))
+    gcd = math.gcd
+    heappush = heapq.heappush
+    # A unit of Z/modulus; modulus 0 (no modular finish yet) gives Z, whose
+    # units are +-1 = the v with gcd(v, 0) = |v| = 1.
+    modulus = 0
+    queue: list[tuple[int, int, int]] = []  # (Markowitz cost, row, column)
 
-    modulus = 0  # 0 until the Bareiss stage switches the modular finish on
+    def rebuild_queue():
+        queue[:] = [
+            ((len(ri) - 1) * (len(cols[c]) - 1), i, c)
+            for i, ri in rows.items()
+            for c, v in ri.items()
+            if gcd(v, modulus) == 1
+        ]
+        heapq.heapify(queue)
 
-    def set_entry(r: int, c: int, v: int):
-        if modulus:
-            v %= modulus
-            if 2 * v > modulus:
-                v -= modulus
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-        else:
-            if r in rows and c in rows[r]:
-                del rows[r][c]
-                if not rows[r]:
-                    del rows[r]
+    def pop_unit() -> Optional[tuple[int, int]]:
+        if len(queue) > 2 * nnz + 64:
+            rebuild_queue()
+        while queue:
+            key, i, j = queue[0]
+            ri = rows.get(i)
+            v = ri.get(j) if ri is not None else None
+            if v is None or gcd(v, modulus) != 1:
+                heapq.heappop(queue)
+                continue
+            cost = (len(ri) - 1) * (len(cols[j]) - 1)
+            if cost > key:
+                heapq.heapreplace(queue, (cost, i, j))
+                continue
+            heapq.heappop(queue)
+            return i, j
+        return None
+
+    def row_op(r: int, source: dict[int, int], q: int):
+        """row_r -= q * source, reduced mod the modulus; units written
+        join the queue."""
+        nonlocal nnz
+        rr = rows[r]
+        for c, v in source.items():
+            old = rr.get(c, 0)
+            new = old - q * v
+            if modulus:
+                new %= modulus
+                if 2 * new > modulus:
+                    new -= modulus
+            if new:
+                rr[c] = new
+                if not old:
+                    cols[c].add(r)
+                    nnz += 1
+                if gcd(new, modulus) == 1:
+                    heappush(queue, ((len(rr) - 1) * (len(cols[c]) - 1), r, c))
+            elif old:
+                del rr[c]
                 cols[c].discard(r)
-                if not cols[c]:
-                    del cols[c]
-
-    def row_op(r: int, i: int, q: int):
-        # row_r -= q * row_i
-        for c, v in list(rows.get(i, {}).items()):
-            set_entry(r, c, rows.get(r, {}).get(c, 0) - q * v)
-
-    def col_op(c: int, j: int, q: int):
-        # col_c -= q * col_j
-        for r in list(cols.get(j, set())):
-            set_entry(r, c, rows.get(r, {}).get(c, 0) - q * rows[r][j])
-
-    def best_unit() -> Optional[tuple[int, int]]:
-        best = None
-        for i in rows:
-            ri = rows[i]
-            for c, v in ri.items():
-                if v in (1, -1):
-                    key = ((len(ri) - 1) * (len(cols[c]) - 1), i, c)
-                    if best is None or key < best:
-                        best = key
-        return None if best is None else (best[1], best[2])
+                nnz -= 1
+        if not rr:
+            del rows[r]
 
     def global_min() -> tuple[int, int]:
         best = None
@@ -221,105 +254,143 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
         return (best[1], best[2])
 
     def extract_content() -> int:
-        g = 0
+        """Divide out g = gcd(entries, modulus) and return it; under a
+        modulus R the remaining work then runs mod R/g."""
+        nonlocal modulus
+        g = modulus
         for ri in rows.values():
             for v in ri.values():
-                g = math.gcd(g, v)
+                g = gcd(g, v)
                 if g == 1:
                     return 1
-        if g > 1:
-            for i in list(rows):
-                for c in list(rows[i]):
-                    rows[i][c] //= g
+        for ri in rows.values():
+            for c in ri:
+                ri[c] //= g
+        modulus //= g
         return g
 
-    def extract_unit(i: int, j: int):
-        p = rows[i][j]
+    def eliminate(i: int, j: int):
+        """Clear row i and column j around the unit pivot (i, j)."""
+        nonlocal nnz
+        prow = rows.pop(i)
+        nnz -= len(prow)
+        for c in prow:
+            cols[c].discard(i)
+        p = prow[j]
+        inv = pow(p, -1, modulus) if modulus else p
         for r in list(cols[j]):
-            if r != i:
-                # exact elimination: quotient is the entry over +-1
-                row_op(r, i, rows[r][j] * p)
-        # column j now holds only the pivot; the implicit column ops
-        # clearing row i touch no other row, so the row just goes away
-        for c in list(rows[i]):
-            set_entry(i, c, 0)
+            row_op(r, prow, rows[r][j] * inv)
+        # column j is now empty; the implicit column ops clearing row i
+        # touch no other row, so the row just goes away
+        for c in prow:
+            if not cols[c]:
+                del cols[c]
 
-    def modular_chain() -> list[int]:
-        """Finish the matrix under an active modulus; factors, chained."""
-        produced: list[int] = []
-        while rows:
-            unit = best_unit()
-            if unit is not None:
-                extract_unit(*unit)
-                produced.append(1)
+    def chase(i: int, j: int) -> int:
+        """Euclid steps under the modulus until the pivot (i, j) divides
+        every entry left, then remove it; returns gcd(pivot, modulus)."""
+        nonlocal nnz
+        while True:
+            p = rows[i][j]
+            r = next((t for t in sorted(cols[j]) if t != i), None)
+            if r is not None:
+                row_op(r, rows[i], rows[r][j] // p)
+                if rows.get(r, {}).get(j, 0):
+                    i = r  # remainder is strictly smaller: chase it
                 continue
-            i, j = global_min()
-            while True:
-                p = rows[i][j]
-                r = next((t for t in sorted(cols[j]) if t != i), None)
-                if r is not None:
-                    row_op(r, i, rows[r][j] // p)
-                    if rows.get(r, {}).get(j, 0):
-                        i = r  # remainder is strictly smaller: chase it
-                    continue
-                c = next((t for t in sorted(rows[i]) if t != j), None)
-                if c is not None:
-                    col_op(c, j, rows[i][c] // p)
-                    if rows.get(i, {}).get(c, 0):
-                        j = c
-                    continue
-                g = math.gcd(rows[i][j], modulus)
-                bad = next(
-                    (t for t in sorted(rows) if t != i
-                     and any(v % g for v in rows[t].values())),
-                    None,
-                )
-                if bad is None:
-                    break
-                row_op(i, bad, -1)  # fold the offending row in; the next
-                #                     sweep shrinks the pivot toward a
-                #                     common divisor
-            set_entry(i, j, 0)
-            produced.append(g)
-        return produced
+            c = next((t for t in sorted(rows[i]) if t != j), None)
+            if c is not None:
+                # col_c -= q * col_j, where column j is the pivot alone
+                row_op(i, {c: p}, rows[i][c] // p)
+                if rows.get(i, {}).get(c, 0):
+                    j = c
+                continue
+            g = gcd(rows[i][j], modulus)
+            bad = next(
+                (t for t in sorted(rows) if t != i
+                 and any(v % g for v in rows[t].values())),
+                None,
+            )
+            if bad is None:
+                break
+            row_op(i, rows[bad], -1)  # fold the offending row in; the next
+            #                     sweep shrinks the pivot toward a
+            #                     common divisor
+        # the pivot is alone in its row and column
+        del rows[i], cols[j]
+        nnz -= 1
+        return g
 
     factors: list[int] = []
     scale = 1
+    rebuild_queue()
     while rows:
-        unit = best_unit()
-        if unit is None:
-            scale *= extract_content()
-            unit = best_unit()
+        unit = pop_unit()
         if unit is not None:
-            extract_unit(*unit)
+            eliminate(*unit)
             factors.append(scale)
+            continue
+        g = extract_content()
+        if g > 1:
+            scale *= g
+            rebuild_queue()
+            continue
+        if modulus:
+            # every entry shares a factor with the modulus, but not one
+            # factor: only Euclid steps make progress
+            factors.append(scale * chase(*global_min()))
             continue
         # No unit entry and content 1: hand the core to the bounded
         # modular finish.  Everything left contributes either one of the
         # rank many remaining invariant factors or a zero column.
         core_rows = sorted(rows)
-        core_cols = sorted({c for i in core_rows for c in rows[i]})
+        core_cols = sorted(cols)
         cmap = {c: t for t, c in enumerate(core_cols)}
         dense = [[0] * len(core_cols) for _ in core_rows]
         for t, i in enumerate(core_rows):
             for c, v in rows[i].items():
                 dense[t][cmap[c]] = v
         rank_core, R = _bareiss_rank_modulus(dense)
-        assert rank_core >= 1  # rows is nonempty and holds nonzero entries
+        if rank_core < 1:
+            raise InternalError("the unit-free core of a nonzero matrix has rank 0")
         if R == 1:
             factors.extend([scale] * rank_core)
             break
+        # the core's factors, in order, are the first rank_core of those
+        # found from here on, padded with scale * R for the columns that
+        # vanish mod R; content divided out later moves from the modulus
+        # into the scale, so scale * modulus stays scale * R
+        core_end = len(factors) + rank_core
+        pad = [scale * R] * rank_core
         modulus = R
         for i in list(rows):
-            for c, v in list(rows[i].items()):
-                set_entry(i, c, v)  # re-store to reduce into (-R/2, R/2]
-        chain = modular_chain()
-        chain.extend([R] * (len(core_cols) - len(chain)))
-        factors.extend(scale * f for f in chain[:rank_core])
-        break
+            row_op(i, dict(rows[i]), 0)  # re-store each entry reduced into (-R/2, R/2]
+        rebuild_queue()
+    if modulus:
+        factors = (factors + pad)[:core_end]
     for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, factors
-    return SmithForm(nrows, ncols, tuple(factors))
+        if b % a:
+            raise InternalError(f"invariant factors out of divisibility order: {factors}")
+    return factors
+
+
+def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
+    """Invariant factors of an integer matrix, by exact sparse elimination.
+
+    The matrix is validated, and its nonzeros go to the one sparse engine
+    (``_invariant_factors``), tuned for the mostly-empty matrices of
+    boundary graphs: unit pivots from a Markowitz-cost priority queue,
+    content extraction when no unit is left, and a modular finish under a
+    Bareiss modulus R in which every entry coprime to R is a unit pivot.
+
+    The naive minimum-entry Euclidean strategy is catastrophic here: on
+    the raw boundary graph of ten generic lines it manufactures pivots
+    with hundreds of digits.  The unit phase plus the modular finish keep
+    the whole computation in word-sized integers unless the input really
+    has giant invariant factors.
+    """
+    nrows, ncols, rows = _sparse_rows(M)
+    return SmithForm(nrows, ncols, tuple(_invariant_factors(rows)))
 
 
 # -- finitely generated abelian groups ---------------------------------------
@@ -387,10 +458,11 @@ class AbelianGroup:
 
 # -- graph homology ----------------------------------------------------------
 
-def incidence_matrix(g: PlumbingGraph, order: Optional[list[str]] = None) -> list[list[int]]:
-    """Weighted incidence matrix of a closed simple plumbing graph in
-    canonical vertex order: Euler numbers on the diagonal, the sign of the
-    unique i-j edge elsewhere."""
+def _incidence_entries(g: PlumbingGraph, order: Optional[list[str]] = None
+                       ) -> tuple[int, list[tuple[int, int, int]]]:
+    """Size and nonzero entries (row, column, value) of the weighted
+    incidence matrix of a closed simple plumbing graph, rows and columns
+    in ``order`` (canonical vertex order by default)."""
     if any(v.kind == "arrowhead" for v in g.vertices):
         raise InvalidInput("graph still has arrowheads; strip them first")
     for v in g.vertices:
@@ -404,26 +476,40 @@ def incidence_matrix(g: PlumbingGraph, order: Optional[list[str]] = None) -> lis
         )
     if order is None:
         order = vertex_order(g)
-    pos = {vid: k for k, vid in enumerate(order)}
-    if sorted(pos) != sorted(g.ids):
+    if sorted(order) != sorted(g.ids):
         raise InvalidInput("order must enumerate exactly the graph's vertices")
-    size = len(order)
-    A = [[0] * size for _ in range(size)]
-    for vid in order:
-        A[pos[vid]][pos[vid]] = g.vertex(vid).euler
+    pos = {vid: k for k, vid in enumerate(order)}
+    entries = [(pos[v.id], pos[v.id], v.euler) for v in g.vertices if v.euler]
     for e in g.edges:
         a, b = pos[e.a], pos[e.b]
-        A[a][b] = e.sign
-        A[b][a] = e.sign
+        entries.append((a, b, e.sign))
+        entries.append((b, a, e.sign))
+    return len(order), entries
+
+
+def incidence_matrix(g: PlumbingGraph, order: Optional[list[str]] = None) -> list[list[int]]:
+    """Weighted incidence matrix of a closed simple plumbing graph in
+    canonical vertex order: Euler numbers on the diagonal, the sign of the
+    unique i-j edge elsewhere."""
+    size, entries = _incidence_entries(g, order)
+    A = [[0] * size for _ in range(size)]
+    for a, b, v in entries:
+        A[a][b] = v
     return A
 
 
 def homology_of_graph(g: PlumbingGraph) -> AbelianGroup:
     """First integral homology of the plumbed manifold of a closed simple
     graph: corank of the incidence matrix plus 2*genus plus b_1 of the
-    graph free summands, invariant factors >= 2 as torsion."""
-    A = incidence_matrix(g)
-    snf = smith_normal_form(A)
+    graph free summands, invariant factors >= 2 as torsion.
+
+    The Smith form engine gets the matrix's nonzeros straight from the
+    graph; the dense V x V matrix is never built."""
+    size, entries = _incidence_entries(g)
+    rows: dict[int, dict[int, int]] = {}
+    for a, b, v in entries:
+        rows.setdefault(a, {})[b] = v
+    snf = SmithForm(size, size, tuple(_invariant_factors(rows)))
     free = snf.corank + 2 * sum(v.genus for v in g.vertices) + first_betti_of_graph(g)
     torsion = tuple(d for d in snf.factors if d >= 2)
     return AbelianGroup(free, torsion)

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from .arrangement import IncidenceData
 from .curve_config import build_gamma_c
-from .errors import InvalidInput, NonIntegralEuler, UnsupportedLoop
+from .errors import InternalError, InvalidInput, NonIntegralEuler, UnsupportedLoop
 from .graph_core import Edge, PlumbingGraph, Vertex
 from .strings import build_string
 
@@ -33,7 +33,8 @@ def point_genus(m: int, n: int) -> int:
 
     The product is always even: gcd(m, n) even forces m even."""
     num = (m - 2) * (math.gcd(m, n) - 1)
-    assert num % 2 == 0
+    if num % 2:
+        raise InternalError(f"odd genus numerator (m-2)(gcd(m,n)-1) = {num} for m={m}, n={n}")
     return num // 2
 
 

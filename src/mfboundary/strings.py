@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, NoSolution, UnsupportedCase
+from .errors import InternalError, InvalidInput, NoSolution, UnsupportedCase
 
 
 def solve_lambda(a: int, b: int, c: int) -> tuple[int, int]:
@@ -133,5 +133,9 @@ def build_string(a: int, b: int, c: int, sign: int = -1,
     # the recurrence extended across the last vertex must reproduce the
     # multiplicity at the far end; a failure here is a bug, not bad input
     tail = cf[-1] * mults[-1] - (mults[-2] if len(mults) > 1 else a1)
-    assert tail == ends[1], (a, b, c, cf, mults, tail, ends)
+    if tail != ends[1]:
+        raise InternalError(
+            f"string ({a}, {b}; {c}) with cf {cf} and multiplicities {mults} "
+            f"ends in {tail}, not {ends[1]}"
+        )
     return StringGraph(a, b, c, lam, m1, tuple(cf), tuple(mults), ends, sign)

@@ -1,5 +1,6 @@
 """Projective lines, intersection points and incidence combinatorics."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mfboundary.arrangement import (
+    RANDOM_BOX_LINES,
     IncidenceData,
     MultiPoint,
     ProjLine,
@@ -152,6 +154,18 @@ def test_random_rational_lines_deterministic_and_valid():
     assert [l.coeffs for l in a] == [l.coeffs for l in b]
     inc = incidence_from_lines(a)
     assert inc.n == 6  # validation inside IncidenceData did the real work
+
+
+def test_random_rational_lines_refuse_more_lines_than_the_box_holds():
+    box = {
+        ProjLine.from_coeffs(c).coeffs
+        for c in itertools.product(range(-2, 3), repeat=3) if any(c)
+    }
+    assert len(box) == RANDOM_BOX_LINES
+    lines = random_rational_lines(RANDOM_BOX_LINES, random.Random(3))
+    assert {l.coeffs for l in lines} == box
+    with pytest.raises(InvalidSize):
+        random_rational_lines(RANDOM_BOX_LINES + 1, random.Random(3))
 
 
 def test_random_rational_lines_vary_with_seed():

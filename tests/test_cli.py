@@ -1,6 +1,9 @@
 """End-to-end command line tests, run in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +179,30 @@ def test_missing_file_is_json_error(capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "FileNotFound"
+
+
+def test_directory_input_is_json_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "homology", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "FileError"
+
+
+def test_generate_random_beyond_the_box_fails_fast():
+    # the coefficient box holds 49 distinct lines; asking for more used to
+    # loop forever
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-m", "mfboundary.cli", "generate", "random", "50"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert json.loads(out.stderr)["error"] == "InvalidSize"
 
 
 def test_bad_json_is_reported(tmp_path, capsys):

@@ -1,18 +1,23 @@
 """Smith normal form, abelian group arithmetic, and the graph homology
 theorem, checked against a slow minor-gcd oracle and hand-computed cases."""
 
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfboundary.arrangement import generate_family
+from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
 from mfboundary.errors import InvalidInput, MissingEuler, NonSimpleGraph
-from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
+from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, first_betti_of_graph
 from mfboundary.homology import (
     AbelianGroup,
     SmithForm,
+    _bareiss_rank_modulus,
     betti_formula,
     homology_of_graph,
     incidence_matrix,
@@ -20,8 +25,9 @@ from mfboundary.homology import (
     projective_complement_euler,
     smith_normal_form,
 )
+from mfboundary.pipeline import boundary_graph
 
-from oracles import minor_gcd_smith, random_matrix, rational_rank
+from oracles import minor_gcd_smith, random_matrix, random_plumbing, rational_rank
 
 
 def v(vid, euler=None, genus=0, kind="plain"):
@@ -154,6 +160,63 @@ def test_snf_bigger_structured_matrix():
     assert smith_normal_form(M2).factors == minor_gcd_smith(M2)
 
 
+def low_rank_matrix(rng):
+    """A product of n x k and k x m random matrices, k < min(n, m)."""
+    n, m = rng.randint(2, 5), rng.randint(2, 5)
+    k = rng.randint(1, min(n, m) - 1)
+    A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+    B = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def test_bareiss_modulus_is_a_multiple_of_the_last_factor():
+    rng = random.Random(5150)
+    endings = set()
+    for k in range(300):
+        M = low_rank_matrix(rng) if k % 2 else random_matrix(rng)
+        copy = [list(row) for row in M]
+        rank, R = _bareiss_rank_modulus(copy)
+        assert copy == M  # the input is left as it was
+        want = minor_gcd_smith(M)
+        assert rank == len(want), (M, rank, want)
+        if not rank:
+            assert R == 0
+            continue
+        assert R > 0 and R % want[-1] == 0, (M, R, want)
+        # the loop ends by running out of rows or columns, or on a zero block
+        endings.add("exhausted" if rank == min(len(M), len(M[0])) else "zero block")
+    assert endings == {"exhausted", "zero block"}
+    assert _bareiss_rank_modulus([[2, 4], [4, 8]]) == (1, 2)  # zero block after one step
+    assert _bareiss_rank_modulus([[2, 0], [0, 3]]) == (2, 6)  # out of rows
+
+
+def unit_free_matrix(rng):
+    """A small random matrix with no +-1 entry and content 1."""
+    values = [v for v in range(-12, 13) if abs(v) > 1] + [0] * 6
+    while True:
+        M = [[rng.choice(values) for _ in range(rng.randint(2, 5))]]
+        M += [[rng.choice(values) for _ in M[0]] for _ in range(rng.randint(1, 4))]
+        if math.gcd(*(v for row in M for v in row)) == 1:
+            return M
+
+
+def test_snf_unit_free_matrices_match_oracle():
+    # with no +-1 entry and content 1 the whole matrix goes to the modular
+    # finish; entries coprime to the Bareiss modulus R are its unit pivots,
+    # and when there are none the Euclid chase runs
+    rng = random.Random(2718)
+    seen = {"units mod R": 0, "no unit mod R": 0}
+    for _ in range(400):
+        M = unit_free_matrix(rng)
+        got = smith_normal_form(M).factors
+        assert got == minor_gcd_smith(M), (M, got)
+        _, R = _bareiss_rank_modulus(M)
+        if R > 1:
+            coprime = any(math.gcd(v, R) == 1 for row in M for v in row if v)
+            seen["units mod R" if coprime else "no unit mod R"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 # -- incidence_matrix --------------------------------------------------------
 
 def closed_graph(verts, edges):
@@ -180,6 +243,8 @@ def test_incidence_matrix_custom_order():
         incidence_matrix(g, order=["a"])
     with pytest.raises(InvalidInput):
         incidence_matrix(g, order=["a", "a"])
+    with pytest.raises(InvalidInput):
+        incidence_matrix(g, order=["a", "b", "a"])
 
 
 def test_incidence_matrix_rejects_arrowheads():
@@ -240,6 +305,77 @@ def test_homology_disjoint_union_adds():
     h1, h2, hb = map(homology_of_graph, (g1, g2, both))
     assert hb.free_rank == h1.free_rank + h2.free_rank
     assert sorted(hb.torsion) == sorted(h1.torsion + h2.torsion)
+
+
+def dense_homology(g):
+    """H1 assembled from the dense matrix route."""
+    snf = smith_normal_form(incidence_matrix(g))
+    free = snf.corank + 2 * sum(x.genus for x in g.vertices) + first_betti_of_graph(g)
+    return AbelianGroup(free, tuple(d for d in snf.factors if d >= 2))
+
+
+def boundary_arrangements():
+    arrangements = [generate_family("generic", n) for n in range(4, 10)]
+    arrangements += [generate_family("pencil", n) for n in range(3, 9)]
+    arrangements += [generate_family("near_pencil", n) for n in range(4, 10)]
+    rng = random.Random(7077)
+    arrangements += [
+        incidence_from_lines(random_rational_lines(rng.randint(4, 7), rng)) for _ in range(8)
+    ]
+    return arrangements
+
+
+@pytest.mark.parametrize("reduce", [False, True], ids=["raw", "reduced"])
+def test_homology_of_graph_matches_dense_route(reduce):
+    for inc in boundary_arrangements():
+        g = boundary_graph(inc, reduce=reduce)
+        assert homology_of_graph(g) == dense_homology(g)
+    rng = random.Random(4004)
+    for _ in range(40):
+        g = random_plumbing(rng)
+        assert homology_of_graph(g) == dense_homology(g)
+
+
+def test_homology_of_graph_rejects_what_incidence_matrix_rejects():
+    arrow = PlumbingGraph(
+        vertices=[v("v0", -1), v("a0", kind="arrowhead")],
+        edges=[Edge("v0", "a0", 1, arrow=True)],
+    )
+    missing = PlumbingGraph(vertices=[v("v0", -1), v("v1")], edges=[Edge("v0", "v1", 1)])
+    loop = closed_graph([("v0", -1, 0)], [("v0", "v0", 1)])
+    double = closed_graph(
+        [("v0", -1, 0), ("v1", -2, 0)],
+        [("v0", "v1", 1), ("v0", "v1", -1)],
+    )
+    for g, error in [(arrow, InvalidInput), (missing, MissingEuler),
+                     (loop, NonSimpleGraph), (double, NonSimpleGraph)]:
+        with pytest.raises(error):
+            incidence_matrix(g)
+        with pytest.raises(error):
+            homology_of_graph(g)
+
+
+def test_snf_oracle_tests_pass_under_python_O():
+    # python -O strips assert statements; the engine's invariant checks are
+    # explicit raises and must still hold in an optimised run
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(here)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), here] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    selected = [
+        "tests/test_homology.py::test_snf_matches_minor_gcd_oracle_seeded",
+        "tests/test_homology.py::test_snf_unit_free_matrices_match_oracle",
+        "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
+        "tests/test_acceptance.py::test_criterion_11_snf_oracle",
+    ]
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *selected],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    assert f"{len(selected)} passed" in out.stdout
 
 
 # -- closed-form arrangement counts ------------------------------------------
