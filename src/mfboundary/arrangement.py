@@ -251,6 +251,10 @@ def random_rational_lines(n: int, rng: random.Random) -> list[ProjLine]:
 
 # -- JSON input -------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def arrangement_from_json(obj: dict) -> IncidenceData:
     """Accept either explicit lines or bare incidence combinatorics.
 
@@ -263,6 +267,9 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
         rows = obj["lines"]
         if not isinstance(rows, list) or not rows:
             raise InvalidInput('"lines" must be a non-empty list')
+        for row in rows:
+            if not isinstance(row, list):
+                raise InvalidInput(f"a line is a list of three coefficients, got {row!r}")
         lines = [ProjLine.from_coeffs(row, i) for i, row in enumerate(rows)]
         for l1, l2 in itertools.combinations(lines, 2):
             if l1.coeffs == l2.coeffs:
@@ -272,11 +279,14 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
         if "n" not in obj:
             raise InvalidInput('"points" form needs an "n" field')
         n = obj["n"]
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise InvalidInput('"n" must be an integer')
         pts = obj["points"]
         if not isinstance(pts, list):
             raise InvalidInput('"points" must be a list')
+        for p in pts:
+            if not isinstance(p, list) or not all(_is_int(i) for i in p):
+                raise InvalidInput(f"a point is a list of line indices, got {p!r}")
         return IncidenceData(n, tuple(MultiPoint(tuple(p)) for p in pts))
     raise InvalidInput('arrangement JSON needs "lines" or "points"')
 

@@ -30,6 +30,7 @@ Moves:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -54,11 +55,9 @@ def _closed_vertex(g: PlumbingGraph, vid: str, move: str, err) -> Vertex:
 def sign_reversal(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     """Flip the sign of every non-loop edge at the vertex."""
     g.vertex(vid)
-    edges = tuple(
-        replace(e, sign=-e.sign) if e.touches(vid) and not e.is_loop() else e
-        for e in g.edges
-    )
-    return PlumbingGraph(g.vertices, edges)
+    return g._derive(rewrite=[
+        (e, replace(e, sign=-e.sign)) for e in g.edges_at(vid) if not e.is_loop()
+    ])
 
 
 def blow_down_a(g: PlumbingGraph, vid: str) -> PlumbingGraph:
@@ -72,7 +71,7 @@ def blow_down_a(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     u = g.vertex(edge.other(vid))
     if u.kind == "arrowhead" or u.euler is None:
         raise NotBlowdownable(f"{vid}: neighbor {u.id} has no Euler number")
-    return g.remove_vertices([vid]).bump_euler(u.id, -v.euler)
+    return g._derive(drop=[vid], put=[g._bumped(u.id, -v.euler)])
 
 
 def blow_down_b(g: PlumbingGraph, vid: str) -> PlumbingGraph:
@@ -91,9 +90,8 @@ def blow_down_b(g: PlumbingGraph, vid: str) -> PlumbingGraph:
         if u.kind == "arrowhead" or u.euler is None:
             raise NotBlowdownable(f"{vid}: neighbor {nid} has no Euler number")
     sign0 = -v.euler * e1.sign * e2.sign
-    out = g.remove_vertices([vid])
-    out = out.add_edges([Edge(a=i, b=j, sign=sign0)])
-    return out.bump_euler(i, -v.euler).bump_euler(j, -v.euler)
+    return g._derive(drop=[vid], add_edges=[Edge(a=i, b=j, sign=sign0)],
+                     put=[g._bumped(i, -v.euler), g._bumped(j, -v.euler)])
 
 
 def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) -> PlumbingGraph:
@@ -125,21 +123,16 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
             raise NotAbsorbable(f"{vid}: neighbor {u.id} has no Euler number")
     factor = -eps * eps_bar
     merged = replace(ki, euler=ki.euler + kj.euler, genus=ki.genus + kj.genus)
-    vertices = tuple(
-        merged if u.id == kid else u
-        for u in g.vertices
-        if u.id not in (vid, jid)
-    )
-    edges = []
-    for e in g.edges:
+    moved = []
+    for e in g.edges_at(jid):
         if e.touches(vid):
-            continue
+            continue  # leaves with vid
         ja, jb = e.a == jid, e.b == jid
         a = kid if ja else e.a
         b = kid if jb else e.b
         sign = e.sign * factor if ja != jb else e.sign
-        edges.append(replace(e, a=a, b=b, sign=sign))
-    return PlumbingGraph(vertices, tuple(edges))
+        moved.append((e, replace(e, a=a, b=b, sign=sign)))
+    return g._derive(rewrite=moved, drop=[vid, jid], put=[merged])
 
 
 def handle_absorb(g: PlumbingGraph, vid: str) -> PlumbingGraph:
@@ -156,8 +149,7 @@ def handle_absorb(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     if {e1.sign, e2.sign} != {1, -1}:
         raise NotAbsorbable(f"{vid}: the double edge must carry one + and one -")
     host = g.vertex(i)
-    out = g.remove_vertices([vid])
-    return out.replace_vertex(replace(host, genus=host.genus + 1))
+    return g._derive(drop=[vid], put=[replace(host, genus=host.genus + 1)])
 
 
 def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> PlumbingGraph:
@@ -208,12 +200,10 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
             continue
         links[comp[other]] = links.get(comp[other], 0) + 1
     extras = 2 * v.genus + sum(k - 1 for k in links.values())
-    out = rest
-    for _ in range(extras):
-        nid = out.fresh_id("z")
-        nv = Vertex(id=nid, genus=0, euler=0, kind="plain")
-        out = out.add_vertices([nv])
-    return out
+    free = (f"z{k}" for k in itertools.count() if not rest.has_vertex(f"z{k}"))
+    return rest.add_vertices(
+        Vertex(id=next(free), genus=0, euler=0, kind="plain") for _ in range(extras)
+    )
 
 
 def two_alteration(g: PlumbingGraph, vid: str, flip: Optional[str] = None) -> PlumbingGraph:
@@ -239,17 +229,8 @@ def two_alteration(g: PlumbingGraph, vid: str, flip: Optional[str] = None) -> Pl
         if u.kind == "arrowhead" or u.euler is None:
             raise NotApplicable(f"{vid}: neighbor {nid} has no Euler number")
     flip_edge = e1 if e1.other(vid) == flip else e2
-    edges = []
-    flipped = False
-    for e in g.edges:
-        if e is flip_edge and not flipped:
-            edges.append(replace(e, sign=-e.sign))
-            flipped = True
-        else:
-            edges.append(e)
-    out = PlumbingGraph(g.vertices, tuple(edges))
-    out = out.replace_vertex(replace(v, euler=-2))
-    return out.bump_euler(i, -1).bump_euler(j, -1)
+    return g._derive(rewrite=[(flip_edge, replace(flip_edge, sign=-flip_edge.sign))],
+                     put=[replace(v, euler=-2), g._bumped(i, -1), g._bumped(j, -1)])
 
 
 def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
@@ -263,7 +244,7 @@ def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
     derived move."""
     if euler not in (1, -1):
         raise InvalidInput("blow-up Euler number must be +1 or -1")
-    edge = next((e for e in g.edges if not e.arrow and not e.is_loop()
+    edge = next((e for e in g.edges_at(a) if not e.arrow and not e.is_loop()
                  and {e.a, e.b} == {a, b}), None)
     if edge is None:
         raise InvalidInput(f"no edge {a}--{b} to blow up")
@@ -271,10 +252,12 @@ def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
         sign_a = 1
     sign_b = -euler * edge.sign * sign_a
     nid = new_id or g.fresh_id("u")
-    out = g.remove_edge_once(edge)
-    out = out.add_vertices([Vertex(id=nid, genus=0, euler=euler, kind="plain")])
-    out = out.add_edges([Edge(a=a, b=nid, sign=sign_a), Edge(a=nid, b=b, sign=sign_b)])
-    return out.bump_euler(a, euler).bump_euler(b, euler)
+    return g._derive(
+        add_vertices=[Vertex(id=nid, genus=0, euler=euler, kind="plain")],
+        rewrite=[(edge, None)],
+        add_edges=[Edge(a=a, b=nid, sign=sign_a), Edge(a=nid, b=b, sign=sign_b)],
+        put=[g._bumped(a, euler), g._bumped(b, euler)],
+    )
 
 
 # -- scripted application ----------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -229,15 +228,7 @@ def _cmd_generic_check(cfg: RunConfig) -> int:
     max_n = cfg.flags.get("max_n", 12)
     if max_n < 2:
         raise InvalidInput("--max-n must be at least 2")
-    ns = range(2, max_n + 1)
-    jobs = int(os.environ.get("MFBOUNDARY_JOBS", "1"))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_generic_check_one, ns))
-    else:
-        results = [_generic_check_one(n) for n in ns]
+    results = [_generic_check_one(n) for n in range(2, max_n + 1)]
     lines = []
     bad = 0
     for n, ok, note in results:

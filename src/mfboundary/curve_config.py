@@ -18,11 +18,6 @@ from .arrangement import IncidenceData
 from .errors import InvalidSize
 from .graph_core import Edge, PlumbingGraph, Vertex
 
-# a curve-configuration graph is an ordinary PlumbingGraph whose vertices
-# still carry decorations; no separate class is needed
-CurveConfigGraph = PlumbingGraph
-
-
 def build_gamma_c(inc: IncidenceData) -> PlumbingGraph:
     """Curve-configuration graph: line and point vertices joined by a type-2
     edge for every incidence, plus one type-1 arrow per line."""

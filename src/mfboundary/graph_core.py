@@ -109,37 +109,142 @@ def _order_key(vid: str):
     return (3, 0, 0, 0, 0, vid)
 
 
+def _check_edge(e: Edge, index: dict) -> None:
+    """Both ends are known vertices, and the edge touches an arrowhead
+    exactly when it is an arrow, and then at one end only."""
+    for vid in (e.a, e.b):
+        if vid not in index:
+            raise UnknownVertex(f"edge references unknown vertex {vid!r}")
+    heads = (index[e.a].kind == "arrowhead") + (index[e.b].kind == "arrowhead")
+    if e.arrow and heads != 1:
+        raise InvalidInput(f"arrow edge {e.a}--{e.b} must join a vertex to one arrowhead")
+    if not e.arrow and heads != 0:
+        raise InvalidInput(f"edge {e.a}--{e.b} touches an arrowhead but is not an arrow")
+
+
 @dataclass(frozen=True)
 class PlumbingGraph:
+    """Vertices and edges in a fixed order, with two indexes: ``_index``
+    maps an id to its vertex, in vertex order, and ``_adj`` maps an id to
+    the edges at the vertex, in edge order (a loop once).
+
+    The constructor checks and indexes everything in one O(V + E) pass.
+    Edits go through _derive, which updates a copy of the indexes and
+    checks only the vertices and edges it touches."""
+
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     _index: dict = field(init=False, repr=False, compare=False, default=None)
+    _adj: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
         index = {}
         for v in self.vertices:
             if v.id in index:
                 raise InvalidInput(f"duplicate vertex id {v.id!r}")
             index[v.id] = v
+        edges = tuple(self.edges)
+        adj = {vid: [] for vid in index}
+        for e in edges:
+            _check_edge(e, index)
+            adj[e.a].append(e)
+            if e.b != e.a:
+                adj[e.b].append(e)
+        self._fill(index, edges, {vid: tuple(es) for vid, es in adj.items()})
+        self._check_arrowheads(index)
+
+    def _fill(self, index: dict, edges: tuple, adj: dict) -> None:
+        object.__setattr__(self, "vertices", tuple(index.values()))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_index", index)
-        for e in self.edges:
-            for vid in (e.a, e.b):
-                if vid not in index:
-                    raise UnknownVertex(f"edge references unknown vertex {vid!r}")
-            heads = sum(1 for vid in (e.a, e.b) if index[vid].kind == "arrowhead")
-            if e.arrow and heads != 1:
-                raise InvalidInput(
-                    f"arrow edge {e.a}--{e.b} must join a vertex to one arrowhead"
-                )
-            if not e.arrow and heads != 0:
-                raise InvalidInput(
-                    f"edge {e.a}--{e.b} touches an arrowhead but is not an arrow"
-                )
-        for v in self.vertices:
-            if v.kind == "arrowhead" and self.degree(v.id) != 1:
-                raise InvalidInput(f"arrowhead {v.id} must have degree 1")
+        object.__setattr__(self, "_adj", adj)
+
+    def _check_arrowheads(self, ids: Iterable[str]) -> None:
+        for vid in ids:
+            v = self._index.get(vid)
+            if v is not None and v.kind == "arrowhead" and self.degree(vid) != 1:
+                raise InvalidInput(f"arrowhead {vid} must have degree 1")
+
+    def _derive(self, *, add_vertices: Iterable[Vertex] = (),
+                rewrite: Iterable[tuple[Edge, Optional[Edge]]] = (),
+                drop: Iterable[str] = (), add_edges: Iterable[Edge] = (),
+                put: Iterable[Vertex] = ()) -> "PlumbingGraph":
+        """The graph after one edit, made in this order:
+
+          add_vertices  append these vertices;
+          rewrite       (edge, new) pairs: each puts new in place of the
+                        next occurrence of that edge object, or removes it
+                        when new is None;
+          drop          remove these vertices and every edge at them;
+          add_edges     append these edges;
+          put           put each vertex in place of the one with its id.
+
+        Vertex and edge order come out as a rebuild from the edited lists
+        would give them.  The indexes are updated from this graph's, and
+        only the vertices and edges the edit touches are checked, raising
+        what the constructor would raise."""
+        index, adj = dict(self._index), dict(self._adj)
+        touched = set()  # vertices whose edges or arrowhead status changed
+        for v in add_vertices:
+            if v.id in index:
+                raise InvalidInput(f"duplicate vertex id {v.id!r}")
+            index[v.id] = v
+            adj[v.id] = ()
+            touched.add(v.id)
+        pending = {}
+        for e, new in rewrite:
+            pending.setdefault(id(e), []).append(new)
+            touched.update((e.a, e.b))
+            if new is not None:
+                _check_edge(new, index)
+                touched.update((new.a, new.b))
+        drop = set(drop)
+        for vid in drop:
+            if vid not in index:
+                raise UnknownVertex(f"no vertex {vid!r}")
+            for e in adj.pop(vid):
+                touched.update((e.a, e.b))
+            del index[vid]
+        touched -= drop
+        edges = self.edges
+        if pending or drop:
+            # one pass over the edges rebuilds the list and, in edge order,
+            # the adjacency of every touched vertex
+            gathered = {vid: [] for vid in touched}
+            kept = []
+            for e in edges:
+                queue = pending.get(id(e))
+                if queue:
+                    e = queue.pop(0)
+                if e is None or e.a in drop or e.b in drop:
+                    continue
+                kept.append(e)
+                if e.a in gathered:
+                    gathered[e.a].append(e)
+                if e.b in gathered and e.b != e.a:
+                    gathered[e.b].append(e)
+            edges = tuple(kept)
+            adj.update((vid, tuple(es)) for vid, es in gathered.items())
+        add_edges = tuple(add_edges)
+        for e in add_edges:
+            _check_edge(e, index)
+            adj[e.a] += (e,)
+            if e.b != e.a:
+                adj[e.b] += (e,)
+            touched.update((e.a, e.b))
+        for v in put:
+            old = index.get(v.id)
+            if old is None:
+                raise UnknownVertex(f"no vertex {v.id!r}")
+            index[v.id] = v
+            if (old.kind == "arrowhead") != (v.kind == "arrowhead"):
+                touched.add(v.id)
+                for e in adj[v.id]:
+                    _check_edge(e, index)
+        out = object.__new__(PlumbingGraph)
+        out._fill(index, edges + add_edges, adj)
+        out._check_arrowheads(touched)
+        return out
 
     # -- access ------------------------------------------------------------
 
@@ -153,24 +258,21 @@ class PlumbingGraph:
         return vid in self._index
 
     def edges_at(self, vid: str) -> list[Edge]:
-        return [e for e in self.edges if e.touches(vid)]
+        return list(self._adj.get(vid, ()))
 
     def degree(self, vid: str) -> int:
         """Number of edge ends at the vertex; a loop contributes 2."""
-        return sum((e.a == vid) + (e.b == vid) for e in self.edges)
+        es = self._adj.get(vid, ())
+        return len(es) + sum(e.a == e.b for e in es)
 
     def neighbors(self, vid: str) -> list[str]:
-        out = []
-        for e in self.edges:
-            if e.a == vid and e.b != vid:
-                out.append(e.b)
-            elif e.b == vid and e.a != vid:
-                out.append(e.a)
-        return sorted(set(out), key=_order_key)
+        out = {e.other(vid) for e in self._adj.get(vid, ())}
+        out.discard(vid)
+        return sorted(out, key=_order_key)
 
     @property
     def ids(self) -> list[str]:
-        return [v.id for v in self.vertices]
+        return list(self._index)
 
     def non_arrowhead_vertices(self) -> list[Vertex]:
         return [v for v in self.vertices if v.kind != "arrowhead"]
@@ -198,38 +300,34 @@ class PlumbingGraph:
 
     # -- structural edits (all return new graphs) ---------------------------
 
-    def replace_vertex(self, v: Vertex) -> "PlumbingGraph":
-        if v.id not in self._index:
-            raise UnknownVertex(f"no vertex {v.id!r}")
-        return PlumbingGraph(
-            tuple(v if u.id == v.id else u for u in self.vertices), self.edges
-        )
-
-    def bump_euler(self, vid: str, delta: int) -> "PlumbingGraph":
+    def _bumped(self, vid: str, delta: int) -> Vertex:
+        """The vertex with delta added to its Euler number."""
         v = self.vertex(vid)
         if v.euler is None:
             raise InvalidInput(f"vertex {vid} has no Euler number to adjust")
-        return self.replace_vertex(replace(v, euler=v.euler + delta))
+        return replace(v, euler=v.euler + delta)
+
+    def replace_vertex(self, v: Vertex) -> "PlumbingGraph":
+        return self._derive(put=[v])
+
+    def bump_euler(self, vid: str, delta: int) -> "PlumbingGraph":
+        return self._derive(put=[self._bumped(vid, delta)])
 
     def remove_vertices(self, ids: Iterable[str]) -> "PlumbingGraph":
-        drop = set(ids)
-        for vid in drop:
-            self.vertex(vid)
-        return PlumbingGraph(
-            tuple(v for v in self.vertices if v.id not in drop),
-            tuple(e for e in self.edges if e.a not in drop and e.b not in drop),
-        )
+        return self._derive(drop=ids)
 
     def add_vertices(self, vs: Iterable[Vertex]) -> "PlumbingGraph":
-        return PlumbingGraph(self.vertices + tuple(vs), self.edges)
+        return self._derive(add_vertices=vs)
 
     def add_edges(self, es: Iterable[Edge]) -> "PlumbingGraph":
-        return PlumbingGraph(self.vertices, self.edges + tuple(es))
+        return self._derive(add_edges=es)
 
     def remove_edge_once(self, e: Edge) -> "PlumbingGraph":
-        es = list(self.edges)
-        es.remove(e)
-        return PlumbingGraph(self.vertices, tuple(es))
+        """Remove the first edge equal to e."""
+        first = next((x for x in self._adj.get(e.a, ()) if x == e), None)
+        if first is None:
+            raise ValueError(f"no edge {e} to remove")
+        return self._derive(rewrite=[(first, None)])
 
     def fresh_id(self, prefix: str) -> str:
         k = 0
@@ -314,12 +412,27 @@ def graph_to_json(g: PlumbingGraph) -> dict:
     }
 
 
+def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...]) -> list[dict]:
+    rows = obj[key]
+    if not isinstance(rows, list):
+        raise InvalidInput(f'graph JSON "{key}" must be a list')
+    for row in rows:
+        if not isinstance(row, dict):
+            raise InvalidInput(f"{what} row must be an object, got {row!r}")
+        for name in required:
+            if name not in row:
+                raise InvalidInput(f'{what} row needs "{name}": {row!r}')
+    return rows
+
+
 def graph_from_json(obj: dict) -> PlumbingGraph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInput('graph JSON needs "vertices" and "edges"')
     verts = []
-    for row in obj["vertices"]:
+    for row in _json_rows(obj, "vertices", "vertex", ("id",)):
         dec = row.get("dec")
+        if dec is not None and not isinstance(dec, list):
+            raise InvalidInput(f"vertex {row['id']!r}: dec must be a list of three integers")
         verts.append(
             Vertex(
                 id=row["id"],
@@ -331,7 +444,9 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
             )
         )
     edges = []
-    for row in obj["edges"]:
+    for row in _json_rows(obj, "edges", "edge", ("a", "b")):
+        if not isinstance(row["a"], str) or not isinstance(row["b"], str):
+            raise InvalidInput(f"edge ends must be vertex ids: {row['a']!r}--{row['b']!r}")
         sign = row.get("sign", "+")
         if sign in ("+", 1):
             s = 1

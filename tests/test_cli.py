@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mfboundary.cli import main
 
@@ -212,6 +214,70 @@ def test_bad_json_is_reported(tmp_path, capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "InvalidInput"
+
+
+def homology_of_payload(capsys, path, payload):
+    path.write_text(json.dumps(payload))
+    return run_cli(capsys, "homology", str(path))
+
+
+def assert_one_json_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("payload", [
+    {"vertices": [{"euler": -1}], "edges": []},                      # vertex without "id"
+    {"vertices": [{"id": "x", "euler": -1}], "edges": [{"a": "x"}]},  # edge without "b"
+    {"vertices": [1], "edges": []},                                   # vertex row not an object
+    {"vertices": [{"id": "x", "euler": -1}], "edges": ["x"]},         # edge row not an object
+    {"vertices": {"id": "x"}, "edges": []},                           # rows not a list
+    {"vertices": [{"id": "x", "euler": -1}], "edges": [{"a": ["x"], "b": "x"}]},
+    {"vertices": [{"id": "x", "euler": -1, "dec": 5}], "edges": []},
+    {"n": 3, "points": [["a", 1]]},                                   # line label not an int
+    {"n": 3, "points": [[0, 1], 2]},                                  # point row not a list
+    {"n": 3, "points": [[0, [1]]]},
+    {"n": True, "points": []},
+    {"lines": [[1, 0, 0], 5]},                                        # line row not a list
+])
+def test_malformed_json_is_one_json_error(tmp_path, capsys, payload):
+    result = homology_of_payload(capsys, tmp_path / "in.json", payload)
+    assert assert_one_json_error(*result)["error"] == "InvalidInput"
+
+
+_json_leaf = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+              | st.text("xyvwa0+-/", max_size=3))
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("abn", max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+_small = st.integers(-1, 5) | _json
+_rows = lambda keys, values: st.lists(st.dictionaries(st.sampled_from(keys), values, max_size=len(keys)) | _json, max_size=3)
+_payloads = st.one_of(
+    _json,
+    st.fixed_dictionaries({"lines": st.lists(st.lists(_small, max_size=4) | _json, max_size=4)}),
+    st.fixed_dictionaries({"n": _small, "points": st.lists(st.lists(_small, max_size=4) | _json, max_size=5)}),
+    st.fixed_dictionaries({
+        "vertices": _rows(["id", "genus", "euler", "mult", "kind", "dec"],
+                          st.sampled_from(["x", "y", "arrowhead", "plain"]) | _small),
+        "edges": _rows(["a", "b", "sign", "type", "arrow"], st.sampled_from(["x", "y", "+", "-"]) | _small),
+    }),
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_payloads)
+def test_homology_of_any_json_is_an_answer_or_one_json_error(tmp_path, capsys, payload):
+    code, out, err = homology_of_payload(capsys, tmp_path / "in.json", payload)
+    if code == 0:
+        assert out.startswith("H1 = ") and err == ""
+    else:
+        assert "error" in assert_one_json_error(code, out, err)
 
 
 def test_wrong_input_kind_is_reported(tmp_path, capsys):

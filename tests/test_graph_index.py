@@ -1,0 +1,234 @@
+"""The adjacency index and incremental edits of PlumbingGraph.
+
+Every edited graph must equal a full rebuild of its own vertex and edge
+lists, in the same order, with the same indexes; its lookups must match a
+scan of the edge list; and every edit that a rebuild would reject must be
+rejected with the same error class."""
+
+import random
+
+import pytest
+
+from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
+from mfboundary.calculus import MOVES, MoveSpec, apply_move, blow_up_edge, run_script
+from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
+from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, _order_key
+from mfboundary.pipeline import boundary_graph
+from mfboundary.reduction import (
+    double_chain_script,
+    generic_reduction_script,
+    near_pencil_reduction_script,
+    pencil_reduction_script,
+    reduce_double_chains,
+)
+
+from oracles import random_plumbing
+
+
+def assert_indexed(g):
+    rebuilt = PlumbingGraph(g.vertices, g.edges)
+    assert g == rebuilt
+    assert g._index == rebuilt._index and g._adj == rebuilt._adj
+    assert g.ids == [v.id for v in g.vertices]
+    # one scan of the edge list gives every vertex's edges and degree
+    at = {v.id: [] for v in g.vertices}
+    degree = dict.fromkeys(at, 0)
+    for e in g.edges:
+        at[e.a].append(e)
+        if e.b != e.a:
+            at[e.b].append(e)
+        degree[e.a] += 1
+        degree[e.b] += 1
+    for vid, es in at.items():
+        assert g.edges_at(vid) == es
+        assert g.degree(vid) == degree[vid]
+        others = {e.b if e.a == vid else e.a for e in es} - {vid}
+        assert g.neighbors(vid) == sorted(others, key=_order_key)
+
+
+def walk(g, script):
+    assert_indexed(g)
+    for g in run_script(g, script):
+        assert_indexed(g)
+    return g
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_generic_script_keeps_the_index(n):
+    inc = generate_family("generic", n)
+    g = boundary_graph(inc)
+    out = walk(g, generic_reduction_script(g, inc))
+    assert len(out.vertices) == n + n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_near_pencil_script_keeps_the_index(n):
+    inc = generate_family("near_pencil", n)
+    g = boundary_graph(inc)
+    out = walk(g, near_pencil_reduction_script(g, inc))
+    assert len(out.vertices) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_pencil_split_keeps_the_index(n):
+    inc = generate_family("pencil", n)
+    g = boundary_graph(inc)
+    walk(g, pencil_reduction_script(g, inc))
+
+
+def test_double_chain_scripts_on_random_arrangements_keep_the_index():
+    rng = random.Random(4242)
+    for _ in range(6):
+        inc = incidence_from_lines(random_rational_lines(rng.randint(5, 8), rng))
+        g = boundary_graph(inc)
+        for j, p in enumerate(inc.points):
+            if p.multiplicity == 2:
+                g = walk(g, double_chain_script(g, inc, j))
+        assert g == reduce_double_chains(boundary_graph(inc), inc)
+
+
+def random_edit(rng, g):
+    """One random edit of g, with the graph a rebuild gives for the public
+    helpers; None when the edit does not apply."""
+    ids = g.ids
+    vid = rng.choice(ids)
+    kind = rng.choice(sorted(MOVES) + ["blow_up", "add_edge", "remove_edge",
+                                       "remove_vertex", "bump", "add_vertex"])
+    if kind in MOVES:
+        return apply_move(g, MoveSpec(kind, vid)), None
+    if kind == "blow_up":
+        plain = [e for e in g.edges if not e.is_loop()]
+        if not plain:
+            return None, None
+        e = rng.choice(plain)
+        return blow_up_edge(g, e.a, e.b, euler=rng.choice([1, -1]),
+                            sign_a=rng.choice([1, -1])), None
+    if kind == "add_edge":
+        e = Edge(vid, rng.choice(ids), sign=rng.choice([1, -1]))  # may be a loop
+        return g.add_edges([e]), PlumbingGraph(g.vertices, g.edges + (e,))
+    if kind == "remove_edge":
+        if not g.edges:
+            return None, None
+        e = rng.choice(g.edges)
+        es = list(g.edges)
+        es.remove(e)
+        return g.remove_edge_once(Edge(e.a, e.b, e.sign)), PlumbingGraph(g.vertices, es)
+    if kind == "remove_vertex":
+        return g.remove_vertices([vid]), PlumbingGraph(
+            [v for v in g.vertices if v.id != vid],
+            [e for e in g.edges if not e.touches(vid)],
+        )
+    if kind == "bump":
+        delta = rng.randint(-2, 2)
+        v = g.vertex(vid)
+        bumped = Vertex(v.id, v.genus, v.euler + delta, v.mult, v.kind, v.dec)
+        return g.bump_euler(vid, delta), PlumbingGraph(
+            [bumped if u.id == vid else u for u in g.vertices], g.edges
+        )
+    nv = Vertex(g.fresh_id("q"), euler=rng.randint(-2, 2))
+    return g.add_vertices([nv]), PlumbingGraph(g.vertices + (nv,), g.edges)
+
+
+def test_random_edits_on_random_plumbings_keep_the_index():
+    rng = random.Random(20261018)
+    applied = 0
+    for _ in range(250):
+        g = random_plumbing(rng)
+        for _ in range(15):
+            if not g.vertices:
+                break
+            try:
+                out, expected = random_edit(rng, g)
+            except MFBoundaryError:
+                continue  # the move does not apply here
+            if out is None:
+                continue
+            assert_indexed(out)
+            if expected is not None:
+                assert out == expected
+            applied += 1
+            g = out
+    assert applied > 1500
+
+
+def test_reduction_runs_no_full_validation_per_move(monkeypatch):
+    # every move derives its graph from the previous one; a full
+    # constructor check per move would make reduction quadratic again
+    inc = generate_family("generic", 10)
+    g = boundary_graph(inc)
+    moves = len(generic_reduction_script(g, inc))
+    calls = []
+    full_check = PlumbingGraph.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        full_check(self)
+
+    monkeypatch.setattr(PlumbingGraph, "__post_init__", counted)
+    reduce_double_chains(g, inc)
+    assert moves > 300
+    assert len(calls) <= 2, f"{len(calls)} full validations for {moves} moves"
+
+
+def arrow_graph():
+    """n0 -- n1 -> a0."""
+    return PlumbingGraph(
+        vertices=(Vertex("n0", euler=-1), Vertex("n1", euler=-2), Vertex("a0", kind="arrowhead")),
+        edges=(Edge("n0", "n1", -1), Edge("n1", "a0", arrow=True)),
+    )
+
+
+def test_edits_reject_what_a_rebuild_rejects():
+    g = arrow_graph()
+    v, e = g.vertices, g.edges
+    cases = [
+        # an edge to an unknown vertex
+        (lambda: g.add_edges([Edge("n0", "zz")]), v, e + (Edge("n0", "zz"),)),
+        # a non-arrow edge at an arrowhead
+        (lambda: g.add_edges([Edge("n0", "a0")]), v, e + (Edge("n0", "a0"),)),
+        # an arrow that reaches no arrowhead
+        (lambda: g.add_edges([Edge("n0", "n1", arrow=True)]), v,
+         e + (Edge("n0", "n1", arrow=True),)),
+        # a second arrow into an arrowhead
+        (lambda: g.add_edges([Edge("n0", "a0", arrow=True)]), v,
+         e + (Edge("n0", "a0", arrow=True),)),
+        # removing the vertex the arrowhead hangs on
+        (lambda: g.remove_vertices(["n1"]), (v[0], v[2]), ()),
+        # removing the arrow
+        (lambda: g.remove_edge_once(e[1]), v, (e[0],)),
+        # an arrowhead with no arrow
+        (lambda: g.add_vertices([Vertex("a1", kind="arrowhead")]),
+         v + (Vertex("a1", kind="arrowhead"),), e),
+        # a vertex id twice
+        (lambda: g.add_vertices([Vertex("n0")]), v + (Vertex("n0"),), e),
+        # an arrowhead turned into a plain vertex
+        (lambda: g.replace_vertex(Vertex("a0", euler=0)), (v[0], v[1], Vertex("a0", euler=0)), e),
+        # a vertex with edges turned into an arrowhead
+        (lambda: g.replace_vertex(Vertex("n0", kind="arrowhead")),
+         (Vertex("n0", kind="arrowhead"), v[1], v[2]), e),
+    ]
+    for edit, vertices, edges in cases:
+        with pytest.raises(MFBoundaryError) as rebuild:
+            PlumbingGraph(vertices, edges)
+        assert type(rebuild.value) in (UnknownVertex, InvalidInput)
+        with pytest.raises(type(rebuild.value)):
+            edit()
+    for edit in (lambda: g.replace_vertex(Vertex("zz")), lambda: g.remove_vertices(["zz"]),
+                 lambda: g.bump_euler("zz", 1)):
+        with pytest.raises(UnknownVertex):
+            edit()
+    with pytest.raises(InvalidInput):
+        g.bump_euler("a0", 1)  # an arrowhead has no Euler number
+    assert_indexed(g)  # a rejected edit leaves the graph as it was
+
+
+def test_rewrites_take_one_occurrence_each():
+    # the same edge object listed twice is two parallel edges
+    e = Edge("n0", "n1", 1)
+    g = PlumbingGraph((Vertex("n0", euler=0), Vertex("n1", euler=0)), (e, e))
+    once = g.remove_edge_once(e)
+    assert once.edges == (e,)
+    assert_indexed(once)
+    flipped = apply_move(g, MoveSpec("sign_reversal", "n0"))
+    assert [x.sign for x in flipped.edges] == [-1, -1]
+    assert_indexed(flipped)

@@ -356,8 +356,9 @@ def test_homology_of_graph_rejects_what_incidence_matrix_rejects():
 
 
 def test_snf_oracle_tests_pass_under_python_O():
-    # python -O strips assert statements; the engine's invariant checks are
-    # explicit raises and must still hold in an optimised run
+    # python -O strips assert statements; the engine's invariant checks and
+    # the graph checks of incremental edits are explicit raises and must
+    # still hold in an optimised run
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.dirname(here)
     env = dict(os.environ)
@@ -369,6 +370,9 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_homology.py::test_snf_unit_free_matrices_match_oracle",
         "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
         "tests/test_acceptance.py::test_criterion_11_snf_oracle",
+        "tests/test_graph_index.py::test_edits_reject_what_a_rebuild_rejects",
+        "tests/test_graph_core.py::test_graph_validation",
+        "tests/test_graph_core.py::test_arrowhead_degree_one",
     ]
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *selected],
