@@ -412,7 +412,10 @@ def graph_to_json(g: PlumbingGraph) -> dict:
     }
 
 
-def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...]) -> list[dict]:
+def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...],
+               numbers: tuple[str, ...]) -> list[dict]:
+    """The rows under obj[key], each an object with the required fields
+    and no true/false where a number belongs."""
     rows = obj[key]
     if not isinstance(rows, list):
         raise InvalidInput(f'graph JSON "{key}" must be a list')
@@ -422,6 +425,12 @@ def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...]) -> lis
         for name in required:
             if name not in row:
                 raise InvalidInput(f'{what} row needs "{name}": {row!r}')
+        for name in numbers:
+            value = row.get(name)
+            if isinstance(value, bool) or (
+                isinstance(value, list) and any(isinstance(x, bool) for x in value)
+            ):
+                raise InvalidInput(f'{what} "{name}" must be numeric, got {value!r}')
     return rows
 
 
@@ -429,7 +438,8 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInput('graph JSON needs "vertices" and "edges"')
     verts = []
-    for row in _json_rows(obj, "vertices", "vertex", ("id",)):
+    vertex_rows = _json_rows(obj, "vertices", "vertex", ("id",), ("genus", "euler", "mult", "dec"))
+    for row in vertex_rows:
         dec = row.get("dec")
         if dec is not None and not isinstance(dec, list):
             raise InvalidInput(f"vertex {row['id']!r}: dec must be a list of three integers")
@@ -444,7 +454,7 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
             )
         )
     edges = []
-    for row in _json_rows(obj, "edges", "edge", ("a", "b")):
+    for row in _json_rows(obj, "edges", "edge", ("a", "b"), ("sign", "type")):
         if not isinstance(row["a"], str) or not isinstance(row["b"], str):
             raise InvalidInput(f"edge ends must be vertex ids: {row['a']!r}--{row['b']!r}")
         sign = row.get("sign", "+")

@@ -237,6 +237,9 @@ def assert_one_json_error(code, out, err):
     {"vertices": {"id": "x"}, "edges": []},                           # rows not a list
     {"vertices": [{"id": "x", "euler": -1}], "edges": [{"a": ["x"], "b": "x"}]},
     {"vertices": [{"id": "x", "euler": -1, "dec": 5}], "edges": []},
+    {"vertices": [{"id": "x", "euler": True, "genus": True}], "edges": []},  # true is not 1
+    {"vertices": [{"id": "x", "euler": -1}, {"id": "y", "euler": -1}],
+     "edges": [{"a": "x", "b": "y", "sign": True}]},
     {"n": 3, "points": [["a", 1]]},                                   # line label not an int
     {"n": 3, "points": [[0, 1], 2]},                                  # point row not a list
     {"n": 3, "points": [[0, [1]]]},
@@ -252,19 +255,32 @@ _json_leaf = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
               | st.text("xyvwa0+-/", max_size=3))
 _json = st.recursive(
     _json_leaf,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("abn", max_size=2), inner, max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text("abn", max_size=2), inner, max_size=3)),
     max_leaves=10,
 )
 _small = st.integers(-1, 5) | _json
-_rows = lambda keys, values: st.lists(st.dictionaries(st.sampled_from(keys), values, max_size=len(keys)) | _json, max_size=3)
+
+
+def _rows(keys, values):
+    rows = st.dictionaries(st.sampled_from(keys), values, max_size=len(keys))
+    return st.lists(rows | _json, max_size=3)
+
+
+# arbitrary JSON rarely has the keys the loaders look for, so most
+# payloads are the three documented shapes filled with arbitrary values
 _payloads = st.one_of(
     _json,
     st.fixed_dictionaries({"lines": st.lists(st.lists(_small, max_size=4) | _json, max_size=4)}),
-    st.fixed_dictionaries({"n": _small, "points": st.lists(st.lists(_small, max_size=4) | _json, max_size=5)}),
+    st.fixed_dictionaries({
+        "n": _small,
+        "points": st.lists(st.lists(_small, max_size=4) | _json, max_size=5),
+    }),
     st.fixed_dictionaries({
         "vertices": _rows(["id", "genus", "euler", "mult", "kind", "dec"],
                           st.sampled_from(["x", "y", "arrowhead", "plain"]) | _small),
-        "edges": _rows(["a", "b", "sign", "type", "arrow"], st.sampled_from(["x", "y", "+", "-"]) | _small),
+        "edges": _rows(["a", "b", "sign", "type", "arrow"],
+                       st.sampled_from(["x", "y", "+", "-"]) | _small),
     }),
 )
 
