@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,14 +42,18 @@ def _primitive(coeffs: Sequence[Fraction]) -> Triple:
     return (ints[0], ints[1], ints[2])
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rational(value) -> Fraction:
-    # accepts ints, Fractions and "p/q" strings; floats are rejected on
-    # purpose, exactness is the whole point
+    # accepts ints, Fractions and "p" or "p/q" strings of decimal digits;
+    # floats and exponents are rejected on purpose: exactness is the whole
+    # point, and "1e600000" would expand to a 600001-digit integer
     if isinstance(value, bool):
         raise InvalidInput(f"not a rational coefficient: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -291,13 +296,19 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
     raise InvalidInput('arrangement JSON needs "lines" or "points"')
 
 
-def load_arrangement(path: str) -> IncidenceData:
+def load_json(path: str):
+    """The JSON value in a file.  Text that is not UTF-8 or not JSON, an
+    integer literal too long for int() and nesting too deep for the parser
+    raise InvalidInput."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise InvalidInput(f"invalid JSON in {path}: {exc}") from exc
-    return arrangement_from_json(obj)
+
+
+def load_arrangement(path: str) -> IncidenceData:
+    return arrangement_from_json(load_json(path))
 
 
 def incidence_to_json(inc: IncidenceData) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
@@ -22,6 +21,7 @@ from .arrangement import (
     generate_family,
     incidence_from_lines,
     incidence_to_json,
+    load_json,
     random_rational_lines,
 )
 from .calculus import MoveSpec, apply_script
@@ -50,14 +50,6 @@ from .pipeline import boundary_graph
 from .strings import build_string
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    flags: dict = field(default_factory=dict)
-
-
 def _emit(text: str, path: Optional[str]):
     if path:
         with open(path, "w") as fh:
@@ -70,49 +62,39 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"invalid JSON in {path}: {exc}") from exc
-
-
 def _load_any(path: str) -> tuple[Optional[IncidenceData], Optional[PlumbingGraph]]:
     """Accept an arrangement file or a graph file, telling them apart by
     their keys."""
-    obj = _load_json(path)
+    obj = load_json(path)
     if isinstance(obj, dict) and "vertices" in obj and "edges" in obj:
         return None, graph_from_json(obj)
     return arrangement_from_json(obj), None
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    kind = cfg.flags["kind"]
-    n = cfg.flags["n"]
-    if kind == "random":
+def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.kind == "random":
         import random as _random
 
-        rng = _random.Random(cfg.flags.get("seed", 0))
-        inc = incidence_from_lines(random_rational_lines(n, rng))
+        rng = _random.Random(args.seed)
+        inc = incidence_from_lines(random_rational_lines(args.n, rng))
     else:
-        inc = generate_family(kind, n)
-    _emit(_dump(incidence_to_json(inc)), cfg.output)
+        inc = generate_family(args.kind, args.n)
+    _emit(_dump(incidence_to_json(inc)), args.output)
     return 0
 
 
-def _cmd_gamma_c(cfg: RunConfig) -> int:
-    inc, g = _load_any(cfg.input)
+def _cmd_gamma_c(args: argparse.Namespace) -> int:
+    inc, g = _load_any(args.input)
     if inc is None:
         raise InvalidInput("gamma-c expects an arrangement, not a graph")
     gc = build_gamma_c(inc)
-    text = to_dot(gc) if cfg.flags.get("dot") else _dump(graph_to_json(gc))
-    _emit(text, cfg.output)
+    text = to_dot(gc) if args.dot else _dump(graph_to_json(gc))
+    _emit(text, args.output)
     return 0
 
 
-def _cmd_string(cfg: RunConfig) -> int:
-    a, b, c = cfg.flags["a"], cfg.flags["b"], cfg.flags["c"]
+def _cmd_string(args: argparse.Namespace) -> int:
+    a, b, c = args.a, args.b, args.c
     s = build_string(a, b, c)
     payload = {
         "a": a,
@@ -125,8 +107,8 @@ def _cmd_string(cfg: RunConfig) -> int:
         "end_mults": list(s.end_mults),
         "double_arrow": s.is_double_arrow,
     }
-    if cfg.flags.get("json"):
-        _emit(_dump(payload), cfg.output)
+    if args.json:
+        _emit(_dump(payload), args.output)
     else:
         if s.is_double_arrow:
             line = f"Str({a},{b};{c}): double arrow, end multiplicities {s.end_mults}\n"
@@ -136,31 +118,31 @@ def _cmd_string(cfg: RunConfig) -> int:
                 f"interior multiplicities {list(s.interior_mults)}, "
                 f"end multiplicities {s.end_mults}\n"
             )
-        _emit(line, cfg.output)
+        _emit(line, args.output)
     return 0
 
 
-def _cmd_plumbing(cfg: RunConfig) -> int:
-    inc, g = _load_any(cfg.input)
+def _cmd_plumbing(args: argparse.Namespace) -> int:
+    inc, g = _load_any(args.input)
     if inc is None:
         raise InvalidInput("plumbing expects an arrangement, not a graph")
-    g = boundary_graph(inc, reduce=cfg.flags.get("reduce", False))
-    text = to_dot(g) if cfg.flags.get("dot") else _dump(graph_to_json(g))
-    _emit(text, cfg.output)
+    g = boundary_graph(inc, reduce=args.reduce)
+    text = to_dot(g) if args.dot else _dump(graph_to_json(g))
+    _emit(text, args.output)
     return 0
 
 
-def _cmd_calculus(cfg: RunConfig) -> int:
-    inc, g = _load_any(cfg.input)
+def _cmd_calculus(args: argparse.Namespace) -> int:
+    inc, g = _load_any(args.input)
     if g is None:
         raise InvalidInput("calculus expects a graph file")
-    script_obj = _load_json(cfg.flags["script"])
+    script_obj = load_json(args.script)
     if not isinstance(script_obj, list):
         raise InvalidInput("a move script is a JSON list of move objects")
     script = [MoveSpec.from_json(row) for row in script_obj]
-    out = apply_script(g, script, check_h1=cfg.flags.get("check_h1", False))
-    text = to_dot(out) if cfg.flags.get("dot") else _dump(graph_to_json(out))
-    _emit(text, cfg.output)
+    out = apply_script(g, script, check_h1=args.check_h1)
+    text = to_dot(out) if args.dot else _dump(graph_to_json(out))
+    _emit(text, args.output)
     return 0
 
 
@@ -173,14 +155,14 @@ def _graph_stats(g: PlumbingGraph) -> dict:
     }
 
 
-def _cmd_homology(cfg: RunConfig) -> int:
-    inc, g = _load_any(cfg.input)
+def _cmd_homology(args: argparse.Namespace) -> int:
+    inc, g = _load_any(args.input)
     betti = None
     if g is None:
-        g = boundary_graph(inc, reduce=cfg.flags.get("reduce", False))
+        g = boundary_graph(inc, reduce=args.reduce)
         betti = betti_formula(inc)
     group = homology_of_graph(g)
-    if cfg.flags.get("json"):
+    if args.json:
         payload = {
             "h1": str(group),
             "rank": group.free_rank,
@@ -188,17 +170,17 @@ def _cmd_homology(cfg: RunConfig) -> int:
             "betti_formula": betti,
             "graph_stats": _graph_stats(g),
         }
-        _emit(_dump(payload), cfg.output)
+        _emit(_dump(payload), args.output)
     else:
-        _emit(f"H1 = {group}\n", cfg.output)
+        _emit(f"H1 = {group}\n", args.output)
     return 0
 
 
-def _cmd_betti(cfg: RunConfig) -> int:
-    inc, g = _load_any(cfg.input)
+def _cmd_betti(args: argparse.Namespace) -> int:
+    inc, g = _load_any(args.input)
     if inc is None:
         raise InvalidInput("betti expects an arrangement, not a graph")
-    _emit(f"{betti_formula(inc)}\n", cfg.output)
+    _emit(f"{betti_formula(inc)}\n", args.output)
     return 0
 
 
@@ -224,11 +206,10 @@ def _generic_check_one(n: int) -> tuple[int, bool, str]:
     return n, ok, f"H1 = {closed}" if ok else "; ".join(notes)
 
 
-def _cmd_generic_check(cfg: RunConfig) -> int:
-    max_n = cfg.flags.get("max_n", 12)
-    if max_n < 2:
+def _cmd_generic_check(args: argparse.Namespace) -> int:
+    if args.max_n < 2:
         raise InvalidInput("--max-n must be at least 2")
-    results = [_generic_check_one(n) for n in range(2, max_n + 1)]
+    results = [_generic_check_one(n) for n in range(2, args.max_n + 1)]
     lines = []
     bad = 0
     for n, ok, note in results:
@@ -236,39 +217,25 @@ def _cmd_generic_check(cfg: RunConfig) -> int:
         if not ok:
             bad += 1
         lines.append(f"{status} n={n}: {note}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 1 if bad else 0
 
 
-def _cmd_probe(cfg: RunConfig) -> int:
-    inc, g = _load_any(cfg.input)
+def _cmd_probe(args: argparse.Namespace) -> int:
+    inc, g = _load_any(args.input)
     if inc is None:
         raise InvalidInput("probe-conjecture expects an arrangement")
     report = probe_conjecture(inc)
-    _emit(_dump(report.to_json()), cfg.output)
+    _emit(_dump(report.to_json()), args.output)
     return 0 if report.all_hold() else 1
 
 
-def _cmd_export_dot(cfg: RunConfig) -> int:
-    inc, g = _load_any(cfg.input)
+def _cmd_export_dot(args: argparse.Namespace) -> int:
+    inc, g = _load_any(args.input)
     if g is None:
-        g = boundary_graph(inc, reduce=cfg.flags.get("reduce", False))
-    _emit(to_dot(g), cfg.output)
+        g = boundary_graph(inc, reduce=args.reduce)
+    _emit(to_dot(g), args.output)
     return 0
-
-
-_DISPATCH = {
-    "generate": _cmd_generate,
-    "gamma-c": _cmd_gamma_c,
-    "string": _cmd_string,
-    "plumbing": _cmd_plumbing,
-    "calculus": _cmd_calculus,
-    "homology": _cmd_homology,
-    "betti": _cmd_betti,
-    "generic-check": _cmd_generic_check,
-    "probe-conjecture": _cmd_probe,
-    "export-dot": _cmd_export_dot,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,90 +246,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_output(sp):
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("-o", "--output", help="write to a file instead of stdout")
+        return sp
 
-    sp = sub.add_parser("generate", help="emit an arrangement JSON for a named family")
+    sp = command("generate", _cmd_generate, "emit an arrangement JSON for a named family")
     sp.add_argument("kind", choices=["generic", "pencil", "near_pencil", "random"])
     sp.add_argument("n", type=int)
     sp.add_argument("--seed", type=int, default=0, help="rng seed for kind=random")
-    add_output(sp)
 
-    sp = sub.add_parser("gamma-c", help="curve-configuration graph of an arrangement")
+    sp = command("gamma-c", _cmd_gamma_c, "curve-configuration graph of an arrangement")
     sp.add_argument("input")
     sp.add_argument("--dot", action="store_true")
-    add_output(sp)
 
-    sp = sub.add_parser("string", help="compute one string chain Str(a,b;c)")
+    sp = command("string", _cmd_string, "compute one string chain Str(a,b;c)")
     sp.add_argument("a", type=int)
     sp.add_argument("b", type=int)
     sp.add_argument("c", type=int)
     sp.add_argument("--json", action="store_true")
-    add_output(sp)
 
-    sp = sub.add_parser("plumbing", help="closed plumbing graph of an arrangement")
+    sp = command("plumbing", _cmd_plumbing, "closed plumbing graph of an arrangement")
     sp.add_argument("input")
     sp.add_argument("--reduce", action="store_true",
                     help="compact the double-point chains by calculus moves")
     sp.add_argument("--dot", action="store_true")
-    add_output(sp)
 
-    sp = sub.add_parser("calculus", help="apply a move script to a graph")
+    sp = command("calculus", _cmd_calculus, "apply a move script to a graph")
     sp.add_argument("input")
     sp.add_argument("--script", required=True, help="JSON list of moves")
     sp.add_argument("--check-h1", action="store_true", dest="check_h1")
     sp.add_argument("--dot", action="store_true")
-    add_output(sp)
 
-    sp = sub.add_parser("homology", help="H1 of an arrangement boundary or a graph")
+    sp = command("homology", _cmd_homology, "H1 of an arrangement boundary or a graph")
     sp.add_argument("input")
     sp.add_argument("--reduce", action="store_true")
     sp.add_argument("--json", action="store_true")
-    add_output(sp)
 
-    sp = sub.add_parser("betti", help="closed-form first Betti number")
+    sp = command("betti", _cmd_betti, "closed-form first Betti number")
     sp.add_argument("input")
-    add_output(sp)
 
-    sp = sub.add_parser("generic-check", help="verify the closed-form generic algebra")
+    sp = command("generic-check", _cmd_generic_check, "verify the closed-form generic algebra")
     sp.add_argument("--max-n", type=int, default=12, dest="max_n")
-    add_output(sp)
 
-    sp = sub.add_parser("probe-conjecture", help="torsion predictions on one arrangement")
+    sp = command("probe-conjecture", _cmd_probe, "torsion predictions on one arrangement")
     sp.add_argument("input")
-    add_output(sp)
 
-    sp = sub.add_parser("export-dot", help="Graphviz output for a graph or arrangement")
+    sp = command("export-dot", _cmd_export_dot, "Graphviz output for a graph or arrangement")
     sp.add_argument("input")
     sp.add_argument("--reduce", action="store_true")
-    add_output(sp)
 
     return p
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    flags = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "input", "output") and v is not None
-    }
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        flags=flags,
-    )
-
-
-def run(cfg: RunConfig) -> int:
-    return _DISPATCH[cfg.command](cfg)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return run(cfg)
+        return args.run(args)
     except MFBoundaryError as exc:
         sys.stderr.write(json.dumps(exc.payload()) + "\n")
         return 1

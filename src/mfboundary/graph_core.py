@@ -15,6 +15,7 @@ point, then everything else by id.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -122,20 +123,27 @@ def _check_edge(e: Edge, index: dict) -> None:
         raise InvalidInput(f"edge {e.a}--{e.b} touches an arrowhead but is not an arrow")
 
 
+# Edge keys: an edge added later, to any graph, sorts after every edge
+# already stored, so key order is edge order.
+_edge_keys = itertools.count()
+
+
 @dataclass(frozen=True)
 class PlumbingGraph:
-    """Vertices and edges in a fixed order, with two indexes: ``_index``
-    maps an id to its vertex, in vertex order, and ``_adj`` maps an id to
-    the edges at the vertex, in edge order (a loop once).
+    """Vertices and edges in a fixed order, with three indexes: ``_index``
+    maps an id to its vertex, in vertex order; ``_store`` maps an edge key
+    to its edge, in edge order; and ``_adj`` maps an id to the keys of the
+    edges at the vertex, ascending (a loop once).
 
     The constructor checks and indexes everything in one O(V + E) pass.
-    Edits go through _derive, which updates a copy of the indexes and
-    checks only the vertices and edges it touches."""
+    Edits go through _derive, which copies the indexes as dicts and edits
+    and checks only the vertices and edges it touches."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     _index: dict = field(init=False, repr=False, compare=False, default=None)
     _adj: dict = field(init=False, repr=False, compare=False, default=None)
+    _store: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         index = {}
@@ -143,21 +151,22 @@ class PlumbingGraph:
             if v.id in index:
                 raise InvalidInput(f"duplicate vertex id {v.id!r}")
             index[v.id] = v
-        edges = tuple(self.edges)
+        store = dict(zip(_edge_keys, self.edges))
         adj = {vid: [] for vid in index}
-        for e in edges:
+        for k, e in store.items():
             _check_edge(e, index)
-            adj[e.a].append(e)
+            adj[e.a].append(k)
             if e.b != e.a:
-                adj[e.b].append(e)
-        self._fill(index, edges, {vid: tuple(es) for vid, es in adj.items()})
+                adj[e.b].append(k)
+        self._fill(index, {vid: tuple(ks) for vid, ks in adj.items()}, store)
         self._check_arrowheads(index)
 
-    def _fill(self, index: dict, edges: tuple, adj: dict) -> None:
+    def _fill(self, index: dict, adj: dict, store: dict) -> None:
         object.__setattr__(self, "vertices", tuple(index.values()))
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(store.values()))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_store", store)
 
     def _check_arrowheads(self, ids: Iterable[str]) -> None:
         for vid in ids:
@@ -180,10 +189,11 @@ class PlumbingGraph:
           put           put each vertex in place of the one with its id.
 
         Vertex and edge order come out as a rebuild from the edited lists
-        would give them.  The indexes are updated from this graph's, and
-        only the vertices and edges the edit touches are checked, raising
-        what the constructor would raise."""
-        index, adj = dict(self._index), dict(self._adj)
+        would give them: a rewritten edge keeps its key, so its place, and
+        an added one takes a fresh key.  The indexes are copied from this
+        graph's and only the vertices and edges the edit touches are edited
+        and checked, raising what the constructor would raise."""
+        index, adj, store = dict(self._index), dict(self._adj), dict(self._store)
         touched = set()  # vertices whose edges or arrowhead status changed
         for v in add_vertices:
             if v.id in index:
@@ -191,46 +201,44 @@ class PlumbingGraph:
             index[v.id] = v
             adj[v.id] = ()
             touched.add(v.id)
-        pending = {}
         for e, new in rewrite:
-            pending.setdefault(id(e), []).append(new)
             touched.update((e.a, e.b))
             if new is not None:
                 _check_edge(new, index)
                 touched.update((new.a, new.b))
+            k = next((k for k in adj.get(e.a, ()) if store[k] is e), None)
+            if k is None:
+                continue
+            ends = {new.a, new.b} if new is not None else set()
+            for vid in {e.a, e.b} - ends:
+                adj[vid] = tuple(x for x in adj[vid] if x != k)
+            for vid in ends - {e.a, e.b}:
+                adj[vid] = tuple(sorted(adj[vid] + (k,)))
+            if new is None:
+                del store[k]
+            else:
+                store[k] = new
         drop = set(drop)
         for vid in drop:
             if vid not in index:
                 raise UnknownVertex(f"no vertex {vid!r}")
-            for e in adj.pop(vid):
-                touched.update((e.a, e.b))
             del index[vid]
-        touched -= drop
-        edges = self.edges
-        if pending or drop:
-            # one pass over the edges rebuilds the list and, in edge order,
-            # the adjacency of every touched vertex
-            gathered = {vid: [] for vid in touched}
-            kept = []
-            for e in edges:
-                queue = pending.get(id(e))
-                if queue:
-                    e = queue.pop(0)
-                if e is None or e.a in drop or e.b in drop:
+            for k in adj.pop(vid):
+                e = store.pop(k, None)  # None: already gone with its other end
+                if e is None:
                     continue
-                kept.append(e)
-                if e.a in gathered:
-                    gathered[e.a].append(e)
-                if e.b in gathered and e.b != e.a:
-                    gathered[e.b].append(e)
-            edges = tuple(kept)
-            adj.update((vid, tuple(es)) for vid, es in gathered.items())
-        add_edges = tuple(add_edges)
+                touched.update((e.a, e.b))
+                other = e.b if e.a == vid else e.a
+                if other in adj:
+                    adj[other] = tuple(x for x in adj[other] if x != k)
+        touched -= drop
         for e in add_edges:
             _check_edge(e, index)
-            adj[e.a] += (e,)
+            k = next(_edge_keys)
+            store[k] = e
+            adj[e.a] += (k,)
             if e.b != e.a:
-                adj[e.b] += (e,)
+                adj[e.b] += (k,)
             touched.update((e.a, e.b))
         for v in put:
             old = index.get(v.id)
@@ -239,10 +247,10 @@ class PlumbingGraph:
             index[v.id] = v
             if (old.kind == "arrowhead") != (v.kind == "arrowhead"):
                 touched.add(v.id)
-                for e in adj[v.id]:
-                    _check_edge(e, index)
+                for k in adj[v.id]:
+                    _check_edge(store[k], index)
         out = object.__new__(PlumbingGraph)
-        out._fill(index, edges + add_edges, adj)
+        out._fill(index, adj, store)
         out._check_arrowheads(touched)
         return out
 
@@ -258,15 +266,16 @@ class PlumbingGraph:
         return vid in self._index
 
     def edges_at(self, vid: str) -> list[Edge]:
-        return list(self._adj.get(vid, ()))
+        store = self._store
+        return [store[k] for k in self._adj.get(vid, ())]
 
     def degree(self, vid: str) -> int:
         """Number of edge ends at the vertex; a loop contributes 2."""
-        es = self._adj.get(vid, ())
+        es = self.edges_at(vid)
         return len(es) + sum(e.a == e.b for e in es)
 
     def neighbors(self, vid: str) -> list[str]:
-        out = {e.other(vid) for e in self._adj.get(vid, ())}
+        out = {e.other(vid) for e in self.edges_at(vid)}
         out.discard(vid)
         return sorted(out, key=_order_key)
 
@@ -324,7 +333,7 @@ class PlumbingGraph:
 
     def remove_edge_once(self, e: Edge) -> "PlumbingGraph":
         """Remove the first edge equal to e."""
-        first = next((x for x in self._adj.get(e.a, ()) if x == e), None)
+        first = next((x for x in self.edges_at(e.a) if x == e), None)
         if first is None:
             raise ValueError(f"no edge {e} to remove")
         return self._derive(rewrite=[(first, None)])

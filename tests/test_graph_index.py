@@ -1,16 +1,27 @@
-"""The adjacency index and incremental edits of PlumbingGraph.
+"""The keyed edge store and incremental edits of PlumbingGraph.
 
 Every edited graph must equal a full rebuild of its own vertex and edge
-lists, in the same order, with the same indexes; its lookups must match a
-scan of the edge list; and every edit that a rebuild would reject must be
-rejected with the same error class."""
+lists, in the same order, with the same vertex index and the same edges at
+every vertex; its edge store must hold its edges in order, keyed so that
+every vertex lists its keys ascending; its lookups must match a scan of
+the edge list; an edit must cost the same at any graph size; and every
+edit that a rebuild would reject must be rejected with the same error
+class."""
 
 import random
+import sys
 
 import pytest
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
-from mfboundary.calculus import MOVES, MoveSpec, apply_move, blow_up_edge, run_script
+from mfboundary.calculus import (
+    MOVES,
+    MoveSpec,
+    apply_move,
+    blow_down_b,
+    blow_up_edge,
+    run_script,
+)
 from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, _order_key
 from mfboundary.pipeline import boundary_graph
@@ -28,7 +39,17 @@ from oracles import random_plumbing
 def assert_indexed(g):
     rebuilt = PlumbingGraph(g.vertices, g.edges)
     assert g == rebuilt
-    assert g._index == rebuilt._index and g._adj == rebuilt._adj
+    assert g._index == rebuilt._index
+    assert all(g.edges_at(vid) == rebuilt.edges_at(vid) for vid in g.ids)
+    # keys are drawn afresh by a rebuild, so check the store's own shape
+    assert tuple(g._store.values()) == g.edges
+    assert g._adj.keys() == g._index.keys()
+    for vid, keys in g._adj.items():
+        assert list(keys) == sorted(set(keys))
+        for k in keys:
+            e = g._store[k]
+            assert vid in (e.a, e.b)
+            assert k in g._adj[e.a] and k in g._adj[e.b]
     assert g.ids == [v.id for v in g.vertices]
     # one scan of the edge list gives every vertex's edges and degree
     at = {v.id: [] for v in g.vertices}
@@ -168,6 +189,40 @@ def test_reduction_runs_no_full_validation_per_move(monkeypatch):
     reduce_double_chains(g, inc)
     assert moves > 300
     assert len(calls) <= 2, f"{len(calls)} full validations for {moves} moves"
+
+
+def chain(n):
+    """A path of n vertices with Euler number -2, -1 at the middle one."""
+    vs = [Vertex(f"c{i}", euler=-1 if i == n // 2 else -2) for i in range(n)]
+    es = [Edge(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+    return PlumbingGraph(tuple(vs), tuple(es))
+
+
+def traced_lines(fn, *args):
+    """Python line events in graph_core.py and calculus.py while fn runs."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if not frame.f_code.co_filename.endswith(("graph_core.py", "calculus.py")):
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_a_move_does_python_work_only_at_its_own_vertices():
+    # dict copies run in C; what runs in Python must not grow with the graph
+    small, large = chain(200), chain(2000)
+    assert traced_lines(blow_down_b, small, "c100") == traced_lines(blow_down_b, large, "c1000")
 
 
 def arrow_graph():
