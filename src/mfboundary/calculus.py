@@ -43,55 +43,59 @@ from .errors import (
     NotSplittable,
 )
 from .graph_core import Edge, PlumbingGraph, Vertex, _order_key
+from .homology import homology_of_graph
 
 
-def _closed_vertex(g: PlumbingGraph, vid: str, move: str, err) -> Vertex:
+def _bumped(g: PlumbingGraph, vid: str, delta: int) -> Vertex:
+    """The vertex with delta added to its Euler number."""
+    v = g.vertex(vid)
+    if v.euler is None:
+        raise InvalidInput(f"vertex {vid} has no Euler number to adjust")
+    return replace(v, euler=v.euler + delta)
+
+
+def _at_vertex(g: PlumbingGraph, vid: str, move: str, err, eulers: tuple[int, ...],
+               edges: int) -> tuple[Vertex, list[Edge], list[str]]:
+    """The vertex, its edges and the far end of each, once the vertex is
+    not an arrowhead, has genus 0 and an Euler number in eulers, carries
+    exactly ``edges`` edges and no loop, and every neighbor has an Euler
+    number; err otherwise."""
     v = g.vertex(vid)
     if v.kind == "arrowhead":
         raise err(f"{move}: {vid} is an arrowhead")
-    return v
+    if v.genus != 0 or v.euler not in eulers:
+        raise err(f"{move}: {vid} needs genus 0 and Euler number in {eulers}, "
+                  f"has {v.genus}, {v.euler}")
+    incident = g.edges_at(vid)
+    others = [e.other(vid) for e in incident]
+    if len(incident) != edges or vid in others:
+        raise err(f"{move}: {vid} needs {edges} edges and no loop")
+    for u in others:
+        if g.vertex(u).euler is None:  # arrowheads have none
+            raise err(f"{move}: neighbor {u} of {vid} has no Euler number")
+    return v, incident, others
 
 
 def sign_reversal(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     """Flip the sign of every non-loop edge at the vertex."""
     g.vertex(vid)
-    return g._derive(rewrite=[
+    return g.edit(rewrite=[
         (e, replace(e, sign=-e.sign)) for e in g.edges_at(vid) if not e.is_loop()
     ])
 
 
 def blow_down_a(g: PlumbingGraph, vid: str) -> PlumbingGraph:
-    v = _closed_vertex(g, vid, "blow_down_a", NotBlowdownable)
-    if v.genus != 0 or v.euler not in (1, -1):
-        raise NotBlowdownable(f"{vid}: need genus 0 and Euler +-1, have {v.genus}, {v.euler}")
-    incident = g.edges_at(vid)
-    if g.degree(vid) != 1:
-        raise NotBlowdownable(f"{vid}: need degree 1, have {g.degree(vid)}")
-    (edge,) = incident
-    u = g.vertex(edge.other(vid))
-    if u.kind == "arrowhead" or u.euler is None:
-        raise NotBlowdownable(f"{vid}: neighbor {u.id} has no Euler number")
-    return g._derive(drop=[vid], put=[g._bumped(u.id, -v.euler)])
+    v, _, (u,) = _at_vertex(g, vid, "blow_down_a", NotBlowdownable, (1, -1), 1)
+    return g.edit(drop=[vid], put=[_bumped(g, u, -v.euler)])
 
 
 def blow_down_b(g: PlumbingGraph, vid: str) -> PlumbingGraph:
-    v = _closed_vertex(g, vid, "blow_down_b", NotBlowdownable)
-    if v.genus != 0 or v.euler not in (1, -1):
-        raise NotBlowdownable(f"{vid}: need genus 0 and Euler +-1, have {v.genus}, {v.euler}")
-    incident = g.edges_at(vid)
-    if g.degree(vid) != 2 or len(incident) != 2:
-        raise NotBlowdownable(f"{vid}: need two edges to distinct neighbors")
-    e1, e2 = incident
-    i, j = e1.other(vid), e2.other(vid)
+    v, (e1, e2), (i, j) = _at_vertex(g, vid, "blow_down_b", NotBlowdownable, (1, -1), 2)
     if i == j:
         raise NotBlowdownable(f"{vid}: both edges go to {i}")
-    for nid in (i, j):
-        u = g.vertex(nid)
-        if u.kind == "arrowhead" or u.euler is None:
-            raise NotBlowdownable(f"{vid}: neighbor {nid} has no Euler number")
     sign0 = -v.euler * e1.sign * e2.sign
-    return g._derive(drop=[vid], add_edges=[Edge(a=i, b=j, sign=sign0)],
-                     put=[g._bumped(i, -v.euler), g._bumped(j, -v.euler)])
+    return g.edit(drop=[vid], add_edges=[Edge(a=i, b=j, sign=sign0)],
+                  put=[_bumped(g, i, -v.euler), _bumped(g, j, -v.euler)])
 
 
 def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) -> PlumbingGraph:
@@ -99,14 +103,7 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
     id, kind and multiplicity of ``keep`` (default: the canonically first
     neighbor); genus and Euler numbers add.  Edges formerly at the other
     neighbor are re-signed by -e*ebar unless they are loops."""
-    v = _closed_vertex(g, vid, "zero_chain_absorb", NotAbsorbable)
-    if v.genus != 0 or v.euler != 0:
-        raise NotAbsorbable(f"{vid}: need genus 0 and Euler 0, have {v.genus}, {v.euler}")
-    incident = g.edges_at(vid)
-    if g.degree(vid) != 2 or len(incident) != 2:
-        raise NotAbsorbable(f"{vid}: need two edges to distinct neighbors")
-    e1, e2 = incident
-    n1, n2 = e1.other(vid), e2.other(vid)
+    _, (e1, e2), (n1, n2) = _at_vertex(g, vid, "zero_chain_absorb", NotAbsorbable, (0,), 2)
     if n1 == n2:
         raise NotAbsorbable(f"{vid}: both edges go to {n1}, use handle_absorb")
     if keep is None:
@@ -115,12 +112,8 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
         raise NotAbsorbable(f"{vid}: keep={keep!r} is not a neighbor")
     kid = keep
     jid = n2 if kid == n1 else n1
-    eps = next(e.sign for e in incident if e.other(vid) == kid)
-    eps_bar = next(e.sign for e in incident if e.other(vid) == jid)
+    eps, eps_bar = (e1.sign, e2.sign) if kid == n1 else (e2.sign, e1.sign)
     ki, kj = g.vertex(kid), g.vertex(jid)
-    for u in (ki, kj):
-        if u.kind == "arrowhead" or u.euler is None:
-            raise NotAbsorbable(f"{vid}: neighbor {u.id} has no Euler number")
     factor = -eps * eps_bar
     merged = replace(ki, euler=ki.euler + kj.euler, genus=ki.genus + kj.genus)
     moved = []
@@ -132,24 +125,17 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
         b = kid if jb else e.b
         sign = e.sign * factor if ja != jb else e.sign
         moved.append((e, replace(e, a=a, b=b, sign=sign)))
-    return g._derive(rewrite=moved, drop=[vid, jid], put=[merged])
+    return g.edit(rewrite=moved, drop=[vid, jid], put=[merged])
 
 
 def handle_absorb(g: PlumbingGraph, vid: str) -> PlumbingGraph:
-    v = _closed_vertex(g, vid, "handle_absorb", NotAbsorbable)
-    if v.genus != 0 or v.euler != 0:
-        raise NotAbsorbable(f"{vid}: need genus 0 and Euler 0, have {v.genus}, {v.euler}")
-    incident = g.edges_at(vid)
-    if g.degree(vid) != 2 or len(incident) != 2:
-        raise NotAbsorbable(f"{vid}: need exactly two edges")
-    e1, e2 = incident
-    i, j = e1.other(vid), e2.other(vid)
-    if i != j or i == vid:
+    _, (e1, e2), (i, j) = _at_vertex(g, vid, "handle_absorb", NotAbsorbable, (0,), 2)
+    if i != j:
         raise NotAbsorbable(f"{vid}: need a double edge to a single other vertex")
     if {e1.sign, e2.sign} != {1, -1}:
         raise NotAbsorbable(f"{vid}: the double edge must carry one + and one -")
     host = g.vertex(i)
-    return g._derive(drop=[vid], put=[replace(host, genus=host.genus + 1)])
+    return g.edit(drop=[vid], put=[replace(host, genus=host.genus + 1)])
 
 
 def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> PlumbingGraph:
@@ -159,7 +145,9 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
     survives, and one isolated Euler-0 vertex appears for every handle the
     removal frees: 2*genus plus (k_j - 1) per component joined by k_j
     edges."""
-    v = _closed_vertex(g, vid, "split", NotSplittable)
+    v = g.vertex(vid)
+    if v.kind == "arrowhead":
+        raise NotSplittable(f"split: {vid} is an arrowhead")
     if any(e.is_loop() for e in g.edges_at(vid)):
         raise NotSplittable(f"{vid}: loops at the split vertex are not supported")
     candidates = [
@@ -177,7 +165,7 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
         if not candidates:
             raise NotSplittable(f"{vid}: no Euler-0 leaf companion")
         companion = candidates[0]
-    rest = g.remove_vertices([vid, companion])
+    rest = g.edit(drop=[vid, companion])
 
     # component id for every surviving vertex
     comp: dict[str, int] = {}
@@ -201,36 +189,25 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
         links[comp[other]] = links.get(comp[other], 0) + 1
     extras = 2 * v.genus + sum(k - 1 for k in links.values())
     free = (f"z{k}" for k in itertools.count() if not rest.has_vertex(f"z{k}"))
-    return rest.add_vertices(
+    return rest.edit(add_vertices=[
         Vertex(id=next(free), genus=0, euler=0, kind="plain") for _ in range(extras)
-    )
+    ])
 
 
 def two_alteration(g: PlumbingGraph, vid: str, flip: Optional[str] = None) -> PlumbingGraph:
     """Trade Euler number +2 for -2 on a degree-2 vertex, flipping one of
     its two edge signs (``flip`` names which neighbor's edge; either choice
     is legitimate) and decrementing both neighbors."""
-    v = _closed_vertex(g, vid, "two_alteration", NotApplicable)
-    if v.genus != 0 or v.euler != 2:
-        raise NotApplicable(f"{vid}: need genus 0 and Euler +2, have {v.genus}, {v.euler}")
-    incident = g.edges_at(vid)
-    if g.degree(vid) != 2 or len(incident) != 2:
-        raise NotApplicable(f"{vid}: need two edges to distinct neighbors")
-    e1, e2 = incident
-    i, j = e1.other(vid), e2.other(vid)
+    v, (e1, e2), (i, j) = _at_vertex(g, vid, "two_alteration", NotApplicable, (2,), 2)
     if i == j:
         raise NotApplicable(f"{vid}: both edges go to {i}")
     if flip is None:
         flip = min(i, j, key=_order_key)
     if flip not in (i, j):
         raise NotApplicable(f"{vid}: flip={flip!r} is not a neighbor")
-    for nid in (i, j):
-        u = g.vertex(nid)
-        if u.kind == "arrowhead" or u.euler is None:
-            raise NotApplicable(f"{vid}: neighbor {nid} has no Euler number")
-    flip_edge = e1 if e1.other(vid) == flip else e2
-    return g._derive(rewrite=[(flip_edge, replace(flip_edge, sign=-flip_edge.sign))],
-                     put=[replace(v, euler=-2), g._bumped(i, -1), g._bumped(j, -1)])
+    flip_edge = e1 if i == flip else e2
+    return g.edit(rewrite=[(flip_edge, replace(flip_edge, sign=-flip_edge.sign))],
+                  put=[replace(v, euler=-2), _bumped(g, i, -1), _bumped(g, j, -1)])
 
 
 def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
@@ -252,11 +229,11 @@ def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
         sign_a = 1
     sign_b = -euler * edge.sign * sign_a
     nid = new_id or g.fresh_id("u")
-    return g._derive(
+    return g.edit(
         add_vertices=[Vertex(id=nid, genus=0, euler=euler, kind="plain")],
         rewrite=[(edge, None)],
         add_edges=[Edge(a=a, b=nid, sign=sign_a), Edge(a=nid, b=b, sign=sign_b)],
-        put=[g._bumped(a, euler), g._bumped(b, euler)],
+        put=[_bumped(g, a, euler), _bumped(g, b, euler)],
     )
 
 
@@ -294,15 +271,14 @@ class MoveSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MoveSpec":
-        if not isinstance(obj, dict) or "kind" not in obj or "target" not in obj:
-            raise InvalidInput('move spec needs "kind" and "target"')
-        return cls(
-            kind=obj["kind"],
-            target=obj["target"],
-            keep=obj.get("keep"),
-            flip=obj.get("flip"),
-            companion=obj.get("companion"),
-        )
+        if not isinstance(obj, dict):
+            raise InvalidInput("a move spec is a JSON object")
+        spec = {key: obj.get(key) for key in ("kind", "target", "keep", "flip", "companion")}
+        for key, value in spec.items():  # kind and target required, the rest optional
+            if not isinstance(value, str) and (value is not None or key in ("kind", "target")):
+                raise InvalidInput(f'move spec "{key}" must be a string, '
+                                   f"got {type(value).__name__}")
+        return cls(**spec)
 
 
 def apply_move(g: PlumbingGraph, spec: MoveSpec) -> PlumbingGraph:
@@ -327,23 +303,14 @@ def apply_script(g: PlumbingGraph, script: list[MoveSpec],
                  check_h1: bool = False) -> PlumbingGraph:
     """Apply the moves in order.  With check_h1, compare the first homology
     of every closed simple intermediate graph against the start."""
-    if check_h1:
-        from .homology import homology_of_graph
-
-        reference = None
-        if g.is_closed() and g.is_simple():
-            reference = homology_of_graph(g)
-        for step, out in enumerate(run_script(g, script)):
-            if out.is_closed() and out.is_simple():
-                h = homology_of_graph(out)
-                if reference is None:
-                    reference = h
-                elif h != reference:
-                    raise MFBoundaryError(
-                        f"H1 changed after move {step}: {reference} -> {h}"
-                    )
-            g = out
-        return g
-    for out in run_script(g, script):
-        g = out
+    reference = None
+    if check_h1 and g.is_closed() and g.is_simple():
+        reference = homology_of_graph(g)
+    for step, g in enumerate(run_script(g, script)):
+        if check_h1 and g.is_closed() and g.is_simple():
+            h = homology_of_graph(g)
+            if reference is None:
+                reference = h
+            elif h != reference:
+                raise MFBoundaryError(f"H1 changed after move {step}: {reference} -> {h}")
     return g

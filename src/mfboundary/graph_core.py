@@ -135,9 +135,9 @@ class PlumbingGraph:
     to its edge, in edge order; and ``_adj`` maps an id to the keys of the
     edges at the vertex, ascending (a loop once).
 
-    The constructor checks and indexes everything in one O(V + E) pass.
-    Edits go through _derive, which copies the indexes as dicts and edits
-    and checks only the vertices and edges it touches."""
+    Every graph is an edit: the constructor runs the routine behind
+    ``edit`` on empty indexes, adding all its vertices and edges, so it
+    checks and indexes everything in one O(V + E) pass."""
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
@@ -146,38 +146,12 @@ class PlumbingGraph:
     _store: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        index = {}
-        for v in self.vertices:
-            if v.id in index:
-                raise InvalidInput(f"duplicate vertex id {v.id!r}")
-            index[v.id] = v
-        store = dict(zip(_edge_keys, self.edges))
-        adj = {vid: [] for vid in index}
-        for k, e in store.items():
-            _check_edge(e, index)
-            adj[e.a].append(k)
-            if e.b != e.a:
-                adj[e.b].append(k)
-        self._fill(index, {vid: tuple(ks) for vid, ks in adj.items()}, store)
-        self._check_arrowheads(index)
+        self._build({}, {}, {}, add_vertices=self.vertices, add_edges=self.edges)
 
-    def _fill(self, index: dict, adj: dict, store: dict) -> None:
-        object.__setattr__(self, "vertices", tuple(index.values()))
-        object.__setattr__(self, "edges", tuple(store.values()))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_store", store)
-
-    def _check_arrowheads(self, ids: Iterable[str]) -> None:
-        for vid in ids:
-            v = self._index.get(vid)
-            if v is not None and v.kind == "arrowhead" and self.degree(vid) != 1:
-                raise InvalidInput(f"arrowhead {vid} must have degree 1")
-
-    def _derive(self, *, add_vertices: Iterable[Vertex] = (),
-                rewrite: Iterable[tuple[Edge, Optional[Edge]]] = (),
-                drop: Iterable[str] = (), add_edges: Iterable[Edge] = (),
-                put: Iterable[Vertex] = ()) -> "PlumbingGraph":
+    def edit(self, *, add_vertices: Iterable[Vertex] = (),
+             rewrite: Iterable[tuple[Edge, Optional[Edge]]] = (),
+             drop: Iterable[str] = (), add_edges: Iterable[Edge] = (),
+             put: Iterable[Vertex] = ()) -> "PlumbingGraph":
         """The graph after one edit, made in this order:
 
           add_vertices  append these vertices;
@@ -193,19 +167,27 @@ class PlumbingGraph:
         an added one takes a fresh key.  The indexes are copied from this
         graph's and only the vertices and edges the edit touches are edited
         and checked, raising what the constructor would raise."""
-        index, adj, store = dict(self._index), dict(self._adj), dict(self._store)
-        touched = set()  # vertices whose edges or arrowhead status changed
+        out = object.__new__(PlumbingGraph)
+        out._build(dict(self._index), dict(self._adj), dict(self._store),
+                   add_vertices, rewrite, drop, add_edges, put)
+        return out
+
+    def _build(self, index: dict, adj: dict, store: dict, add_vertices=(),
+               rewrite=(), drop=(), add_edges=(), put=()) -> None:
+        """Make the edit of ``edit`` on the given indexes, which this graph
+        then keeps."""
+        touched = []  # ids where an arrowhead's degree may have changed
         for v in add_vertices:
             if v.id in index:
                 raise InvalidInput(f"duplicate vertex id {v.id!r}")
             index[v.id] = v
             adj[v.id] = ()
-            touched.add(v.id)
+            touched.append(v.id)
         for e, new in rewrite:
-            touched.update((e.a, e.b))
+            touched += (e.a, e.b)
             if new is not None:
                 _check_edge(new, index)
-                touched.update((new.a, new.b))
+                touched += (new.a, new.b)
             k = next((k for k in adj.get(e.a, ()) if store[k] is e), None)
             if k is None:
                 continue
@@ -218,8 +200,7 @@ class PlumbingGraph:
                 del store[k]
             else:
                 store[k] = new
-        drop = set(drop)
-        for vid in drop:
+        for vid in set(drop):
             if vid not in index:
                 raise UnknownVertex(f"no vertex {vid!r}")
             del index[vid]
@@ -227,32 +208,38 @@ class PlumbingGraph:
                 e = store.pop(k, None)  # None: already gone with its other end
                 if e is None:
                     continue
-                touched.update((e.a, e.b))
+                touched += (e.a, e.b)
                 other = e.b if e.a == vid else e.a
                 if other in adj:
                     adj[other] = tuple(x for x in adj[other] if x != k)
-        touched -= drop
-        for e in add_edges:
+        fresh = {}  # new keys per vertex, joined to its tuple once
+        for k, e in zip(_edge_keys, add_edges):
             _check_edge(e, index)
-            k = next(_edge_keys)
             store[k] = e
-            adj[e.a] += (k,)
+            fresh.setdefault(e.a, []).append(k)
             if e.b != e.a:
-                adj[e.b] += (k,)
-            touched.update((e.a, e.b))
+                fresh.setdefault(e.b, []).append(k)
+            if e.arrow:  # only an arrow can reach an arrowhead
+                touched += (e.a, e.b)
+        for vid, keys in fresh.items():
+            adj[vid] += tuple(keys)
         for v in put:
             old = index.get(v.id)
             if old is None:
                 raise UnknownVertex(f"no vertex {v.id!r}")
             index[v.id] = v
             if (old.kind == "arrowhead") != (v.kind == "arrowhead"):
-                touched.add(v.id)
+                touched.append(v.id)
                 for k in adj[v.id]:
                     _check_edge(store[k], index)
-        out = object.__new__(PlumbingGraph)
-        out._fill(index, adj, store)
-        out._check_arrowheads(touched)
-        return out
+        object.__setattr__(self, "vertices", tuple(index.values()))
+        object.__setattr__(self, "edges", tuple(store.values()))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_store", store)
+        for v in map(index.get, touched):  # None: dropped
+            if v is not None and v.kind == "arrowhead" and self.degree(v.id) != 1:
+                raise InvalidInput(f"arrowhead {v.id} must have degree 1")
 
     # -- access ------------------------------------------------------------
 
@@ -307,36 +294,7 @@ class PlumbingGraph:
             seen.add(key)
         return True
 
-    # -- structural edits (all return new graphs) ---------------------------
-
-    def _bumped(self, vid: str, delta: int) -> Vertex:
-        """The vertex with delta added to its Euler number."""
-        v = self.vertex(vid)
-        if v.euler is None:
-            raise InvalidInput(f"vertex {vid} has no Euler number to adjust")
-        return replace(v, euler=v.euler + delta)
-
-    def replace_vertex(self, v: Vertex) -> "PlumbingGraph":
-        return self._derive(put=[v])
-
-    def bump_euler(self, vid: str, delta: int) -> "PlumbingGraph":
-        return self._derive(put=[self._bumped(vid, delta)])
-
-    def remove_vertices(self, ids: Iterable[str]) -> "PlumbingGraph":
-        return self._derive(drop=ids)
-
-    def add_vertices(self, vs: Iterable[Vertex]) -> "PlumbingGraph":
-        return self._derive(add_vertices=vs)
-
-    def add_edges(self, es: Iterable[Edge]) -> "PlumbingGraph":
-        return self._derive(add_edges=es)
-
-    def remove_edge_once(self, e: Edge) -> "PlumbingGraph":
-        """Remove the first edge equal to e."""
-        first = next((x for x in self.edges_at(e.a) if x == e), None)
-        if first is None:
-            raise ValueError(f"no edge {e} to remove")
-        return self._derive(rewrite=[(first, None)])
+    # -- ids -----------------------------------------------------------------
 
     def fresh_id(self, prefix: str) -> str:
         k = 0

@@ -123,7 +123,7 @@ def solve_euler(dg: PlumbingGraph) -> PlumbingGraph:
 def strip_arrowheads(g: PlumbingGraph) -> PlumbingGraph:
     """Remove arrowhead vertices and their arrows; the rest is untouched."""
     heads = [v.id for v in g.vertices if v.kind == "arrowhead"]
-    return g.remove_vertices(heads)
+    return g.edit(drop=heads)
 
 
 def boundary_graph(inc: IncidenceData, reduce: bool = False) -> PlumbingGraph:

@@ -42,7 +42,7 @@ def test_sign_reversal_flips_non_loop_edges():
     g = graph(
         [("x", -2, 0), ("y", -2, 0), ("z", -2, 0)],
         [("x", "y", 1), ("y", "z", -1)],
-    ).add_edges([Edge(a="y", b="y", sign=1)])
+    ).edit(add_edges=[Edge(a="y", b="y", sign=1)])
     out = sign_reversal(g, "y")
     signs = {(e.a, e.b): e.sign for e in out.edges}
     assert signs[("x", "y")] == -1
@@ -126,7 +126,7 @@ def test_zero_chain_absorb_sign_rules():
     g2 = graph(
         [("a", 0, 0), ("z", 0, 0), ("b", 0, 0)],
         [("a", "z", 1), ("z", "b", 1)],
-    ).add_edges([Edge(a="b", b="b", sign=-1)])
+    ).edit(add_edges=[Edge(a="b", b="b", sign=-1)])
     out2 = zero_chain_absorb(g2, "z", keep="a")
     loop = next(e for e in out2.edges if e.is_loop())
     assert loop.sign == -1 and loop.a == "a"
@@ -227,6 +227,20 @@ def test_two_alteration_preconditions():
         two_alteration(g2, "t")
 
 
+@pytest.mark.parametrize("move, euler, err, es", [
+    (blow_down_a, -1, NotBlowdownable, [("t", "x", 1)]),
+    (blow_down_b, 1, NotBlowdownable, [("x", "t", 1), ("t", "y", 1)]),
+    (zero_chain_absorb, 0, NotAbsorbable, [("x", "t", 1), ("t", "y", 1)]),
+    (handle_absorb, 0, NotAbsorbable, [("x", "t", 1), ("t", "x", -1)]),
+    (two_alteration, 2, NotApplicable, [("x", "t", 1), ("t", "y", 1)]),
+])
+def test_moves_need_euler_numbers_at_the_neighbors(move, euler, err, es):
+    g = graph([("t", euler, 0), ("x", None, 0), ("y", -2, 0)], es)
+    with pytest.raises(err):
+        move(g, "t")
+    assert move(g.edit(put=[Vertex("x", euler=-2)]), "t").vertices
+
+
 def test_two_alteration_is_blow_up_then_blow_down():
     base = graph([("x", -1, 0), ("t", 2, 0), ("y", -3, 0)],
                  [("x", "t", -1), ("t", "y", -1)])
@@ -235,9 +249,7 @@ def test_two_alteration_is_blow_up_then_blow_down():
     staged = blow_up_edge(base, "x", "t", euler=-1, sign_a=1, new_id="u")
     assert staged.vertex("t").euler == 1
     staged = blow_down_b(staged, "t")
-    relabeled = staged.replace_vertex(
-        staged.vertex("u")
-    )
+    relabeled = staged.edit(put=[staged.vertex("u")])
     assert relabeled.canonical() == staged.canonical()
     # compare shapes: degree sequence, euler multiset, sign multiset
     assert sorted(v.euler for v in staged.vertices) == sorted(

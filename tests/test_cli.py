@@ -296,6 +296,62 @@ def test_homology_of_any_json_is_an_answer_or_one_json_error(tmp_path, capsys, p
         assert "error" in assert_one_json_error(code, out, err)
 
 
+def near_pencil_graph(capsys, tmp_path):
+    """The plumbing graph file of the near-pencil arrangement of 4 lines."""
+    arr, graph = tmp_path / "arr.json", tmp_path / "graph.json"
+    if not graph.exists():
+        run_cli(capsys, "generate", "near_pencil", "4", "-o", str(arr))
+        run_cli(capsys, "plumbing", str(arr), "-o", str(graph))
+    return graph
+
+
+def calculus_of_script(capsys, tmp_path, script, *flags):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    graph = near_pencil_graph(capsys, tmp_path)
+    return run_cli(capsys, "calculus", str(graph), "--script", str(path), *flags)
+
+
+@pytest.mark.parametrize("move", [
+    {"kind": ["x"], "target": "v0"},
+    {"kind": {"a": 1}, "target": "v0"},
+    {"kind": 3, "target": "v0"},
+    {"kind": None, "target": "v0"},
+    {"kind": "blow_down_a", "target": ["x"]},
+    {"kind": "blow_down_a", "target": {"a": 1}},
+    {"kind": "blow_down_a", "target": 0},
+    {"kind": "zero_chain_absorb", "target": "s0_0#0", "keep": ["v0"]},
+    {"kind": "two_alteration", "target": "s0_0#0", "flip": {"a": 1}},
+    {"kind": "split", "target": "v0", "companion": 1},
+])
+def test_malformed_move_is_one_json_error(tmp_path, capsys, move):
+    result = calculus_of_script(capsys, tmp_path, [move])
+    assert assert_one_json_error(*result)["error"] == "InvalidInput"
+
+
+_ids = st.sampled_from(["v0", "v3", "w0", "w3", "s0_0#0", "s3_3#0", "zz"])
+_moves = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["blow_down_a", "blow_down_b", "sign_reversal",
+                              "zero_chain_absorb", "handle_absorb", "split",
+                              "two_alteration", "x"]) | _small,
+     "target": _ids | _small},
+    optional={"keep": _ids | _small, "flip": _ids | _small, "companion": _ids | _small},
+)
+_scripts = _json | st.lists(_moves | _json, max_size=4)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(script=_scripts, check_h1=st.booleans())
+def test_calculus_of_any_script_is_a_graph_or_one_json_error(tmp_path, capsys, script, check_h1):
+    flags = ["--check-h1"] if check_h1 else []
+    code, out, err = calculus_of_script(capsys, tmp_path, script, *flags)
+    if code == 0:
+        assert "vertices" in json.loads(out) and err == ""
+    else:
+        assert "error" in assert_one_json_error(code, out, err)
+
+
 def test_wrong_input_kind_is_reported(tmp_path, capsys):
     arr = tmp_path / "arr.json"
     run_cli(capsys, "generate", "generic", "3", "-o", str(arr))

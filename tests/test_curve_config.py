@@ -59,9 +59,9 @@ def test_gamma_c_point_order_matches_incidence():
 
 def test_validate_gamma_c_rejects_broken_decorations():
     gc = build_gamma_c(generate_family("generic", 3))
-    broken = gc.replace_vertex(Vertex(id="w0", kind="point", dec=(5, 3, 1)))
+    broken = gc.edit(put=[Vertex(id="w0", kind="point", dec=(5, 3, 1))])
     with pytest.raises(InvalidInput):
         validate_gamma_c(broken)
-    undecorated = gc.replace_vertex(Vertex(id="v0", kind="line", dec=None))
+    undecorated = gc.edit(put=[Vertex(id="v0", kind="line", dec=None)])
     with pytest.raises(InvalidInput):
         validate_gamma_c(undecorated)

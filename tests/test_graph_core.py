@@ -2,6 +2,7 @@
 
 import pytest
 
+from mfboundary.calculus import _bumped
 from mfboundary.errors import InvalidInput, UnknownVertex
 from mfboundary.graph_core import (
     Edge,
@@ -83,7 +84,7 @@ def test_degree_counts_loops_twice():
 
 def test_parallel_edges_not_simple():
     g = path_graph([0, 0])
-    doubled = g.add_edges([Edge(a="n0", b="n1", sign=-1)])
+    doubled = g.edit(add_edges=[Edge(a="n0", b="n1", sign=-1)])
     assert not doubled.is_simple()
     assert doubled.degree("n0") == 2
 
@@ -126,12 +127,12 @@ def test_first_betti():
 
 def test_graph_edit_helpers():
     g = path_graph([-1, -2, -1])
-    g2 = g.bump_euler("n1", 3)
+    g2 = g.edit(put=[_bumped(g, "n1", 3)])
     assert g2.vertex("n1").euler == 1
-    g3 = g.remove_vertices(["n2"])
+    g3 = g.edit(drop=["n2"])
     assert sorted(g3.ids) == ["n0", "n1"]
     assert len(g3.plain_edges()) == 1
-    g4 = g.replace_vertex(Vertex(id="n0", euler=7, genus=2))
+    g4 = g.edit(put=[Vertex(id="n0", euler=7, genus=2)])
     assert g4.vertex("n0").genus == 2
     with pytest.raises(UnknownVertex):
         g.vertex("zzz")
@@ -140,9 +141,11 @@ def test_graph_edit_helpers():
 
 
 def test_remove_edge_once():
-    g = path_graph([0, 0]).add_edges([Edge(a="n0", b="n1", sign=1)])
-    g2 = g.remove_edge_once(Edge(a="n0", b="n1", sign=1))
+    g = path_graph([0, 0]).edit(add_edges=[Edge(a="n0", b="n1", sign=1)])
+    first = next(x for x in g.edges if x == Edge(a="n0", b="n1", sign=1))
+    g2 = g.edit(rewrite=[(first, None)])
     assert len(g2.plain_edges()) == 1  # only one copy removed
+    assert g2.edges[0] is g.edges[1]
 
 
 def test_json_round_trip():

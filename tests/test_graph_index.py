@@ -10,6 +10,7 @@ class."""
 
 import random
 import sys
+import timeit
 
 import pytest
 
@@ -17,6 +18,7 @@ from mfboundary.arrangement import generate_family, incidence_from_lines, random
 from mfboundary.calculus import (
     MOVES,
     MoveSpec,
+    _bumped,
     apply_move,
     blow_down_b,
     blow_up_edge,
@@ -109,8 +111,8 @@ def test_double_chain_scripts_on_random_arrangements_keep_the_index():
 
 
 def random_edit(rng, g):
-    """One random edit of g, with the graph a rebuild gives for the public
-    helpers; None when the edit does not apply."""
+    """One random edit of g, with the graph a rebuild gives for the plain
+    edits; None when the edit does not apply."""
     ids = g.ids
     vid = rng.choice(ids)
     kind = rng.choice(sorted(MOVES) + ["blow_up", "add_edge", "remove_edge",
@@ -126,16 +128,17 @@ def random_edit(rng, g):
                             sign_a=rng.choice([1, -1])), None
     if kind == "add_edge":
         e = Edge(vid, rng.choice(ids), sign=rng.choice([1, -1]))  # may be a loop
-        return g.add_edges([e]), PlumbingGraph(g.vertices, g.edges + (e,))
+        return g.edit(add_edges=[e]), PlumbingGraph(g.vertices, g.edges + (e,))
     if kind == "remove_edge":
         if not g.edges:
             return None, None
         e = rng.choice(g.edges)
         es = list(g.edges)
         es.remove(e)
-        return g.remove_edge_once(Edge(e.a, e.b, e.sign)), PlumbingGraph(g.vertices, es)
+        first = next(x for x in g.edges if x == e)
+        return g.edit(rewrite=[(first, None)]), PlumbingGraph(g.vertices, es)
     if kind == "remove_vertex":
-        return g.remove_vertices([vid]), PlumbingGraph(
+        return g.edit(drop=[vid]), PlumbingGraph(
             [v for v in g.vertices if v.id != vid],
             [e for e in g.edges if not e.touches(vid)],
         )
@@ -143,11 +146,11 @@ def random_edit(rng, g):
         delta = rng.randint(-2, 2)
         v = g.vertex(vid)
         bumped = Vertex(v.id, v.genus, v.euler + delta, v.mult, v.kind, v.dec)
-        return g.bump_euler(vid, delta), PlumbingGraph(
+        return g.edit(put=[_bumped(g, vid, delta)]), PlumbingGraph(
             [bumped if u.id == vid else u for u in g.vertices], g.edges
         )
     nv = Vertex(g.fresh_id("q"), euler=rng.randint(-2, 2))
-    return g.add_vertices([nv]), PlumbingGraph(g.vertices + (nv,), g.edges)
+    return g.edit(add_vertices=[nv]), PlumbingGraph(g.vertices + (nv,), g.edges)
 
 
 def test_random_edits_on_random_plumbings_keep_the_index():
@@ -225,6 +228,27 @@ def test_a_move_does_python_work_only_at_its_own_vertices():
     assert traced_lines(blow_down_b, small, "c100") == traced_lines(blow_down_b, large, "c1000")
 
 
+def star(leaves):
+    """The vertices and edges of a center joined to each of its leaves."""
+    vs = (Vertex("c", euler=-1),) + tuple(Vertex(f"l{i}", euler=-2) for i in range(leaves))
+    return vs, tuple(Edge("c", f"l{i}") for i in range(leaves))
+
+
+def test_the_constructor_stays_linear():
+    # the center has degree V - 1, so joining its keys one edge at a time
+    # would make the constructor quadratic
+    small = traced_lines(PlumbingGraph, *star(200))
+    large = traced_lines(PlumbingGraph, *star(2000))
+    assert large / small <= 11, (small, large)
+    # a tuple grown one key at a time is copied in C, where no line event
+    # shows it: 10x the leaves take about 12x the time when linear, and
+    # about 90x when the center's tuple is grown edge by edge
+    small, large = star(2000), star(20000)
+    ratio = (min(timeit.repeat(lambda: PlumbingGraph(*large), number=1, repeat=5))
+             / min(timeit.repeat(lambda: PlumbingGraph(*small), number=1, repeat=5)))
+    assert ratio < 40, ratio
+
+
 def arrow_graph():
     """n0 -- n1 -> a0."""
     return PlumbingGraph(
@@ -238,28 +262,28 @@ def test_edits_reject_what_a_rebuild_rejects():
     v, e = g.vertices, g.edges
     cases = [
         # an edge to an unknown vertex
-        (lambda: g.add_edges([Edge("n0", "zz")]), v, e + (Edge("n0", "zz"),)),
+        (lambda: g.edit(add_edges=[Edge("n0", "zz")]), v, e + (Edge("n0", "zz"),)),
         # a non-arrow edge at an arrowhead
-        (lambda: g.add_edges([Edge("n0", "a0")]), v, e + (Edge("n0", "a0"),)),
+        (lambda: g.edit(add_edges=[Edge("n0", "a0")]), v, e + (Edge("n0", "a0"),)),
         # an arrow that reaches no arrowhead
-        (lambda: g.add_edges([Edge("n0", "n1", arrow=True)]), v,
+        (lambda: g.edit(add_edges=[Edge("n0", "n1", arrow=True)]), v,
          e + (Edge("n0", "n1", arrow=True),)),
         # a second arrow into an arrowhead
-        (lambda: g.add_edges([Edge("n0", "a0", arrow=True)]), v,
+        (lambda: g.edit(add_edges=[Edge("n0", "a0", arrow=True)]), v,
          e + (Edge("n0", "a0", arrow=True),)),
         # removing the vertex the arrowhead hangs on
-        (lambda: g.remove_vertices(["n1"]), (v[0], v[2]), ()),
+        (lambda: g.edit(drop=["n1"]), (v[0], v[2]), ()),
         # removing the arrow
-        (lambda: g.remove_edge_once(e[1]), v, (e[0],)),
+        (lambda: g.edit(rewrite=[(e[1], None)]), v, (e[0],)),
         # an arrowhead with no arrow
-        (lambda: g.add_vertices([Vertex("a1", kind="arrowhead")]),
+        (lambda: g.edit(add_vertices=[Vertex("a1", kind="arrowhead")]),
          v + (Vertex("a1", kind="arrowhead"),), e),
         # a vertex id twice
-        (lambda: g.add_vertices([Vertex("n0")]), v + (Vertex("n0"),), e),
+        (lambda: g.edit(add_vertices=[Vertex("n0")]), v + (Vertex("n0"),), e),
         # an arrowhead turned into a plain vertex
-        (lambda: g.replace_vertex(Vertex("a0", euler=0)), (v[0], v[1], Vertex("a0", euler=0)), e),
+        (lambda: g.edit(put=[Vertex("a0", euler=0)]), (v[0], v[1], Vertex("a0", euler=0)), e),
         # a vertex with edges turned into an arrowhead
-        (lambda: g.replace_vertex(Vertex("n0", kind="arrowhead")),
+        (lambda: g.edit(put=[Vertex("n0", kind="arrowhead")]),
          (Vertex("n0", kind="arrowhead"), v[1], v[2]), e),
     ]
     for edit, vertices, edges in cases:
@@ -268,12 +292,12 @@ def test_edits_reject_what_a_rebuild_rejects():
         assert type(rebuild.value) in (UnknownVertex, InvalidInput)
         with pytest.raises(type(rebuild.value)):
             edit()
-    for edit in (lambda: g.replace_vertex(Vertex("zz")), lambda: g.remove_vertices(["zz"]),
-                 lambda: g.bump_euler("zz", 1)):
+    for edit in (lambda: g.edit(put=[Vertex("zz")]), lambda: g.edit(drop=["zz"]),
+                 lambda: g.edit(put=[_bumped(g, "zz", 1)])):
         with pytest.raises(UnknownVertex):
             edit()
     with pytest.raises(InvalidInput):
-        g.bump_euler("a0", 1)  # an arrowhead has no Euler number
+        g.edit(put=[_bumped(g, "a0", 1)])  # an arrowhead has no Euler number
     assert_indexed(g)  # a rejected edit leaves the graph as it was
 
 
@@ -281,8 +305,9 @@ def test_rewrites_take_one_occurrence_each():
     # the same edge object listed twice is two parallel edges
     e = Edge("n0", "n1", 1)
     g = PlumbingGraph((Vertex("n0", euler=0), Vertex("n1", euler=0)), (e, e))
-    once = g.remove_edge_once(e)
+    once = g.edit(rewrite=[(e, None)])
     assert once.edges == (e,)
+    assert g.edit(rewrite=[(e, None), (e, None)]).edges == ()
     assert_indexed(once)
     flipped = apply_move(g, MoveSpec("sign_reversal", "n0"))
     assert [x.sign for x in flipped.edges] == [-1, -1]
