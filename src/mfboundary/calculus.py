@@ -239,15 +239,17 @@ def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
 
 # -- scripted application ----------------------------------------------------
 
+# kind -> (the move, the one optional field of its spec it reads, or None)
 MOVES = {
-    "sign_reversal": sign_reversal,
-    "blow_down_a": blow_down_a,
-    "blow_down_b": blow_down_b,
-    "zero_chain_absorb": zero_chain_absorb,
-    "handle_absorb": handle_absorb,
-    "split": split,
-    "two_alteration": two_alteration,
+    "sign_reversal": (sign_reversal, None),
+    "blow_down_a": (blow_down_a, None),
+    "blow_down_b": (blow_down_b, None),
+    "zero_chain_absorb": (zero_chain_absorb, "keep"),
+    "handle_absorb": (handle_absorb, None),
+    "split": (split, "companion"),
+    "two_alteration": (two_alteration, "flip"),
 }
+_OPTIONAL = ("keep", "flip", "companion")
 
 
 @dataclass(frozen=True)
@@ -261,10 +263,13 @@ class MoveSpec:
     def __post_init__(self):
         if self.kind not in MOVES:
             raise InvalidInput(f"unknown move kind {self.kind!r}")
+        for key in _OPTIONAL:
+            if getattr(self, key) is not None and key != MOVES[self.kind][1]:
+                raise InvalidInput(f'move {self.kind} does not read "{key}"')
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "target": self.target}
-        for key in ("keep", "flip", "companion"):
+        for key in _OPTIONAL:
             if getattr(self, key) is not None:
                 out[key] = getattr(self, key)
         return out
@@ -273,7 +278,10 @@ class MoveSpec:
     def from_json(cls, obj: dict) -> "MoveSpec":
         if not isinstance(obj, dict):
             raise InvalidInput("a move spec is a JSON object")
-        spec = {key: obj.get(key) for key in ("kind", "target", "keep", "flip", "companion")}
+        unknown = [key for key in obj if key not in ("kind", "target") + _OPTIONAL]
+        if unknown:
+            raise InvalidInput(f"unknown move spec keys {unknown}")
+        spec = {key: obj.get(key) for key in ("kind", "target") + _OPTIONAL}
         for key, value in spec.items():  # kind and target required, the rest optional
             if not isinstance(value, str) and (value is not None or key in ("kind", "target")):
                 raise InvalidInput(f'move spec "{key}" must be a string, '
@@ -282,14 +290,10 @@ class MoveSpec:
 
 
 def apply_move(g: PlumbingGraph, spec: MoveSpec) -> PlumbingGraph:
-    fn = MOVES[spec.kind]
-    if spec.kind == "zero_chain_absorb":
-        return fn(g, spec.target, keep=spec.keep)
-    if spec.kind == "split":
-        return fn(g, spec.target, companion=spec.companion)
-    if spec.kind == "two_alteration":
-        return fn(g, spec.target, flip=spec.flip)
-    return fn(g, spec.target)
+    fn, field = MOVES[spec.kind]
+    if field is None:
+        return fn(g, spec.target)
+    return fn(g, spec.target, getattr(spec, field))
 
 
 def run_script(g: PlumbingGraph, script: list[MoveSpec]):

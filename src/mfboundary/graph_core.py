@@ -270,9 +270,6 @@ class PlumbingGraph:
     def ids(self) -> list[str]:
         return list(self._index)
 
-    def non_arrowhead_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices if v.kind != "arrowhead"]
-
     def plain_edges(self) -> list[Edge]:
         return [e for e in self.edges if not e.arrow]
 
@@ -329,7 +326,7 @@ def vertex_order(g: PlumbingGraph) -> list[str]:
 def first_betti_of_graph(g: PlumbingGraph) -> int:
     """b_1 of the underlying topological graph, arrowheads and arrows
     excluded: edges - vertices + components."""
-    verts = [v.id for v in g.non_arrowhead_vertices()]
+    verts = [v.id for v in g.vertices if v.kind != "arrowhead"]
     vset = set(verts)
     parent = {v: v for v in verts}
 

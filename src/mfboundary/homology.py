@@ -7,14 +7,15 @@ incidence matrix A (Euler numbers on the diagonal, edge signs off it); then
     H_1 = Z^(corank A + 2*total genus + b_1(graph)) (+) torsion of A,
 
 the torsion being the invariant factors of A that exceed 1.  Invariant
-factors come from one exact sparse Smith normal form engine.  It takes its
-unit pivots from a priority queue ordered by Markowitz cost, divides out
-the content when no unit is left, and finishes a unit-free core modulo a
-multiple R of its last invariant factor, where every entry coprime to R is
-a unit.  `smith_normal_form` hands the engine the nonzeros of a dense
-matrix; `homology_of_graph` hands it the nonzeros straight from the graph,
-so the V x V matrix is never built on that route.  Everything runs over
-unbounded Python integers; no floating point anywhere.
+factors come from one exact sparse Smith normal form engine of two steps:
+a unit pivot, taken from a priority queue ordered by Markowitz cost, and a
+content division when no unit is left.  A core where both are stuck is
+finished over coprime moduli: first a multiple R of its last invariant
+factor, where every entry coprime to R is a unit, then coprime splits of
+any modulus that is stuck too.  `smith_normal_form` hands the engine the
+nonzeros of a dense matrix; `homology_of_graph` hands it the nonzeros
+straight from the graph, so the V x V matrix is never built on that route.
+Everything runs over unbounded Python integers; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -146,10 +147,31 @@ def _bareiss_rank_modulus(B: list[list[int]]) -> tuple[int, int]:
     return r, g
 
 
-def _invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
+def _coprime_split(rows: dict[int, dict[int, int]], modulus: int) -> tuple[int, int]:
+    """A split a * b = modulus with gcd(a, b) = 1 and a, b > 1, where a
+    collects the powers in the modulus of the primes some entry shares
+    with it.  The rows must have no unit mod the modulus and content 1
+    with it, so every entry shares a prime with the modulus and some entry
+    misses one of its primes (or that prime would divide the content)."""
+    for ri in rows.values():
+        for v in ri.values():
+            a, b = 1, modulus
+            g = math.gcd(v, b)
+            while g > 1:
+                a *= g
+                b //= g
+                g = math.gcd(g, b)
+            if a > 1 and b > 1:
+                return a, b
+    raise InternalError(f"no coprime split of {modulus} at a stuck matrix")
+
+
+def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
+                       count: int = 0) -> list[int]:
     """The Smith normal form engine: the invariant factors d_1 | d_2 | ...
     of the sparse integer matrix ``rows`` (row -> {column: nonzero entry}),
-    which it consumes.
+    which it consumes.  One loop of two steps, over Z or, when the private
+    ``modulus`` m is set, over Z/m:
 
       * Unit pivots come from a heap of (Markowitz cost, row, column), the
         cost being (row length - 1) * (column length - 1).  Entries enter
@@ -158,27 +180,34 @@ def _invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
         and columns change length; a popped entry that is gone or no longer
         a unit is dropped, one that got dearer goes back with its true
         cost, and the heap is rebuilt once stale keys outnumber the live
-        entries.
-      * When no unit entry is left, the gcd g of the remaining entries is
-        the next invariant factor's content: divide it out (the factors of
-        g*M are g times those of M), which in the graph cases turns the
-        torsion core back into a unit-pivot matrix.
-      * A content-1 remainder with no unit entry is finished by a bounded
-        modular pass: one Bareiss sweep yields the exact rank r and a
-        modulus R (a multiple of the last invariant factor), after which
-        elimination may reduce every entry symmetrically mod R, because
-        the presented group is unchanged by adding R times a basis vector
-        to any row.  This computes the Smith form over Z/R, whose first r
-        factors are gcd(d_i, R) = d_i.  Over Z/R every entry coprime to R
-        is a unit: it is eliminated with its inverse mod R like a +-1.
-        When no unit is left, the content is g = gcd(entries, R); it is
-        divided out as above and the work goes on mod R/g.  Only when that
-        content is 1 as well are entries chased by Euclid steps; such a
-        pivot p contributes gcd(p, R), rows that vanish mod R contribute R
-        itself.  Nothing can blow up: every entry stays below R.
+        entries.  Over Z/m every entry coprime to m is a unit.
+      * When no unit entry is left, the gcd g of the remaining entries
+        (and m) is the next invariant factor's content: divide it out (the
+        factors of g*M are g times those of M; the work goes on mod m/g),
+        which in the graph cases turns the torsion core back into a
+        unit-pivot matrix.
+
+    Stuck on both (no unit, content 1), the engine finishes the rest once
+    per modulus of a coprime list, on a copy for every modulus but the
+    last, and multiplies the returned lists elementwise (Chinese
+    remainders).  Over Z the list is (R,): a Bareiss sweep gives the rank
+    r of the rest and a multiple R of its last invariant factor, and over
+    Z/R the first r factors are gcd(d_i, R) = d_i.  Over Z/m it is a split
+    of m from ``_coprime_split``; over Z/p^e no unit means content >= p,
+    so splitting ends.  Over Z/m the rows are reduced into (-m/2, m/2] at
+    entry and stay there, and exactly ``count`` factors come back, padded
+    with m for rows that vanish mod m.
 
     Entries are unbounded Python integers throughout; nothing is floated.
     """
+    if modulus:
+        for i, ri in list(rows.items()):
+            reduced = {c: r - modulus if 2 * r > modulus else r
+                       for c, v in ri.items() if (r := v % modulus)}
+            if reduced:
+                rows[i] = reduced
+            else:
+                del rows[i]
     cols: dict[int, set[int]] = {}
     for i, ri in rows.items():
         for c in ri:
@@ -186,9 +215,8 @@ def _invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
     nnz = sum(map(len, rows.values()))
     gcd = math.gcd
     heappush = heapq.heappush
-    # A unit of Z/modulus; modulus 0 (no modular finish yet) gives Z, whose
-    # units are +-1 = the v with gcd(v, 0) = |v| = 1.
-    modulus = 0
+    # A unit of Z/modulus; modulus 0 gives Z, whose units are +-1 = the v
+    # with gcd(v, 0) = |v| = 1.
     queue: list[tuple[int, int, int]] = []  # (Markowitz cost, row, column)
 
     def rebuild_queue():
@@ -244,18 +272,9 @@ def _invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
         if not rr:
             del rows[r]
 
-    def global_min() -> tuple[int, int]:
-        best = None
-        for i in rows:
-            for c, v in rows[i].items():
-                key = (abs(v), i, c)
-                if best is None or key < best:
-                    best = key
-        return (best[1], best[2])
-
     def extract_content() -> int:
         """Divide out g = gcd(entries, modulus) and return it; under a
-        modulus R the remaining work then runs mod R/g."""
+        modulus m the remaining work then runs mod m/g."""
         nonlocal modulus
         g = modulus
         for ri in rows.values():
@@ -286,41 +305,6 @@ def _invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
             if not cols[c]:
                 del cols[c]
 
-    def chase(i: int, j: int) -> int:
-        """Euclid steps under the modulus until the pivot (i, j) divides
-        every entry left, then remove it; returns gcd(pivot, modulus)."""
-        nonlocal nnz
-        while True:
-            p = rows[i][j]
-            r = next((t for t in sorted(cols[j]) if t != i), None)
-            if r is not None:
-                row_op(r, rows[i], rows[r][j] // p)
-                if rows.get(r, {}).get(j, 0):
-                    i = r  # remainder is strictly smaller: chase it
-                continue
-            c = next((t for t in sorted(rows[i]) if t != j), None)
-            if c is not None:
-                # col_c -= q * col_j, where column j is the pivot alone
-                row_op(i, {c: p}, rows[i][c] // p)
-                if rows.get(i, {}).get(c, 0):
-                    j = c
-                continue
-            g = gcd(rows[i][j], modulus)
-            bad = next(
-                (t for t in sorted(rows) if t != i
-                 and any(v % g for v in rows[t].values())),
-                None,
-            )
-            if bad is None:
-                break
-            row_op(i, rows[bad], -1)  # fold the offending row in; the next
-            #                     sweep shrinks the pivot toward a
-            #                     common divisor
-        # the pivot is alone in its row and column
-        del rows[i], cols[j]
-        nnz -= 1
-        return g
-
     factors: list[int] = []
     scale = 1
     rebuild_queue()
@@ -335,39 +319,28 @@ def _invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
             scale *= g
             rebuild_queue()
             continue
+        # stuck: no unit and content 1; finish over coprime moduli
         if modulus:
-            # every entry shares a factor with the modulus, but not one
-            # factor: only Euclid steps make progress
-            factors.append(scale * chase(*global_min()))
-            continue
-        # No unit entry and content 1: hand the core to the bounded
-        # modular finish.  Everything left contributes either one of the
-        # rank many remaining invariant factors or a zero column.
-        core_rows = sorted(rows)
-        core_cols = sorted(cols)
-        cmap = {c: t for t, c in enumerate(core_cols)}
-        dense = [[0] * len(core_cols) for _ in core_rows]
-        for t, i in enumerate(core_rows):
-            for c, v in rows[i].items():
-                dense[t][cmap[c]] = v
-        rank_core, R = _bareiss_rank_modulus(dense)
-        if rank_core < 1:
-            raise InternalError("the unit-free core of a nonzero matrix has rank 0")
-        if R == 1:
-            factors.extend([scale] * rank_core)
-            break
-        # the core's factors, in order, are the first rank_core of those
-        # found from here on, padded with scale * R for the columns that
-        # vanish mod R; content divided out later moves from the modulus
-        # into the scale, so scale * modulus stays scale * R
-        core_end = len(factors) + rank_core
-        pad = [scale * R] * rank_core
-        modulus = R
-        for i in list(rows):
-            row_op(i, dict(rows[i]), 0)  # re-store each entry reduced into (-R/2, R/2]
-        rebuild_queue()
-    if modulus:
-        factors = (factors + pad)[:core_end]
+            parts, left = _coprime_split(rows, modulus), count - len(factors)
+        else:
+            cmap = {c: t for t, c in enumerate(sorted(cols))}
+            dense = [[0] * len(cmap) for _ in rows]
+            for row, i in zip(dense, sorted(rows)):
+                for c, v in rows[i].items():
+                    row[cmap[c]] = v
+            left, R = _bareiss_rank_modulus(dense)
+            if left < 1:
+                raise InternalError("the unit-free core of a nonzero matrix has rank 0")
+            parts = (R,)
+        finish = [scale] * left
+        for k, part in enumerate(parts):
+            rest = rows if k == len(parts) - 1 else {i: dict(ri) for i, ri in rows.items()}
+            finish = [x * y for x, y in zip(finish, _invariant_factors(rest, part, left))]
+        factors += finish
+        break
+    # content divided out moves from the modulus into the scale, so the
+    # padding scale * modulus is the entry modulus (and nothing over Z)
+    factors += [scale * modulus] * (count - len(factors))
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise InternalError(f"invariant factors out of divisibility order: {factors}")
@@ -380,8 +353,8 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
     The matrix is validated, and its nonzeros go to the one sparse engine
     (``_invariant_factors``), tuned for the mostly-empty matrices of
     boundary graphs: unit pivots from a Markowitz-cost priority queue,
-    content extraction when no unit is left, and a modular finish under a
-    Bareiss modulus R in which every entry coprime to R is a unit pivot.
+    content extraction when no unit is left, and a finish over coprime
+    moduli, in which every entry coprime to the modulus is a unit pivot.
 
     The naive minimum-entry Euclidean strategy is catastrophic here: on
     the raw boundary graph of ten generic lines it manufactures pivots

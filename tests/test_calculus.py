@@ -281,6 +281,22 @@ def test_move_spec_round_trip():
         MoveSpec.from_json({"kind": "split"})
 
 
+def test_move_spec_takes_only_the_field_its_move_reads():
+    for kind, (_, field) in MOVES.items():
+        for key in ("keep", "flip", "companion"):
+            if key == field:
+                assert getattr(MoveSpec(kind, "v0", **{key: "x"}), key) == "x"
+                continue
+            with pytest.raises(InvalidInput):
+                MoveSpec(kind, "v0", **{key: "x"})
+            with pytest.raises(InvalidInput):
+                MoveSpec.from_json({"kind": kind, "target": "v0", key: "x"})
+        # an absent field may be given as null
+        assert MoveSpec.from_json({"kind": kind, "target": "v0", "keep": None}).keep is None
+    with pytest.raises(InvalidInput):
+        MoveSpec.from_json({"kind": "two_alteration", "target": "w0", "flipp": "v1"})
+
+
 def test_apply_script_checks_h1():
     g = graph([("x", -3, 0), ("v", -1, 0), ("y", -4, 0)],
               [("x", "v", 1), ("v", "y", 1)])

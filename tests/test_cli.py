@@ -323,6 +323,13 @@ def calculus_of_script(capsys, tmp_path, script, *flags):
     {"kind": "zero_chain_absorb", "target": "s0_0#0", "keep": ["v0"]},
     {"kind": "two_alteration", "target": "s0_0#0", "flip": {"a": 1}},
     {"kind": "split", "target": "v0", "companion": 1},
+    {"kind": "two_alteration", "target": "s0_0#0", "flipp": "v1"},
+    {"kind": "blow_down_a", "target": "v0", "unknown": None},
+    {"kind": "blow_down_a", "target": "v0", "flip": "x"},
+    {"kind": "sign_reversal", "target": "v0", "keep": "v1"},
+    {"kind": "zero_chain_absorb", "target": "s0_0#0", "flip": "v0"},
+    {"kind": "split", "target": "v0", "keep": "v1"},
+    {"kind": "two_alteration", "target": "s0_0#0", "companion": "v0"},
 ])
 def test_malformed_move_is_one_json_error(tmp_path, capsys, move):
     result = calculus_of_script(capsys, tmp_path, [move])

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
-from mfboundary.errors import InvalidInput, MissingEuler, NonSimpleGraph
+from mfboundary import homology
+from mfboundary.errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, first_betti_of_graph
 from mfboundary.homology import (
     AbelianGroup,
     SmithForm,
     _bareiss_rank_modulus,
+    _coprime_split,
     betti_formula,
     homology_of_graph,
     incidence_matrix,
@@ -203,7 +205,7 @@ def unit_free_matrix(rng):
 def test_snf_unit_free_matrices_match_oracle():
     # with no +-1 entry and content 1 the whole matrix goes to the modular
     # finish; entries coprime to the Bareiss modulus R are its unit pivots,
-    # and when there are none the Euclid chase runs
+    # and when there are none R splits into coprime parts
     rng = random.Random(2718)
     seen = {"units mod R": 0, "no unit mod R": 0}
     for _ in range(400):
@@ -215,6 +217,82 @@ def test_snf_unit_free_matrices_match_oracle():
             coprime = any(math.gcd(v, R) == 1 for row in M for v in row if v)
             seen["units mod R" if coprime else "no unit mod R"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The moduli the engine splits, in call order."""
+    seen = []
+    split = homology._coprime_split
+
+    def recording(rows, modulus):
+        seen.append(modulus)
+        return split(rows, modulus)
+
+    monkeypatch.setattr(homology, "_coprime_split", recording)
+    return seen
+
+
+def test_coprime_split_takes_the_primes_one_entry_shares():
+    # 360 = 2^3 * 3^2 * 5, and the first entry, 6, shares 2 and 3 but not 5
+    assert _coprime_split({0: {0: 6, 1: 10}, 1: {1: 15}}, 360) == (72, 5)
+    rng = random.Random(1129)
+    for _ in range(200):
+        primes = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(2, 4))
+        m = math.prod(p ** rng.randint(1, 3) for p in primes)
+        # each entry a power of one prime of m times a unit: no unit, content 1
+        rows = {i: {j: rng.choice((1, -1)) * p ** rng.randint(1, 4) * rng.choice((1, 17, 19))
+                    for j, p in enumerate(primes)}
+                for i in range(rng.randint(1, 3))}
+        a, b = _coprime_split(rows, m)
+        assert a * b == m and math.gcd(a, b) == 1 and a > 1 and b > 1, (rows, m, a, b)
+    # entries divisible by every prime of m leave no split (nor content 1)
+    with pytest.raises(InternalError):
+        _coprime_split({0: {0: 30, 1: -60}}, 30)
+
+
+def prime_product_matrix(rng):
+    """A small matrix whose nonzero entries are +-products of one or two
+    primes above 1000: no entry is a unit over Z, and entries often share
+    primes with the Bareiss modulus, which then splits."""
+    primes = (1009, 1013, 1019)
+
+    def entry():
+        if rng.random() < 0.2:
+            return 0
+        return rng.choice((1, -1)) * math.prod(rng.choices(primes, k=rng.randint(1, 2)))
+
+    n, m = rng.randint(2, 4), rng.randint(2, 4)
+    return [[entry() for _ in range(m)] for _ in range(n)]
+
+
+def test_snf_coprime_split_matches_oracle(splits):
+    rng = random.Random(1013)
+    split_matrices = 0
+    for _ in range(400):
+        M = prime_product_matrix(rng)
+        before = len(splits)
+        got = smith_normal_form(M).factors
+        assert got == minor_gcd_smith(M), (M, got)
+        split_matrices += len(splits) > before
+    # every split after a matrix's first runs on a part of an earlier one
+    nested = len(splits) - split_matrices
+    assert split_matrices >= 50 and nested >= 10, (split_matrices, nested)
+
+
+@pytest.mark.parametrize("seed, group", [
+    (1, AbelianGroup(39, (10,) * 22)),
+    (2, AbelianGroup(38, (5, 5) + (10,) * 17)),
+    (3, AbelianGroup(43, (5, 5) + (10,) * 22)),
+])
+def test_non_generic_boundaries_split_the_modulus(splits, seed, group):
+    # random arrangements of 10 lines whose raw graphs leave a core with no
+    # unit and content 1 modulo R; the groups are literals recorded from an
+    # engine that finished such cores by Euclid steps instead
+    inc = incidence_from_lines(random_rational_lines(10, random.Random(seed)))
+    assert homology_of_graph(boundary_graph(inc)) == group
+    assert splits
+    assert homology_of_graph(boundary_graph(inc, reduce=True)) == group
 
 
 # -- incidence_matrix --------------------------------------------------------
@@ -368,6 +446,7 @@ def test_snf_oracle_tests_pass_under_python_O():
     selected = [
         "tests/test_homology.py::test_snf_matches_minor_gcd_oracle_seeded",
         "tests/test_homology.py::test_snf_unit_free_matrices_match_oracle",
+        "tests/test_homology.py::test_snf_coprime_split_matches_oracle",
         "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
         "tests/test_acceptance.py::test_criterion_11_snf_oracle",
         "tests/test_graph_index.py::test_edits_reject_what_a_rebuild_rejects",
