@@ -213,6 +213,21 @@ def is_generic(inc: IncidenceData) -> bool:
     return all(p.multiplicity == 2 for p in inc.points)
 
 
+def is_pencil(inc: IncidenceData) -> bool:
+    """True when all lines pass through a single point."""
+    return len(inc.points) == 1 and inc.points[0].multiplicity == inc.n
+
+
+def is_near_pencil(inc: IncidenceData) -> bool:
+    """True when n >= 3 and n - 1 lines pass through one point, which the
+    remaining line meets in n - 1 double points.  The n = 3 triangle is
+    one, and generic too."""
+    if inc.n < 3 or len(inc.points) != inc.n:
+        return False
+    mults = sorted(p.multiplicity for p in inc.points)
+    return mults == [2] * (inc.n - 1) + [inc.n - 1]
+
+
 def moment_curve_lines(n: int) -> list[ProjLine]:
     """n rational lines in general position: x + t*y + t^2*z for t = 0..n-1.
 
@@ -276,9 +291,6 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
             if not isinstance(row, list):
                 raise InvalidInput(f"a line is a list of three coefficients, got {row!r}")
         lines = [ProjLine.from_coeffs(row, i) for i, row in enumerate(rows)]
-        for l1, l2 in itertools.combinations(lines, 2):
-            if l1.coeffs == l2.coeffs:
-                raise IdenticalLines(f"lines {l1.label} and {l2.label} coincide")
         return incidence_from_lines(lines)
     if "points" in obj:
         if "n" not in obj:

@@ -19,9 +19,9 @@ Moves:
                      vertex by a + and a - edge, adding 1 to that genus;
   split              remove a vertex that carries a degree-1 Euler-0
                      genus-0 companion; the remaining components survive
-                     and 2g + sum(k_j - 1) isolated Euler-0 vertices are
-                     added, k_j counting the removed edges into each
-                     component;
+                     and 2g + (the drop in b_1) isolated Euler-0 vertices
+                     are added, the drop being sum(k_j - 1) with k_j the
+                     removed edges into each component;
   two_alteration     replace Euler number +2 by -2 on a genus-0 degree-2
                      vertex between distinct neighbors, flipping the sign
                      of exactly one of its two edges and decrementing both
@@ -42,7 +42,7 @@ from .errors import (
     NotBlowdownable,
     NotSplittable,
 )
-from .graph_core import Edge, PlumbingGraph, Vertex, _order_key
+from .graph_core import Edge, PlumbingGraph, Vertex, _order_key, first_betti_of_graph
 from .homology import homology_of_graph
 
 
@@ -143,8 +143,8 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
 
     The vertex and the companion disappear; each remaining component
     survives, and one isolated Euler-0 vertex appears for every handle the
-    removal frees: 2*genus plus (k_j - 1) per component joined by k_j
-    edges."""
+    removal frees: 2*genus plus the drop in b_1 of the graph, which is
+    (k_j - 1) per component joined by k_j edges."""
     v = g.vertex(vid)
     if v.kind == "arrowhead":
         raise NotSplittable(f"split: {vid} is an arrowhead")
@@ -166,28 +166,7 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
             raise NotSplittable(f"{vid}: no Euler-0 leaf companion")
         companion = candidates[0]
     rest = g.edit(drop=[vid, companion])
-
-    # component id for every surviving vertex
-    comp: dict[str, int] = {}
-    for u in rest.ids:
-        if u in comp:
-            continue
-        stack, cid = [u], len(comp)
-        label = comp.setdefault(u, cid)
-        while stack:
-            x = stack.pop()
-            for y in rest.neighbors(x):
-                if y not in comp:
-                    comp[y] = label
-                    stack.append(y)
-
-    links: dict[int, int] = {}
-    for e in g.edges_at(vid):
-        other = e.other(vid)
-        if other == companion:
-            continue
-        links[comp[other]] = links.get(comp[other], 0) + 1
-    extras = 2 * v.genus + sum(k - 1 for k in links.values())
+    extras = 2 * v.genus + first_betti_of_graph(g) - first_betti_of_graph(rest)
     free = (f"z{k}" for k in itertools.count() if not rest.has_vertex(f"z{k}"))
     return rest.edit(add_vertices=[
         Vertex(id=next(free), genus=0, euler=0, kind="plain") for _ in range(extras)

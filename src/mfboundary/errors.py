@@ -36,10 +36,6 @@ class NoSolution(MFBoundaryError):
     kind = "NoSolution"
 
 
-class UnsupportedCase(MFBoundaryError):
-    kind = "UnsupportedCase"
-
-
 # -- generic input problems -------------------------------------------------
 
 class InvalidInput(MFBoundaryError):

@@ -428,13 +428,16 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
             s = -1
         else:
             raise InvalidInput(f"bad edge sign {sign!r}")
+        arrow = row.get("arrow")
+        if arrow is not None and not isinstance(arrow, bool):
+            raise InvalidInput(f"edge arrow must be true, false or null, got {arrow!r}")
         edges.append(
             Edge(
                 a=row["a"],
                 b=row["b"],
                 sign=s,
                 edge_type=row.get("type"),
-                arrow=bool(row.get("arrow", False)),
+                arrow=bool(arrow),
             )
         )
     return PlumbingGraph(tuple(verts), tuple(edges))

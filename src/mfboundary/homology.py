@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Optional, Sequence
 
-from .arrangement import IncidenceData
+from .arrangement import IncidenceData, is_near_pencil, is_pencil
 from .errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
 from .graph_core import PlumbingGraph, first_betti_of_graph, vertex_order
 
@@ -431,11 +431,10 @@ class AbelianGroup:
 
 # -- graph homology ----------------------------------------------------------
 
-def _incidence_entries(g: PlumbingGraph, order: Optional[list[str]] = None
-                       ) -> tuple[int, list[tuple[int, int, int]]]:
-    """Size and nonzero entries (row, column, value) of the weighted
-    incidence matrix of a closed simple plumbing graph, rows and columns
-    in ``order`` (canonical vertex order by default)."""
+def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:
+    """Size and nonzeros by row of the weighted incidence matrix of a closed
+    simple plumbing graph, rows and columns in canonical vertex order:
+    each row's diagonal entry first, then its edges in edge order."""
     if any(v.kind == "arrowhead" for v in g.vertices):
         raise InvalidInput("graph still has arrowheads; strip them first")
     for v in g.vertices:
@@ -447,27 +446,24 @@ def _incidence_entries(g: PlumbingGraph, order: Optional[list[str]] = None
             "(a +- double edge is a handle_absorb target, an Euler-0 "
             "degree-2 vertex a zero_chain_absorb target)"
         )
-    if order is None:
-        order = vertex_order(g)
-    if sorted(order) != sorted(g.ids):
-        raise InvalidInput("order must enumerate exactly the graph's vertices")
-    pos = {vid: k for k, vid in enumerate(order)}
-    entries = [(pos[v.id], pos[v.id], v.euler) for v in g.vertices if v.euler]
+    pos = {vid: k for k, vid in enumerate(vertex_order(g))}
+    rows = {pos[v.id]: {pos[v.id]: v.euler} for v in g.vertices if v.euler}
     for e in g.edges:
         a, b = pos[e.a], pos[e.b]
-        entries.append((a, b, e.sign))
-        entries.append((b, a, e.sign))
-    return len(order), entries
+        rows.setdefault(a, {})[b] = e.sign
+        rows.setdefault(b, {})[a] = e.sign
+    return len(pos), rows
 
 
-def incidence_matrix(g: PlumbingGraph, order: Optional[list[str]] = None) -> list[list[int]]:
+def incidence_matrix(g: PlumbingGraph) -> list[list[int]]:
     """Weighted incidence matrix of a closed simple plumbing graph in
     canonical vertex order: Euler numbers on the diagonal, the sign of the
     unique i-j edge elsewhere."""
-    size, entries = _incidence_entries(g, order)
+    size, rows = _incidence_rows(g)
     A = [[0] * size for _ in range(size)]
-    for a, b, v in entries:
-        A[a][b] = v
+    for a, row in rows.items():
+        for b, v in row.items():
+            A[a][b] = v
     return A
 
 
@@ -478,10 +474,7 @@ def homology_of_graph(g: PlumbingGraph) -> AbelianGroup:
 
     The Smith form engine gets the matrix's nonzeros straight from the
     graph; the dense V x V matrix is never built."""
-    size, entries = _incidence_entries(g)
-    rows: dict[int, dict[int, int]] = {}
-    for a, b, v in entries:
-        rows.setdefault(a, {})[b] = v
+    size, rows = _incidence_rows(g)
     snf = SmithForm(size, size, tuple(_invariant_factors(rows)))
     free = snf.corank + 2 * sum(v.genus for v in g.vertices) + first_betti_of_graph(g)
     torsion = tuple(d for d in snf.factors if d >= 2)
@@ -505,17 +498,6 @@ def projective_complement_euler(inc: IncidenceData) -> int:
     """Euler characteristic of the complement of the projectivized
     arrangement: 3 - 2n + sum (m_j - 1)."""
     return 3 - 2 * inc.n + sum(p.multiplicity - 1 for p in inc.points)
-
-
-def _pencil_like(inc: IncidenceData) -> bool:
-    return len(inc.points) == 1 and inc.points[0].multiplicity == inc.n
-
-
-def _near_pencil_like(inc: IncidenceData) -> bool:
-    if inc.n < 3 or len(inc.points) != inc.n:
-        return False
-    mults = sorted(p.multiplicity for p in inc.points)
-    return mults == [2] * (inc.n - 1) + [inc.n - 1]
 
 
 @dataclass(frozen=True)
@@ -570,22 +552,19 @@ class ConjectureReport:
 
 
 def probe_conjecture(inc: IncidenceData) -> ConjectureReport:
-    from .pipeline import boundary_graph
+    from .pipeline import boundary_graph, point_genus
 
     g = boundary_graph(inc)
     group = homology_of_graph(g)
     n = inc.n
-    flat = all(
-        (p.multiplicity - 2) * (math.gcd(p.multiplicity, n) - 1) == 0
-        for p in inc.points
-    )
+    flat = all(point_genus(p.multiplicity, n) == 0 for p in inc.points)
     chi = projective_complement_euler(inc)
     prediction = None
     if flat and chi >= 0:
         prediction = group.torsion == ((n,) * chi if chi else ())
     torsion_free = group.is_torsion_free
-    pencil = _pencil_like(inc)
-    near = _near_pencil_like(inc)
+    pencil = is_pencil(inc)
+    near = is_near_pencil(inc)
     return ConjectureReport(
         n=n,
         group=group,

@@ -76,7 +76,7 @@ def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
             raise InvalidInput(f"edge {e.a}--{e.b} has unexpected type {e.edge_type}")
         line_id, point_id = (e.a, e.b) if e.a.startswith("v") else (e.b, e.a)
         m = gc.vertex(point_id).dec[0]
-        chain = build_string(1, m, n, sign=-1)
+        chain = build_string(1, m, n)
         if chain.is_double_arrow:
             edges.append(Edge(a=line_id, b=point_id, sign=-1))
             continue

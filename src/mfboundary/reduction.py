@@ -18,7 +18,7 @@ normal form.
 
 from __future__ import annotations
 
-from .arrangement import IncidenceData, is_generic
+from .arrangement import IncidenceData, is_generic, is_near_pencil, is_pencil
 from .calculus import MoveSpec, apply_script
 from .errors import InvalidInput
 from .graph_core import PlumbingGraph
@@ -56,27 +56,31 @@ def chain_survivor(inc: IncidenceData, j: int, n: int) -> str:
     return f"w{j}" if n == 2 else f"s{i1}_{j}#0"
 
 
+def _double_chains_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSpec]:
+    """The double_chain_scripts of all double points in point order, each
+    built from g: no chain's moves touch what another chain's script reads."""
+    script: list[MoveSpec] = []
+    for j, pt in enumerate(inc.points):
+        if pt.multiplicity == 2:
+            script += double_chain_script(g, inc, j)
+    return script
+
+
 def generic_reduction_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSpec]:
     if not is_generic(inc):
         raise InvalidInput("generic reduction needs an arrangement with only double points")
-    script: list[MoveSpec] = []
-    for j in range(len(inc.points)):
-        script += double_chain_script(g, inc, j)
-    return script
+    return _double_chains_script(g, inc)
 
 
 def reduce_double_chains(g: PlumbingGraph, inc: IncidenceData) -> PlumbingGraph:
     """Compact every double-point chain of a boundary graph; points of
     higher multiplicity are left alone."""
-    for j, pt in enumerate(inc.points):
-        if pt.multiplicity == 2:
-            g = apply_script(g, double_chain_script(g, inc, j))
-    return g
+    return apply_script(g, _double_chains_script(g, inc))
 
 
 def pencil_reduction_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSpec]:
     """One splitting at the central point, companion line 0."""
-    if len(inc.points) != 1 or inc.points[0].multiplicity != inc.n:
+    if not is_pencil(inc):
         raise InvalidInput("pencil reduction needs all lines through one point")
     return [MoveSpec("split", "w0", companion="v0")]
 
@@ -84,17 +88,13 @@ def pencil_reduction_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSp
 def near_pencil_roles(inc: IncidenceData) -> tuple[int, int, list[int]]:
     """(big point index, generic line, double point indices) of a
     near-pencil arrangement."""
-    n = inc.n
-    cands = [j for j, p in enumerate(inc.points) if p.multiplicity == n - 1]
-    if n < 3 or not cands or len(inc.points) != n:
+    if not is_near_pencil(inc):
         raise InvalidInput("not a near-pencil arrangement")
     # For n = 3 the triangle is a near-pencil in three symmetric ways
     # (every point has multiplicity n - 1 = 2); take the first.
-    big = cands[0]
+    big = next(j for j, p in enumerate(inc.points) if p.multiplicity == inc.n - 1)
     doubles = [j for j in range(len(inc.points)) if j != big]
-    if any(inc.points[j].multiplicity != 2 for j in doubles):
-        raise InvalidInput("not a near-pencil arrangement")
-    (gline,) = set(range(n)) - set(inc.points[big].lines)
+    (gline,) = set(range(inc.n)) - set(inc.points[big].lines)
     return big, gline, doubles
 
 

@@ -19,7 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, InvalidInput, NoSolution, UnsupportedCase
+from .errors import InternalError, InvalidInput, InvalidSize, NoSolution
+
+# longest continued fraction expanded: the pipeline needs at most n - 1
+# terms, and Str(3, 5; 10^20) would need about 6.7e18
+MAX_CF_TERMS = 10**6
 
 
 def solve_lambda(a: int, b: int, c: int) -> tuple[int, int]:
@@ -50,7 +54,8 @@ def hj_continued_fraction(p: int, q: int) -> list[int]:
 
         p/q = k1 - 1/(k2 - 1/(... - 1/ks)),  all ki >= 2.
 
-    Requires 0 < q <= p.  Computed by repeated ceiling division.
+    Requires 0 < q <= p.  Computed by repeated ceiling division; more
+    than MAX_CF_TERMS terms raise InvalidSize.
     """
     if q < 1 or p < q:
         raise InvalidInput(f"need 0 < q <= p, got p={p}, q={q}")
@@ -60,6 +65,8 @@ def hj_continued_fraction(p: int, q: int) -> list[int]:
     while q:
         k = -(-p // q)
         terms.append(k)
+        if len(terms) > MAX_CF_TERMS:
+            raise InvalidSize(f"continued fraction longer than {MAX_CF_TERMS} terms")
         p, q = q, k * q - p
     return terms
 
@@ -82,8 +89,7 @@ class StringGraph:
                     empty when lambda = 0;
     interior_mults  multiplicities of the interior vertices, same length;
     end_mults       (a/(a,c), b/(b,c)), the multiplicities the two attached
-                    ends are expected to carry;
-    sign            common sign of every edge on the chain.
+                    ends are expected to carry.
 
     Interior vertices carry no Euler numbers here; those are recovered
     later from the multiplicities (for an all-minus chain the local formula
@@ -98,30 +104,22 @@ class StringGraph:
     cf_terms: tuple[int, ...]
     interior_mults: tuple[int, ...]
     end_mults: tuple[int, int]
-    sign: int
 
     @property
     def is_double_arrow(self) -> bool:
         return not self.interior_mults
 
 
-def build_string(a: int, b: int, c: int, sign: int = -1,
-                 ijk: tuple[int, int, int] = (0, 0, 1)) -> StringGraph:
-    """Compute the chain Str(a, b; c) of type (0, 0, 1).
-
-    Any other (i, j, k) triple is rejected: only the type arising for
-    arrangement boundaries is implemented.
+def build_string(a: int, b: int, c: int) -> StringGraph:
+    """Compute the chain Str(a, b; c) of type (0, 0, 1), the only type
+    arising for arrangement boundaries; the pipeline signs its edges -.
     """
-    if ijk != (0, 0, 1):
-        raise UnsupportedCase(f"string type {ijk} not supported, only (0, 0, 1)")
-    if sign not in (1, -1):
-        raise InvalidInput("sign must be +1 or -1")
     lam, m1 = solve_lambda(a, b, c)
     d = math.gcd(a, c)
     a1, c1 = a // d, c // d
     ends = (a1, b // math.gcd(b, c))
     if lam == 0:
-        return StringGraph(a, b, c, 0, m1, (), (), ends, sign)
+        return StringGraph(a, b, c, 0, m1, (), (), ends)
     cf = hj_continued_fraction(c1, lam)
     mults = [m1]
     prev = a1  # the multiplicity the chain sees behind its first vertex
@@ -138,4 +136,4 @@ def build_string(a: int, b: int, c: int, sign: int = -1,
             f"string ({a}, {b}; {c}) with cf {cf} and multiplicities {mults} "
             f"ends in {tail}, not {ends[1]}"
         )
-    return StringGraph(a, b, c, lam, m1, tuple(cf), tuple(mults), ends, sign)
+    return StringGraph(a, b, c, lam, m1, tuple(cf), tuple(mults), ends)

@@ -19,6 +19,8 @@ from mfboundary.arrangement import (
     incidence_to_json,
     intersect_lines,
     is_generic,
+    is_near_pencil,
+    is_pencil,
     moment_curve_lines,
     random_rational_lines,
 )
@@ -122,6 +124,18 @@ def test_near_pencil_family_shape(n):
     assert len(inc.points) == n
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shape_predicates_on_the_three_families(n):
+    generic, pencil = generate_family("generic", n), generate_family("pencil", n)
+    assert is_pencil(pencil) and not is_near_pencil(pencil)
+    assert is_pencil(generic) == (n == 2)  # two lines meet in one point
+    assert is_near_pencil(generic) == (n == 3)  # the triangle
+    if n >= 3:
+        near = generate_family("near_pencil", n)
+        assert is_near_pencil(near) and not is_pencil(near)
+        assert is_generic(near) == (n == 3)
+
+
 def test_generate_family_validates():
     with pytest.raises(InvalidInput):
         generate_family("nonsense", 4)
@@ -188,6 +202,11 @@ def test_json_lines_input():
     inc = arrangement_from_json(data)
     assert inc.n == 3
     assert len(inc.points) == 1 and inc.points[0].multiplicity == 3
+
+
+def test_json_identical_lines_name_the_first_pair():
+    with pytest.raises(IdenticalLines, match="^lines 0 and 2 coincide$"):
+        arrangement_from_json({"lines": [[1, 0, 0], [0, 1, 0], [2, 0, 0]]})
 
 
 def test_json_bad_payload():

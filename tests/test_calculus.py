@@ -191,6 +191,54 @@ def test_split_star():
     assert len(out.plain_edges()) == 1  # only q -- r survives
 
 
+def random_split_case(rng):
+    """A plumbing with a center c, its Euler-0 leaf companion and 1-8 other
+    vertices; edges at c may run in parallel and reach several components."""
+    k = rng.randint(1, 8)
+    others = [f"n{i}" for i in range(k)]
+    vs = [("c", rng.randint(-3, 3), rng.randint(0, 2)), ("comp", 0, 0)]
+    vs += [(u, rng.randint(-3, 3), rng.randint(0, 2)) for u in others]
+    es = [("c", "comp", rng.choice([1, -1]))]
+    for _ in range(rng.randint(0, 6)):
+        es.append(("c", rng.choice(others), rng.choice([1, -1])))
+    for _ in range(rng.randint(0, k)):
+        a, b = rng.sample(others, 2) if k > 1 else (others[0], others[0])
+        if a != b:
+            es.append((a, b, rng.choice([1, -1])))
+    return graph(vs, es)
+
+
+def test_split_frees_2g_plus_the_extra_edges_into_each_component():
+    rng = random.Random(2024)
+    with_extras = several = 0
+    for _ in range(600):
+        g = random_split_case(rng)
+        rest = [u for u in g.ids if u not in ("c", "comp")]
+        comp = {u: u for u in rest}  # component label, by repeated relabelling
+        changed = True
+        while changed:
+            changed = False
+            for e in g.edges:
+                if e.a in comp and e.b in comp and comp[e.a] != comp[e.b]:
+                    low = min(comp[e.a], comp[e.b])
+                    comp[e.a] = comp[e.b] = low
+                    changed = True
+        hits: dict[str, int] = {}
+        for e in g.edges_at("c"):
+            if e.other("c") != "comp":
+                label = comp[e.other("c")]
+                hits[label] = hits.get(label, 0) + 1
+        expected = 2 * g.vertex("c").genus + sum(k - 1 for k in hits.values())
+        out = split(g, "c", companion="comp")
+        zs = [u for u in out.ids if u.startswith("z")]
+        assert len(zs) == expected
+        assert all(out.vertex(z).euler == 0 and out.degree(z) == 0 for z in zs)
+        assert out.edit(drop=zs) == g.edit(drop=["c", "comp"])
+        with_extras += expected > 0
+        several += len(hits) > 1
+    assert with_extras >= 400 and several >= 150
+
+
 def test_split_requires_companion():
     g = graph([("c", 5, 0), ("p", -2, 0)], [("c", "p", 1)])
     with pytest.raises(NotSplittable):

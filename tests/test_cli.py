@@ -191,16 +191,20 @@ def test_directory_input_is_json_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "FileError"
 
 
-def test_generate_random_beyond_the_box_fails_fast():
-    # the coefficient box holds 49 distinct lines; asking for more used to
-    # loop forever
+def cli_subprocess(*argv, timeout):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run(
-        [sys.executable, "-m", "mfboundary.cli", "generate", "random", "50"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "mfboundary.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_generate_random_beyond_the_box_fails_fast():
+    # the coefficient box holds 49 distinct lines; asking for more used to
+    # loop forever
+    out = cli_subprocess("generate", "random", "50", timeout=60)
     assert out.returncode == 1
     assert out.stdout == ""
     assert len(out.stderr.splitlines()) == 1
@@ -374,6 +378,32 @@ def test_string_error_path(capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "InvalidInput"
+
+
+def test_string_too_long_to_print_fails_fast():
+    # Str(3, 5; 10^20) has about 6.7e18 interior vertices
+    out = cli_subprocess("string", "3", "5", str(10**20), timeout=10)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert json.loads(out.stderr)["error"] == "InvalidSize"
+
+
+def test_export_dot_rejects_an_arrow_field_that_is_not_a_boolean(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "x", "euler": -1}, {"id": "h", "kind": "arrowhead"}],
+        "edges": [{"a": "x", "b": "h", "arrow": "no"}],
+    }))
+    result = run_cli(capsys, "export-dot", str(path))
+    assert assert_one_json_error(*result)["error"] == "InvalidInput"
+
+
+def test_identical_lines_are_one_json_error(tmp_path, capsys):
+    result = homology_of_payload(capsys, tmp_path / "in.json",
+                                 {"lines": [[1, 0, 0], [0, 1, 0], [2, 0, 0]]})
+    payload = assert_one_json_error(*result)
+    assert payload == {"error": "IdenticalLines", "message": "lines 0 and 2 coincide"}
 
 
 def test_string_b_multiple_of_c_is_double_arrow(capsys):

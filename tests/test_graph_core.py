@@ -169,6 +169,29 @@ def test_json_rejects_bad_sign():
         graph_from_json(blob)
 
 
+def arrow_blob(arrow, to_head):
+    edge = {"a": "x", "b": "h" if to_head else "y", "sign": "+"}
+    if arrow != "missing":
+        edge["arrow"] = arrow
+    return {"vertices": [{"id": "x", "euler": -1}, {"id": "y", "euler": -1},
+                         {"id": "h", "kind": "arrowhead"}],
+            "edges": [edge] if to_head else [edge, {"a": "x", "b": "h", "arrow": True}]}
+
+
+@pytest.mark.parametrize("arrow", [False, None, "missing"])
+def test_json_plain_edge_takes_false_null_or_no_arrow(arrow):
+    g = graph_from_json(arrow_blob(arrow, to_head=False))
+    assert [e.arrow for e in g.edges if e.touches("y")] == [False]
+    assert graph_from_json(arrow_blob(True, to_head=True)).edges[0].arrow
+
+
+@pytest.mark.parametrize("arrow", ["no", "false", "true", 0, 1, [], {}])
+@pytest.mark.parametrize("to_head", [True, False])
+def test_json_arrow_must_be_a_boolean(arrow, to_head):
+    with pytest.raises(InvalidInput, match="arrow must be true, false or null"):
+        graph_from_json(arrow_blob(arrow, to_head))
+
+
 def test_dot_output():
     base = path_graph([-1, -2])
     g = PlumbingGraph(

@@ -314,17 +314,6 @@ def test_incidence_matrix_values_and_symmetry():
     assert all(A[i][j] == A[j][i] for i in range(3) for j in range(3))
 
 
-def test_incidence_matrix_custom_order():
-    g = closed_graph([("a", 2, 0), ("b", 5, 0)], [("a", "b", -1)])
-    assert incidence_matrix(g, order=["b", "a"]) == [[5, -1], [-1, 2]]
-    with pytest.raises(InvalidInput):
-        incidence_matrix(g, order=["a"])
-    with pytest.raises(InvalidInput):
-        incidence_matrix(g, order=["a", "a"])
-    with pytest.raises(InvalidInput):
-        incidence_matrix(g, order=["a", "b", "a"])
-
-
 def test_incidence_matrix_rejects_arrowheads():
     g = PlumbingGraph(
         vertices=[v("v0", -1), v("a0", kind="arrowhead")],

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from mfboundary.arrangement import generate_family, incidence_from_lines
-from mfboundary.arrangement import random_rational_lines
+from mfboundary.arrangement import is_near_pencil, is_pencil, random_rational_lines
 from mfboundary.calculus import apply_script
+from mfboundary.errors import InvalidInput
 from mfboundary.generic_algebra import build_An
 from mfboundary.homology import homology_of_graph, incidence_matrix
 from mfboundary.pipeline import boundary_graph
@@ -74,6 +75,27 @@ def test_near_pencil_roles():
     assert all(inc.points[j].multiplicity == 2 for j in doubles)
     with pytest.raises(Exception):
         near_pencil_roles(generate_family("generic", 4))
+
+
+def refuses(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except InvalidInput:
+        return True
+    return False
+
+
+def test_shape_predicates_agree_with_the_recipes():
+    rng = random.Random(11)
+    pencils = near_pencils = 0
+    for _ in range(60):
+        inc = incidence_from_lines(random_rational_lines(rng.randint(2, 6), rng))
+        g = boundary_graph(inc)
+        assert is_pencil(inc) != refuses(pencil_reduction_script, g, inc)
+        assert is_near_pencil(inc) != refuses(near_pencil_roles, inc)
+        pencils += is_pencil(inc)
+        near_pencils += is_near_pencil(inc)
+    assert pencils >= 10 and near_pencils >= 10
 
 
 def test_reduce_double_chains_random_arrangements():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfboundary.errors import InvalidInput, UnsupportedCase
+from mfboundary.errors import InvalidInput, InvalidSize
 from mfboundary.strings import (
+    MAX_CF_TERMS,
     build_string,
     evaluate_negative_cf,
     hj_continued_fraction,
@@ -32,6 +33,14 @@ def test_hj_rejects_bad_input():
         hj_continued_fraction(3, 0)
     with pytest.raises(InvalidInput):
         hj_continued_fraction(3, 4)
+
+
+def test_hj_stops_past_the_term_limit():
+    # p/(p-1) expands to p-1 terms of 2
+    assert len(hj_continued_fraction(MAX_CF_TERMS + 1, MAX_CF_TERMS)) == MAX_CF_TERMS
+    with pytest.raises(InvalidSize):
+        hj_continued_fraction(MAX_CF_TERMS + 2, MAX_CF_TERMS + 1)
+    assert len(build_string(1, 2, 10**6).interior_mults) == 10**6 // 2 - 1
 
 
 @given(st.integers(1, 400), st.integers(1, 400))
@@ -64,11 +73,6 @@ def test_solve_lambda_validates():
         solve_lambda(0, 1, 2)
     with pytest.raises(InvalidInput):
         solve_lambda(2, 2, 2)  # common factor of all three
-
-
-def test_build_string_rejects_other_types():
-    with pytest.raises(UnsupportedCase):
-        build_string(1, 2, 5, ijk=(1, 0, 1))
 
 
 def test_double_arrow_case():
