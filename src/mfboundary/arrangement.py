@@ -182,6 +182,13 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
     return IncidenceData(len(lines), points)
 
 
+# The largest n generate_family accepts.  A generic family has n(n-1)/2
+# points: n = 200 builds in 0.4 s, already far past what the pipeline
+# finishes (raw generic n = 24 needs 4 s of Smith form), while n = 2000
+# takes 21 s and 70 MB only to build (2-core VM, Python 3.11).
+MAX_FAMILY_LINES = 200
+
+
 def generate_family(kind: str, n: int) -> IncidenceData:
     """Combinatorial models of the three named families.
 
@@ -189,8 +196,8 @@ def generate_family(kind: str, n: int) -> IncidenceData:
     pencil       all n lines through a single point;
     near_pencil  lines 0..n-2 through one point, line n-1 generic to them.
     """
-    if n < 2:
-        raise InvalidSize(f"family {kind!r} needs n >= 2, got {n}")
+    if not 2 <= n <= MAX_FAMILY_LINES:
+        raise InvalidSize(f"family {kind!r} needs 2 <= n <= {MAX_FAMILY_LINES}, got {n}")
     if kind == "generic":
         points = tuple(
             MultiPoint(pair) for pair in itertools.combinations(range(n), 2)

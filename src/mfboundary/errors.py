@@ -9,22 +9,19 @@ MFBoundaryError, so callers (and the CLI) can catch one base class.  The
 class MFBoundaryError(Exception):
     kind = "Error"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__
+
     def payload(self) -> dict:
         return {"error": self.kind, "message": str(self)}
 
 
 # -- arrangement layer ------------------------------------------------------
 
-class IdenticalLines(MFBoundaryError):
-    kind = "IdenticalLines"
-
-
-class InvalidSize(MFBoundaryError):
-    kind = "InvalidSize"
-
-
-class InvalidIncidence(MFBoundaryError):
-    kind = "InvalidIncidence"
+class IdenticalLines(MFBoundaryError): pass
+class InvalidSize(MFBoundaryError): pass
+class InvalidIncidence(MFBoundaryError): pass
 
 
 # -- string computation -----------------------------------------------------
@@ -33,55 +30,32 @@ class NoSolution(MFBoundaryError):
     """The congruence defining a string graph has no admissible solution.
 
     Cannot occur for coprime input; surfaced defensively."""
-    kind = "NoSolution"
 
 
 # -- generic input problems -------------------------------------------------
 
-class InvalidInput(MFBoundaryError):
-    kind = "InvalidInput"
+class InvalidInput(MFBoundaryError): pass
 
 
 # -- pipeline ---------------------------------------------------------------
 
-class NonIntegralEuler(MFBoundaryError):
-    kind = "NonIntegralEuler"
-
-
-class UnsupportedLoop(MFBoundaryError):
-    kind = "UnsupportedLoop"
+class NonIntegralEuler(MFBoundaryError): pass
+class UnsupportedLoop(MFBoundaryError): pass
 
 
 # -- graph / calculus -------------------------------------------------------
 
-class UnknownVertex(MFBoundaryError):
-    kind = "UnknownVertex"
-
-
-class NotBlowdownable(MFBoundaryError):
-    kind = "NotBlowdownable"
-
-
-class NotAbsorbable(MFBoundaryError):
-    kind = "NotAbsorbable"
-
-
-class NotSplittable(MFBoundaryError):
-    kind = "NotSplittable"
-
-
-class NotApplicable(MFBoundaryError):
-    kind = "NotApplicable"
+class UnknownVertex(MFBoundaryError): pass
+class NotBlowdownable(MFBoundaryError): pass
+class NotAbsorbable(MFBoundaryError): pass
+class NotSplittable(MFBoundaryError): pass
+class NotApplicable(MFBoundaryError): pass
 
 
 # -- homology ---------------------------------------------------------------
 
-class NonSimpleGraph(MFBoundaryError):
-    kind = "NonSimpleGraph"
-
-
-class MissingEuler(MFBoundaryError):
-    kind = "MissingEuler"
+class NonSimpleGraph(MFBoundaryError): pass
+class MissingEuler(MFBoundaryError): pass
 
 
 # -- internal ---------------------------------------------------------------
@@ -89,4 +63,3 @@ class MissingEuler(MFBoundaryError):
 class InternalError(MFBoundaryError):
     """An invariant the algorithms guarantee did not hold: a bug, not bad
     input.  Raised explicitly so the check survives ``python -O``."""
-    kind = "InternalError"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from typing import Optional, Sequence
 
@@ -533,22 +533,10 @@ class ConjectureReport:
         return all(checks)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "h1": str(self.group),
-            "rank": self.group.free_rank,
-            "torsion": list(self.group.torsion),
-            "betti_matches": self.betti_matches,
-            "flat_hypothesis": self.flat_hypothesis,
-            "complement_euler": self.complement_euler,
-            "flat_prediction_ok": self.flat_prediction_ok,
-            "orders_divide_n": self.orders_divide_n,
-            "torsion_free": self.torsion_free,
-            "pencil_like": self.pencil_like,
-            "near_pencil_like": self.near_pencil_like,
-            "torsion_free_iff": self.torsion_free_iff,
-            "all_hold": self.all_hold(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "group"}
+        out.update(h1=str(self.group), rank=self.group.free_rank,
+                   torsion=list(self.group.torsion), all_hold=self.all_hold())
+        return out
 
 
 def probe_conjecture(inc: IncidenceData) -> ConjectureReport:

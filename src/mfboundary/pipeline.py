@@ -39,52 +39,60 @@ def point_genus(m: int, n: int) -> int:
 
 
 def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
-    """Resolve decorations into genus/multiplicity and splice a string chain
-    into every line-point edge.
+    """Resolve a curve-configuration graph into genus/multiplicity and
+    splice a string chain into every line-point edge.
 
-    Reads n and the point multiplicities off the stage decorations, so the
-    curve-configuration graph is self-contained.  String vertices get ids
-    s{i}_{j}#{pos} with pos counted from the line end.
+    The decorations (m; n, nu) are the paper's labels; this reads none of
+    them, nor edge types or ids, but works the numbers out from the
+    structure: n is the number of line vertices, a point's m the number of
+    its incidence edges, and nu = 1.  It checks that every non-arrow edge
+    joins a line and a point, no two the same pair, that every point meets
+    at least two lines, and that every line carries exactly one arrow and
+    no point one.  String vertices get ids s{i}_{j}#{pos}, with line i and
+    point j counted in vertex order and pos counted from the line end.
     """
-    vertices: list[Vertex] = []
-    n = None
-    for v in gc.vertices:
-        if v.dec is None:
-            raise InvalidInput(f"vertex {v.id} lacks a stage decoration")
-        m, deg, nu = v.dec
-        if v.kind == "line":
-            n = deg
-            vertices.append(Vertex(id=v.id, genus=0, mult=1, kind="line"))
-        elif v.kind == "point":
-            g = point_genus(m, deg)
-            vertices.append(
-                Vertex(id=v.id, genus=g, mult=m // math.gcd(m, deg), kind="point")
-            )
-        elif v.kind == "arrowhead":
-            vertices.append(Vertex(id=v.id, kind="arrowhead", mult=1))
-        else:
-            raise InvalidInput(f"unexpected vertex kind {v.kind!r} at {v.id}")
-    if n is None:
+    arrows = {v.id: 0 for v in gc.vertices if v.kind == "line"}  # arrows at each line
+    mult = {v.id: 0 for v in gc.vertices if v.kind == "point"}  # edges at each point
+    if not arrows:
         raise InvalidInput("no line vertices present")
-
+    n = len(arrows)
+    index = {vid: i for ids in (arrows, mult) for i, vid in enumerate(ids)}  # among its kind
+    pairs = set()  # line-point pairs joined so far
+    for e in gc.edges:  # the graph makes one end of each arrow an arrowhead
+        line, point = (e.a, e.b) if e.a in arrows else (e.b, e.a)
+        if e.arrow and line in arrows:
+            arrows[line] += 1
+        elif not e.arrow and line in arrows and point in mult and (line, point) not in pairs:
+            pairs.add((line, point))
+            mult[point] += 1
+        else:
+            raise InvalidInput(f"edge {e.a}--{e.b}: an arrow must leave a line, and any "
+                               "other edge join a line to a point it meets once")
+    vertices: list[Vertex] = []
+    chains = {}  # point id -> multiplicities of its chain's interior
+    for v in gc.vertices:
+        if v.kind == "line" and arrows[v.id] != 1:
+            raise InvalidInput(f"line {v.id} needs exactly one arrow, has {arrows[v.id]}")
+        if v.kind in ("line", "arrowhead"):
+            vertices.append(Vertex(id=v.id, mult=1, kind=v.kind))
+            continue
+        if v.kind != "point":
+            raise InvalidInput(f"unexpected vertex kind {v.kind!r} at {v.id}")
+        m = mult[v.id]
+        if m < 2:
+            raise InvalidInput(f"point {v.id} meets {m} line(s), needs at least two")
+        chains[v.id] = build_string(1, m, n).interior_mults
+        vertices.append(Vertex(id=v.id, genus=point_genus(m, n),
+                               mult=m // math.gcd(m, n), kind="point"))
     edges: list[Edge] = []
     for e in gc.edges:
         if e.arrow:
             edges.append(Edge(a=e.a, b=e.b, sign=1, arrow=True))
             continue
-        if e.edge_type != 2:
-            raise InvalidInput(f"edge {e.a}--{e.b} has unexpected type {e.edge_type}")
-        line_id, point_id = (e.a, e.b) if e.a.startswith("v") else (e.b, e.a)
-        m = gc.vertex(point_id).dec[0]
-        chain = build_string(1, m, n)
-        if chain.is_double_arrow:
-            edges.append(Edge(a=line_id, b=point_id, sign=-1))
-            continue
-        i, j = line_id[1:], point_id[1:]
-        ids = [f"s{i}_{j}#{pos}" for pos in range(len(chain.interior_mults))]
-        for vid, mult in zip(ids, chain.interior_mults):
-            vertices.append(Vertex(id=vid, genus=0, mult=mult, kind="string"))
-        path = [line_id] + ids + [point_id]
+        line, point = (e.a, e.b) if e.a in arrows else (e.b, e.a)
+        ids = [f"s{index[line]}_{index[point]}#{pos}" for pos in range(len(chains[point]))]
+        vertices += [Vertex(id=vid, mult=k, kind="string") for vid, k in zip(ids, chains[point])]
+        path = [line] + ids + [point]
         edges += [Edge(a=a, b=b, sign=-1) for a, b in zip(path, path[1:])]
     return PlumbingGraph(tuple(vertices), tuple(edges))
 

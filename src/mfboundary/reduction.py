@@ -50,10 +50,10 @@ def double_chain_script(g: PlumbingGraph, inc: IncidenceData, j: int) -> list[Mo
     return script
 
 
-def chain_survivor(inc: IncidenceData, j: int, n: int) -> str:
+def chain_survivor(inc: IncidenceData, j: int) -> str:
     """Id of the middle vertex left by double_chain_script."""
     i1, _ = inc.points[j].lines
-    return f"w{j}" if n == 2 else f"s{i1}_{j}#0"
+    return f"w{j}" if inc.n == 2 else f"s{i1}_{j}#0"
 
 
 def _double_chains_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSpec]:
@@ -106,13 +106,12 @@ def near_pencil_reduction_script(g: PlumbingGraph, inc: IncidenceData) -> list[M
     the big point; absorbing it merges the two into an Euler-0 middle.
     Absorbing the first middle merges the generic line (Euler -1) with the
     big point vertex (Euler 1); the remaining middles become +- handles."""
-    n = inc.n
     big, gline, doubles = near_pencil_roles(inc)
     script: list[MoveSpec] = []
     survivors = {}
     for j in doubles:
         script += double_chain_script(g, inc, j)
-        survivors[j] = chain_survivor(inc, j, n)
+        survivors[j] = chain_survivor(inc, j)
     for j in doubles:
         pline = next(i for i in inc.points[j].lines if i != gline)
         script.append(MoveSpec("zero_chain_absorb", f"v{pline}", keep=survivors[j]))

@@ -1,6 +1,7 @@
 """Plumbing calculus moves: exact local semantics plus H1 invariance."""
 
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from mfboundary.calculus import (
 )
 from mfboundary.errors import (
     InvalidInput,
+    MFBoundaryError,
     NotAbsorbable,
     NotApplicable,
     NotBlowdownable,
@@ -352,6 +354,35 @@ def test_apply_script_checks_h1():
               MoveSpec(kind="sign_reversal", target="x")]
     out = apply_script(g, script, check_h1=True)
     assert sorted(out.ids) == ["x", "y"]
+
+
+def _bump_euler(g, vid):
+    v = g.vertex(vid)
+    return g.edit(put=[Vertex(id=vid, genus=v.genus, euler=v.euler + 1, kind=v.kind)])
+
+
+def test_apply_script_names_the_step_that_changes_h1(monkeypatch):
+    monkeypatch.setitem(MOVES, "sign_reversal", (_bump_euler, None))
+    g = graph([("x", -3, 0), ("v", -1, 0), ("y", -4, 0)],
+              [("x", "v", 1), ("v", "y", 1)])
+    with pytest.raises(MFBoundaryError, match="after move 0: Z_5 -> Z_2") as err:
+        apply_script(g, [MoveSpec(kind="sign_reversal", target="x")], check_h1=True)
+    assert err.type is MFBoundaryError
+    # without the check the same script runs through
+    apply_script(g, [MoveSpec(kind="sign_reversal", target="x")])
+
+
+def test_apply_script_compares_against_the_first_closed_simple_graph(monkeypatch):
+    monkeypatch.setitem(MOVES, "sign_reversal", (_bump_euler, None))
+    # a handle makes the start non-simple; absorbing it gives the reference
+    g = graph([("h", 0, 0), ("x", -3, 1), ("y", -2, 0)],
+              [("h", "x", 1), ("x", "h", -1), ("x", "y", 1)])
+    script = [MoveSpec(kind="handle_absorb", target="h"),
+              MoveSpec(kind="sign_reversal", target="y")]
+    reference = homology_of_graph(apply_script(g, script[:1]))
+    with pytest.raises(MFBoundaryError, match=re.escape(f"after move 1: {reference} -> ")) as err:
+        apply_script(g, script, check_h1=True)
+    assert err.type is MFBoundaryError
 
 
 def candidate_specs(g):

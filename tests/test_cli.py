@@ -211,6 +211,19 @@ def test_generate_random_beyond_the_box_fails_fast():
     assert json.loads(out.stderr)["error"] == "InvalidSize"
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "generic", "20000"),
+    ("generic-check", "--max-n", "200"),
+])
+def test_oversized_runs_fail_fast(argv):
+    # both ran for minutes before their size guards
+    out = cli_subprocess(*argv, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert json.loads(out.stderr)["error"] == "InvalidSize"
+
+
 def test_bad_json_is_reported(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -3,9 +3,7 @@
 import pytest
 
 from mfboundary.arrangement import generate_family
-from mfboundary.curve_config import build_gamma_c, validate_gamma_c
-from mfboundary.errors import InvalidInput
-from mfboundary.graph_core import Vertex
+from mfboundary.curve_config import build_gamma_c
 
 
 def test_gamma_c_triangle_structure():
@@ -25,7 +23,6 @@ def test_gamma_c_triangle_structure():
     assert len(arrows) == 3  # one per line
     assert all(e.edge_type == 1 for e in arrows)
     assert all(e.sign == 1 for e in gc.edges)
-    validate_gamma_c(gc)
 
 
 @pytest.mark.parametrize("fam,n,npoints", [
@@ -55,13 +52,3 @@ def test_gamma_c_point_order_matches_incidence():
         touching = {e.a if e.b == w.id else e.b
                     for e in gc.edges_at(w.id) if e.edge_type == 2}
         assert touching == {f"v{i}" for i in p.lines}
-
-
-def test_validate_gamma_c_rejects_broken_decorations():
-    gc = build_gamma_c(generate_family("generic", 3))
-    broken = gc.edit(put=[Vertex(id="w0", kind="point", dec=(5, 3, 1))])
-    with pytest.raises(InvalidInput):
-        validate_gamma_c(broken)
-    undecorated = gc.edit(put=[Vertex(id="v0", kind="line", dec=None)])
-    with pytest.raises(InvalidInput):
-        validate_gamma_c(undecorated)

@@ -5,7 +5,7 @@ import pytest
 from mfboundary.arrangement import generate_family, incidence_from_lines
 from mfboundary.arrangement import ProjLine
 from mfboundary.curve_config import build_gamma_c
-from mfboundary.errors import NonIntegralEuler, UnsupportedLoop
+from mfboundary.errors import InvalidInput, NonIntegralEuler, UnsupportedLoop
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
 from mfboundary.pipeline import (
     boundary_graph,
@@ -148,3 +148,39 @@ def test_boundary_graph_braid_like_size():
     assert g.is_closed() and g.is_simple()
     solved = solve_euler(decorate_and_insert(build_gamma_c(inc)))
     check_multiplicity_equation(solved)
+
+
+def generic_5_gamma_c():
+    return build_gamma_c(generate_family("generic", 5))
+
+
+@pytest.mark.parametrize("relabel", [
+    Vertex(id="w0", kind="point", dec=(5, 5, 1)),  # point w0 claims m = 5
+    Vertex(id="v4", kind="line", dec=(1, 7, 1)),   # line v4 claims n = 7
+])
+def test_insertion_reads_the_structure_not_the_labels(relabel):
+    gc = generic_5_gamma_c()
+    assert decorate_and_insert(gc.edit(put=[relabel])) == decorate_and_insert(gc)
+
+
+def _arrow_to(vid, head="a9"):
+    return dict(add_vertices=[Vertex(id=head, kind="arrowhead", dec=(1, 0, 1))],
+                add_edges=[Edge(a=vid, b=head, sign=1, edge_type=1, arrow=True)])
+
+
+@pytest.mark.parametrize("edit,names", [
+    (dict(drop=["a0"]), "line v0"),
+    (_arrow_to("v0"), "line v0"),
+    (_arrow_to("w0"), "w0--a9"),
+    (dict(add_edges=[Edge(a="w0", b="w9", edge_type=2)]), "w0--w9"),
+    (dict(add_edges=[Edge(a="v0", b="v1", edge_type=2)]), "v0--v1"),
+    (dict(add_edges=[Edge(a="w0", b="v0", edge_type=2)]), "w0--v0"),
+    (dict(add_vertices=[Vertex(id="w10", kind="point", dec=(1, 5, 1))],
+          add_edges=[Edge(a="v0", b="w10", edge_type=2)]), "point w10"),
+    (dict(add_vertices=[Vertex(id="x", kind="plain")]), "at x"),
+], ids=["line without arrow", "line with two arrows", "arrow at a point",
+        "point-point edge", "line-line edge", "parallel incidence",
+        "point on one line", "plain vertex"])
+def test_malformed_gamma_c_is_one_invalid_input(edit, names):
+    with pytest.raises(InvalidInput, match=names):
+        decorate_and_insert(generic_5_gamma_c().edit(**edit))

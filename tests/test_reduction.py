@@ -40,7 +40,7 @@ def test_generic_middle_signs(n):
     red = reduce_double_chains(boundary_graph(inc), inc)
     for j, p in enumerate(inc.points):
         i1, i2 = p.lines
-        mid = chain_survivor(inc, j, n)
+        mid = chain_survivor(inc, j)
         edges = {e.other(mid): e.sign for e in red.edges_at(mid)}
         assert edges == {f"v{i1}": -1, f"v{i2}": 1}
 
