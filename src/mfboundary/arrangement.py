@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import IdenticalLines, InvalidIncidence, InvalidInput, InvalidSize
 
@@ -161,9 +161,6 @@ class IncidenceData:
     @property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(p.multiplicity for p in self.points)
-
-    def points_on_line(self, i: int) -> list[int]:
-        return [j for j, p in enumerate(self.points) if i in p.lines]
 
 
 def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:

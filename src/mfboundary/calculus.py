@@ -42,7 +42,7 @@ from .errors import (
     NotBlowdownable,
     NotSplittable,
 )
-from .graph_core import Edge, PlumbingGraph, Vertex, _order_key, first_betti_of_graph
+from .graph_core import Edge, PlumbingGraph, Vertex, first_betti_of_graph
 from .homology import homology_of_graph
 
 
@@ -79,9 +79,8 @@ def _at_vertex(g: PlumbingGraph, vid: str, move: str, err, eulers: tuple[int, ..
 def sign_reversal(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     """Flip the sign of every non-loop edge at the vertex."""
     g.vertex(vid)
-    return g.edit(rewrite=[
-        (e, replace(e, sign=-e.sign)) for e in g.edges_at(vid) if not e.is_loop()
-    ])
+    flipped = [e for e in g.edges_at(vid) if not e.is_loop()]
+    return g.edit(remove=flipped, add_edges=[replace(e, sign=-e.sign) for e in flipped])
 
 
 def blow_down_a(g: PlumbingGraph, vid: str) -> PlumbingGraph:
@@ -107,7 +106,7 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
     if n1 == n2:
         raise NotAbsorbable(f"{vid}: both edges go to {n1}, use handle_absorb")
     if keep is None:
-        keep = min(n1, n2, key=_order_key)
+        keep = g.neighbors(vid)[0]
     if keep not in (n1, n2):
         raise NotAbsorbable(f"{vid}: keep={keep!r} is not a neighbor")
     kid = keep
@@ -124,8 +123,8 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
         a = kid if ja else e.a
         b = kid if jb else e.b
         sign = e.sign * factor if ja != jb else e.sign
-        moved.append((e, replace(e, a=a, b=b, sign=sign)))
-    return g.edit(rewrite=moved, drop=[vid, jid], put=[merged])
+        moved.append(replace(e, a=a, b=b, sign=sign))
+    return g.edit(drop=[vid, jid], add_edges=moved, put=[merged])
 
 
 def handle_absorb(g: PlumbingGraph, vid: str) -> PlumbingGraph:
@@ -181,11 +180,11 @@ def two_alteration(g: PlumbingGraph, vid: str, flip: Optional[str] = None) -> Pl
     if i == j:
         raise NotApplicable(f"{vid}: both edges go to {i}")
     if flip is None:
-        flip = min(i, j, key=_order_key)
+        flip = g.neighbors(vid)[0]
     if flip not in (i, j):
         raise NotApplicable(f"{vid}: flip={flip!r} is not a neighbor")
     flip_edge = e1 if i == flip else e2
-    return g.edit(rewrite=[(flip_edge, replace(flip_edge, sign=-flip_edge.sign))],
+    return g.edit(remove=[flip_edge], add_edges=[replace(flip_edge, sign=-flip_edge.sign)],
                   put=[replace(v, euler=-2), _bumped(g, i, -1), _bumped(g, j, -1)])
 
 
@@ -210,7 +209,7 @@ def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
     nid = new_id or g.fresh_id("u")
     return g.edit(
         add_vertices=[Vertex(id=nid, genus=0, euler=euler, kind="plain")],
-        rewrite=[(edge, None)],
+        remove=[edge],
         add_edges=[Edge(a=a, b=nid, sign=sign_a), Edge(a=nid, b=b, sign=sign_b)],
         put=[_bumped(g, a, euler), _bumped(g, b, euler)],
     )

@@ -71,6 +71,17 @@ def _load_any(path: str) -> tuple[Optional[IncidenceData], Optional[PlumbingGrap
     return arrangement_from_json(obj), None
 
 
+def _load_graph(args: argparse.Namespace) -> tuple[Optional[IncidenceData], PlumbingGraph]:
+    """The graph file as it is, or the boundary graph of the arrangement
+    file, reduced under --reduce; --reduce on a graph file is an error."""
+    inc, g = _load_any(args.input)
+    if g is None:
+        return inc, boundary_graph(inc, reduce=args.reduce)
+    if args.reduce:
+        raise InvalidInput("--reduce applies to an arrangement, not a graph")
+    return None, g
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "random":
         import random as _random
@@ -156,11 +167,8 @@ def _graph_stats(g: PlumbingGraph) -> dict:
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
-    inc, g = _load_any(args.input)
-    betti = None
-    if g is None:
-        g = boundary_graph(inc, reduce=args.reduce)
-        betti = betti_formula(inc)
+    inc, g = _load_graph(args)
+    betti = betti_formula(inc) if inc is not None else None
     group = homology_of_graph(g)
     if args.json:
         payload = {
@@ -238,9 +246,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    inc, g = _load_any(args.input)
-    if g is None:
-        g = boundary_graph(inc, reduce=args.reduce)
+    _, g = _load_graph(args)
     _emit(to_dot(g), args.output)
     return 0
 

@@ -149,31 +149,30 @@ class PlumbingGraph:
         self._build({}, {}, {}, add_vertices=self.vertices, add_edges=self.edges)
 
     def edit(self, *, add_vertices: Iterable[Vertex] = (),
-             rewrite: Iterable[tuple[Edge, Optional[Edge]]] = (),
-             drop: Iterable[str] = (), add_edges: Iterable[Edge] = (),
-             put: Iterable[Vertex] = ()) -> "PlumbingGraph":
+             remove: Iterable[Edge] = (), drop: Iterable[str] = (),
+             add_edges: Iterable[Edge] = (), put: Iterable[Vertex] = ()) -> "PlumbingGraph":
         """The graph after one edit, made in this order:
 
           add_vertices  append these vertices;
-          rewrite       (edge, new) pairs: each puts new in place of the
-                        next occurrence of that edge object, or removes it
-                        when new is None;
-          drop          remove these vertices and every edge at them;
+          remove        remove these edges: each removes one stored edge
+                        equal to it, the first in key order at its a end;
+          drop          remove these vertices, in order, and every edge at them;
           add_edges     append these edges;
           put           put each vertex in place of the one with its id.
 
         Vertex and edge order come out as a rebuild from the edited lists
-        would give them: a rewritten edge keeps its key, so its place, and
-        an added one takes a fresh key.  The indexes are copied from this
-        graph's and only the vertices and edges the edit touches are edited
-        and checked, raising what the constructor would raise."""
+        would give them: a kept edge keeps its key and an added one takes a
+        fresh key, so a key only ever joins an adjacency at its end.  The
+        indexes are copied from this graph's and only the vertices and edges
+        the edit touches are edited and checked, raising what the
+        constructor would raise."""
         out = object.__new__(PlumbingGraph)
         out._build(dict(self._index), dict(self._adj), dict(self._store),
-                   add_vertices, rewrite, drop, add_edges, put)
+                   add_vertices, remove, drop, add_edges, put)
         return out
 
     def _build(self, index: dict, adj: dict, store: dict, add_vertices=(),
-               rewrite=(), drop=(), add_edges=(), put=()) -> None:
+               remove=(), drop=(), add_edges=(), put=()) -> None:
         """Make the edit of ``edit`` on the given indexes, which this graph
         then keeps."""
         touched = []  # ids where an arrowhead's degree may have changed
@@ -183,24 +182,15 @@ class PlumbingGraph:
             index[v.id] = v
             adj[v.id] = ()
             touched.append(v.id)
-        for e, new in rewrite:
-            touched += (e.a, e.b)
-            if new is not None:
-                _check_edge(new, index)
-                touched += (new.a, new.b)
-            k = next((k for k in adj.get(e.a, ()) if store[k] is e), None)
+        for e in remove:
+            k = next((k for k in adj.get(e.a, ()) if store[k] == e), None)
             if k is None:
-                continue
-            ends = {new.a, new.b} if new is not None else set()
-            for vid in {e.a, e.b} - ends:
+                raise InvalidInput(f"no edge {e.a}--{e.b} to remove")
+            del store[k]
+            for vid in {e.a, e.b}:
                 adj[vid] = tuple(x for x in adj[vid] if x != k)
-            for vid in ends - {e.a, e.b}:
-                adj[vid] = tuple(sorted(adj[vid] + (k,)))
-            if new is None:
-                del store[k]
-            else:
-                store[k] = new
-        for vid in set(drop):
+            touched += (e.a, e.b)
+        for vid in dict.fromkeys(drop):
             if vid not in index:
                 raise UnknownVertex(f"no vertex {vid!r}")
             del index[vid]
@@ -327,7 +317,6 @@ def first_betti_of_graph(g: PlumbingGraph) -> int:
     """b_1 of the underlying topological graph, arrowheads and arrows
     excluded: edges - vertices + components."""
     verts = [v.id for v in g.vertices if v.kind != "arrowhead"]
-    vset = set(verts)
     parent = {v: v for v in verts}
 
     def find(x):
@@ -336,15 +325,13 @@ def first_betti_of_graph(g: PlumbingGraph) -> int:
             x = parent[x]
         return x
 
-    edge_count = 0
-    for e in g.plain_edges():
-        if e.a in vset and e.b in vset:
-            edge_count += 1
-            ra, rb = find(e.a), find(e.b)
-            if ra != rb:
-                parent[ra] = rb
+    edges = g.plain_edges()  # none touches an arrowhead
+    for e in edges:
+        ra, rb = find(e.a), find(e.b)
+        if ra != rb:
+            parent[ra] = rb
     components = len({find(v) for v in verts})
-    return edge_count - len(verts) + components
+    return len(edges) - len(verts) + components
 
 
 # -- serialization ----------------------------------------------------------

@@ -392,29 +392,6 @@ class AbelianGroup:
         """Z^free_rank (+) (Z_n)^k."""
         return cls(free_rank, ((n,) * k) if k else ())
 
-    def as_prime_powers(self) -> tuple[tuple[int, int], ...]:
-        """Torsion re-expressed as a sorted multiset of prime powers, e.g.
-        Z_6 (+) Z_2 -> ((2,1), (2,1), (3,1))."""
-        out = []
-        for d in self.torsion:
-            left = d
-            p = 2
-            while p * p <= left:
-                if left % p == 0:
-                    e = 0
-                    while left % p == 0:
-                        left //= p
-                        e += 1
-                    out.append((p, e))
-                p += 1
-            if left > 1:
-                out.append((left, 1))
-        return tuple(sorted(out))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     @property
     def is_torsion_free(self) -> bool:
         return not self.torsion

@@ -108,7 +108,6 @@ def solve_euler(dg: PlumbingGraph) -> PlumbingGraph:
     out = []
     for v in dg.vertices:
         if v.kind == "arrowhead":
-            out.append(v)
             continue
         if v.mult is None:
             raise InvalidInput(f"vertex {v.id} has no multiplicity")
@@ -125,7 +124,7 @@ def solve_euler(dg: PlumbingGraph) -> PlumbingGraph:
                 f"vertex {v.id}: -({acc})/{v.mult} is not an integer"
             )
         out.append(replace(v, euler=-acc // v.mult))
-    return PlumbingGraph(tuple(out), dg.edges)
+    return dg.edit(put=out)
 
 
 def strip_arrowheads(g: PlumbingGraph) -> PlumbingGraph:

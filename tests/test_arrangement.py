@@ -218,5 +218,5 @@ def test_incidence_helpers():
     inc = generate_family("near_pencil", 4)
     assert sorted(inc.multiplicities) == [2, 2, 2, 3]
     big = max(range(len(inc.points)), key=lambda j: inc.points[j].multiplicity)
-    assert len(inc.points_on_line(3)) == 3  # the generic line meets 3 doubles
+    assert sum(3 in p.lines for p in inc.points) == 3  # the generic line meets 3 doubles
     assert 3 not in inc.points[big].lines

@@ -76,6 +76,18 @@ def test_homology_of_graph_file(tmp_path, capsys):
     assert payload["betti_formula"] is None
 
 
+@pytest.mark.parametrize("command", [["homology", "--json"], ["export-dot"]])
+def test_reduce_on_a_graph_file_is_one_json_error(tmp_path, capsys, command):
+    # the calculus recipes behind --reduce read the arrangement, which a
+    # graph file does not carry
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({"vertices": [{"id": "v", "euler": -5}], "edges": []}))
+    code, out, err = run_cli(capsys, command[0], str(gfile), *command[1:], "--reduce")
+    payload = assert_one_json_error(code, out, err)
+    assert payload["error"] == "InvalidInput"
+    assert "--reduce" in payload["message"]
+
+
 def test_betti_command(tmp_path, capsys):
     arr = tmp_path / "arr.json"
     run_cli(capsys, "generate", "near_pencil", "6", "-o", str(arr))

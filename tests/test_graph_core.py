@@ -143,7 +143,7 @@ def test_graph_edit_helpers():
 def test_remove_edge_once():
     g = path_graph([0, 0]).edit(add_edges=[Edge(a="n0", b="n1", sign=1)])
     first = next(x for x in g.edges if x == Edge(a="n0", b="n1", sign=1))
-    g2 = g.edit(rewrite=[(first, None)])
+    g2 = g.edit(remove=[first])
     assert len(g2.plain_edges()) == 1  # only one copy removed
     assert g2.edges[0] is g.edges[1]
 

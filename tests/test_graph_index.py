@@ -8,7 +8,9 @@ the edge list; an edit must cost the same at any graph size; and every
 edit that a rebuild would reject must be rejected with the same error
 class."""
 
+import os
 import random
+import subprocess
 import sys
 import timeit
 
@@ -136,7 +138,7 @@ def random_edit(rng, g):
         es = list(g.edges)
         es.remove(e)
         first = next(x for x in g.edges if x == e)
-        return g.edit(rewrite=[(first, None)]), PlumbingGraph(g.vertices, es)
+        return g.edit(remove=[first]), PlumbingGraph(g.vertices, es)
     if kind == "remove_vertex":
         return g.edit(drop=[vid]), PlumbingGraph(
             [v for v in g.vertices if v.id != vid],
@@ -274,7 +276,7 @@ def test_edits_reject_what_a_rebuild_rejects():
         # removing the vertex the arrowhead hangs on
         (lambda: g.edit(drop=["n1"]), (v[0], v[2]), ()),
         # removing the arrow
-        (lambda: g.edit(rewrite=[(e[1], None)]), v, (e[0],)),
+        (lambda: g.edit(remove=[e[1]]), v, (e[0],)),
         # an arrowhead with no arrow
         (lambda: g.edit(add_vertices=[Vertex("a1", kind="arrowhead")]),
          v + (Vertex("a1", kind="arrowhead"),), e),
@@ -301,14 +303,52 @@ def test_edits_reject_what_a_rebuild_rejects():
     assert_indexed(g)  # a rejected edit leaves the graph as it was
 
 
-def test_rewrites_take_one_occurrence_each():
+def test_removes_take_one_occurrence_each():
     # the same edge object listed twice is two parallel edges
     e = Edge("n0", "n1", 1)
     g = PlumbingGraph((Vertex("n0", euler=0), Vertex("n1", euler=0)), (e, e))
-    once = g.edit(rewrite=[(e, None)])
+    once = g.edit(remove=[e])
     assert once.edges == (e,)
-    assert g.edit(rewrite=[(e, None), (e, None)]).edges == ()
+    assert g.edit(remove=[e, e]).edges == ()
     assert_indexed(once)
     flipped = apply_move(g, MoveSpec("sign_reversal", "n0"))
     assert [x.sign for x in flipped.edges] == [-1, -1]
     assert_indexed(flipped)
+
+
+def test_remove_takes_an_equal_edge_that_is_not_the_stored_object():
+    g = PlumbingGraph((Vertex("x", euler=0), Vertex("y", euler=0)), (Edge("x", "y"),))
+    out = g.edit(remove=[Edge("x", "y")])
+    assert out.edges == ()
+    assert_indexed(out)
+
+
+@pytest.mark.parametrize("remove", [
+    [Edge("n0", "n1", 1)],       # the stored edge has sign -1
+    [Edge("n1", "n0", -1)],      # the stored edge runs n0 -> n1
+    [Edge("n0", "zz", -1)],      # an unknown end
+    [Edge("zz", "n0", -1)],
+    [Edge("n0", "n1", -1)] * 2,  # one stored copy only
+])
+def test_removing_an_edge_not_in_the_graph_is_invalid_input(remove):
+    with pytest.raises(InvalidInput, match="no edge"):
+        arrow_graph().edit(remove=remove)
+
+
+def test_drop_names_the_first_unknown_id_under_any_hash_seed():
+    # drop walks its ids in the order given, so the error does not depend
+    # on how strings hash
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("from mfboundary.errors import UnknownVertex\n"
+            "from mfboundary.graph_core import PlumbingGraph, Vertex\n"
+            "g = PlumbingGraph((Vertex('n0'),), ())\n"
+            "try:\n"
+            "    g.edit(drop=['n0', 'p', 'q', 'r', 's', 't'])\n"
+            "except UnknownVertex as exc:\n"
+            "    print(exc)\n")
+    for seed in ("0", "1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.stdout == "no vertex 'p'\n", (seed, run.stdout, run.stderr)

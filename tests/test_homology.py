@@ -71,10 +71,6 @@ def test_abelian_group_helpers():
     g = AbelianGroup.cyclic_powers(5, 4, 3)
     assert g == AbelianGroup(5, (4, 4, 4))
     assert AbelianGroup.cyclic_powers(2, 7, 0) == AbelianGroup(2)
-    assert AbelianGroup(0, (2, 6)).as_prime_powers() == ((2, 1), (2, 1), (3, 1))
-    assert AbelianGroup(0, (12,)).as_prime_powers() == ((2, 2), (3, 1))
-    assert AbelianGroup(0).is_trivial
-    assert not AbelianGroup(1).is_trivial
     assert AbelianGroup(3).is_torsion_free
     assert not AbelianGroup(3, (2,)).is_torsion_free
 

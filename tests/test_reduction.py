@@ -3,13 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfboundary.arrangement import generate_family, incidence_from_lines
-from mfboundary.arrangement import is_near_pencil, is_pencil, random_rational_lines
+from mfboundary.arrangement import is_generic, is_near_pencil, is_pencil, random_rational_lines
 from mfboundary.calculus import apply_script
 from mfboundary.errors import InvalidInput
-from mfboundary.generic_algebra import build_An
-from mfboundary.homology import homology_of_graph, incidence_matrix
+from mfboundary.generic_algebra import build_An, generic_h1_closed_form
+from mfboundary.homology import betti_formula, homology_of_graph, incidence_matrix
 from mfboundary.pipeline import boundary_graph
 from mfboundary.reduction import (
     chain_survivor,
@@ -111,6 +113,18 @@ def test_reduce_double_chains_random_arrangements():
         if doubles:
             assert len(red.vertices) < len(g.vertices)
         done += 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_reduction_keeps_h1_on_random_arrangements(n, seed):
+    # every double chain's script runs one two_alteration
+    inc = incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+    raw = homology_of_graph(boundary_graph(inc))
+    assert homology_of_graph(boundary_graph(inc, reduce=True)) == raw
+    assert raw.free_rank == betti_formula(inc)
+    if is_generic(inc):
+        assert raw == generic_h1_closed_form(n)
 
 
 def test_scripts_are_json_serializable():

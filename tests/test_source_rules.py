@@ -19,6 +19,24 @@ LABELS = {"dec", "edge_type"}
 
 OUTSIDE_GRAPH_CORE = [p for p in MODULES if p.name != "graph_core.py"]
 
+# a package's __init__ imports its public names for its users
+NOT_INIT = [p for p in MODULES if p.name != "__init__.py"]
+
+
+def imports(path):
+    """(line, module, bound name, imported name) of every name the file
+    imports; module is None for a plain ``import``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, None, (a.asname or a.name).split(".")[0], a.name)
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            out += [(node.lineno, module, a.asname or a.name, a.name) for a in node.names]
+    return out
+
 
 def attribute_reads(path, names):
     """(line, name) of every attribute access to one of names in the file."""
@@ -47,3 +65,21 @@ def test_only_graph_core_reads_the_graph_indexes(path):
 @pytest.mark.parametrize("path", OUTSIDE_GRAPH_CORE, ids=lambda p: p.name)
 def test_only_graph_core_reads_the_labels(path):
     assert attribute_reads(path, LABELS) == []
+
+
+@pytest.mark.parametrize("path", NOT_INIT, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [(line, name) for line, module, name, _ in imports(path)
+              if module != "__future__" and name not in used]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    # a module's _private names are free to change without its callers
+    private = [(line, module, name) for line, module, _, name in imports(path)
+               if module is not None and module.startswith((".", "mfboundary"))
+               and name.startswith("_") and not name.startswith("__")]
+    assert private == []
