@@ -13,7 +13,6 @@ from .arrangement import (
     IncidenceData,
     MultiPoint,
     ProjLine,
-    ProjPoint,
     generate_family,
     incidence_from_lines,
     intersect_lines,

@@ -1,11 +1,11 @@
 """Central plane arrangements in C^3, handled through their projectivized
 line arrangements in the projective plane.
 
-Coordinates are exact rationals.  Lines and points are stored as primitive
-integer triples with the first nonzero entry positive, so equality of
-projective objects is plain tuple equality.  The combinatorial outcome of an
-arrangement is an IncidenceData: the list of intersection points, each with
-the set of lines through it.
+Line coefficients are parsed as exact rationals; lines and points are stored
+as primitive integer triples with the first nonzero entry positive, so
+equality of projective objects is plain tuple equality.  The combinatorial
+outcome of an arrangement is an IncidenceData: the list of intersection
+points, each with the set of lines through it.
 """
 
 from __future__ import annotations
@@ -24,22 +24,18 @@ from .errors import IdenticalLines, InvalidIncidence, InvalidInput, InvalidSize
 Triple = tuple[int, int, int]
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> Triple:
-    """Canonical representative of a projective triple: integral, content 1,
+def _primitive(ints: Sequence[int]) -> Triple:
+    """Canonical representative of a nonzero integer triple: content 1,
     first nonzero entry positive."""
-    if len(coeffs) != 3:
-        raise InvalidInput(f"expected 3 coordinates, got {len(coeffs)}")
-    fracs = [Fraction(c) for c in coeffs]
-    if all(f == 0 for f in fracs):
-        raise InvalidInput("zero vector does not define a projective object")
-    denom = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
+    if len(ints) != 3:
+        raise InvalidInput(f"expected 3 coordinates, got {len(ints)}")
     g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return (ints[0], ints[1], ints[2])
+    if g == 0:
+        raise InvalidInput("zero vector does not define a projective object")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    a, b, c = ints
+    return (a // g, b // g, c // g)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -70,24 +66,14 @@ class ProjLine:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, label: int = 0) -> "ProjLine":
-        return cls(_primitive([_parse_rational(c) for c in coeffs]), label)
-
-    def contains(self, point: "ProjPoint") -> bool:
-        return sum(a * x for a, x in zip(self.coeffs, point.coords)) == 0
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    coords: Triple
-
-    @classmethod
-    def from_coords(cls, coords: Sequence) -> "ProjPoint":
-        return cls(_primitive([_parse_rational(c) for c in coords]))
+        fracs = [_parse_rational(c) for c in coeffs]
+        denom = math.lcm(*(f.denominator for f in fracs))
+        return cls(_primitive([f.numerator * (denom // f.denominator) for f in fracs]), label)
 
 
-def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """Intersection point of two distinct lines (cross product of coefficient
-    vectors).  Raises IdenticalLines when the lines coincide."""
+def intersect_lines(l1: ProjLine, l2: ProjLine) -> Triple:
+    """Intersection point of two distinct lines: the primitive cross product of
+    their coefficient vectors.  Raises IdenticalLines when they coincide."""
     a, b = l1.coeffs, l2.coeffs
     cross = (
         a[1] * b[2] - a[2] * b[1],
@@ -96,7 +82,7 @@ def intersect_lines(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     )
     if cross == (0, 0, 0):
         raise IdenticalLines(f"lines {l1.label} and {l2.label} coincide")
-    return ProjPoint(_primitive([Fraction(c) for c in cross]))
+    return _primitive(cross)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,27 +122,48 @@ class IncidenceData:
         self._validate()
 
     def _validate(self):
-        if self.n < 1:
-            raise InvalidSize(f"need at least one line, got n={self.n}")
-        seen_pairs: dict[tuple[int, int], int] = {}
-        for idx, pt in enumerate(self.points):
-            if pt.multiplicity < 2:
-                raise InvalidIncidence(f"point {idx} has fewer than two lines")
-            if len(set(pt.lines)) != pt.multiplicity:
-                raise InvalidIncidence(f"point {idx} repeats a line")
-            for i in pt.lines:
-                if not 0 <= i < self.n:
-                    raise InvalidIncidence(f"point {idx} references line {i}, out of range")
-            for pair in itertools.combinations(pt.lines, 2):
-                if pair in seen_pairs:
-                    raise InvalidIncidence(
-                        f"line pair {pair} appears on points {seen_pairs[pair]} and {idx}"
-                    )
-                seen_pairs[pair] = idx
-        if self.n >= 2:
-            for pair in itertools.combinations(range(self.n), 2):
-                if pair not in seen_pairs:
-                    raise InvalidIncidence(f"line pair {pair} meets no point")
+        # memory O(sum of multiplicities) whatever n: each line on a point marks
+        # the higher lines it meets, testing them against its largest point's set
+        n, pts = self.n, [p.lines for p in self.points]
+        if n < 1:
+            raise InvalidSize(f"need at least one line, got n={n}")
+        through: dict[int, list[int]] = {}  # the points on each line
+        fault = None
+        for idx, lines in enumerate(pts):
+            if len(lines) < 2:
+                fault = f"point {idx} has fewer than two lines"
+            elif len(set(lines)) != len(lines):
+                fault = f"point {idx} repeats a line"
+            elif lines[0] < 0 or lines[-1] >= n:  # lines are sorted
+                i = next(i for i in lines if not 0 <= i < n)
+                fault = f"point {idx} references line {i}, out of range"
+            if fault:
+                del pts[idx:]  # a pair repeated before the faulty point comes first
+                break
+            for i in lines:
+                through.setdefault(i, []).append(idx)
+        marker, first_on, sets = {}, {}, {}
+        for i, on in sorted(through.items()):
+            big = max(on, key=lambda q: len(pts[q]))
+            if big not in sets:
+                sets[big] = set(pts[big])
+            for q in on:
+                for j in pts[q] if q != big else ():
+                    if j <= i:
+                        continue
+                    if marker.get(j) == i or j in sets[big]:
+                        p = first_on[j] if marker.get(j) == i else big
+                        raise InvalidIncidence(
+                            f"line pair {(i, j)} appears on points {min(p, q)} and {max(p, q)}")
+                    marker[j], first_on[j] = i, q
+        if fault:
+            raise InvalidIncidence(fault)
+        for i in range(n):  # stops at the first line that misses one
+            on = through.get(i, ())
+            if sum(len(pts[q]) - 1 for q in on) < n - 1:
+                seen = set().union(*(pts[q] for q in on))
+                j = next(j for j in range(i + 1, n) if j not in seen)
+                raise InvalidIncidence(f"line pair {(i, j)} meets no point")
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -173,8 +180,7 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
         raise InvalidInput("line labels must be 0..n-1 in order")
     by_point: dict[Triple, set[int]] = {}
     for l1, l2 in itertools.combinations(lines, 2):
-        pt = intersect_lines(l1, l2)
-        by_point.setdefault(pt.coords, set()).update((l1.label, l2.label))
+        by_point.setdefault(intersect_lines(l1, l2), set()).update((l1.label, l2.label))
     points = tuple(MultiPoint(tuple(sorted(s))) for s in by_point.values())
     return IncidenceData(len(lines), points)
 
@@ -265,7 +271,7 @@ def random_rational_lines(n: int, rng: random.Random) -> list[ProjLine]:
         raw = [rng.randint(-2, 2) for _ in range(3)]
         if all(v == 0 for v in raw):
             continue
-        triple = _primitive([Fraction(v) for v in raw])
+        triple = _primitive(raw)
         if triple in seen:
             continue
         seen.add(triple)
@@ -274,10 +280,6 @@ def random_rational_lines(n: int, rng: random.Random) -> list[ProjLine]:
 
 
 # -- JSON input -------------------------------------------------------------
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
 
 def arrangement_from_json(obj: dict) -> IncidenceData:
     """Accept either explicit lines or bare incidence combinatorics.
@@ -300,13 +302,13 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
         if "n" not in obj:
             raise InvalidInput('"points" form needs an "n" field')
         n = obj["n"]
-        if not _is_int(n):
+        if type(n) is not int:  # not a bool either
             raise InvalidInput('"n" must be an integer')
         pts = obj["points"]
         if not isinstance(pts, list):
             raise InvalidInput('"points" must be a list')
         for p in pts:
-            if not isinstance(p, list) or not all(_is_int(i) for i in p):
+            if not isinstance(p, list) or not all(type(i) is int for i in p):
                 raise InvalidInput(f"a point is a list of line indices, got {p!r}")
         return IncidenceData(n, tuple(MultiPoint(tuple(p)) for p in pts))
     raise InvalidInput('arrangement JSON needs "lines" or "points"')

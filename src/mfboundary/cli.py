@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from typing import Optional
 
@@ -71,6 +72,14 @@ def _load_any(path: str) -> tuple[Optional[IncidenceData], Optional[PlumbingGrap
     return arrangement_from_json(obj), None
 
 
+def _load_arrangement(args: argparse.Namespace) -> IncidenceData:
+    """The arrangement file; a graph file is an error."""
+    inc, _ = _load_any(args.input)
+    if inc is None:
+        raise InvalidInput(f"{args.command} expects an arrangement, not a graph")
+    return inc
+
+
 def _load_graph(args: argparse.Namespace) -> tuple[Optional[IncidenceData], PlumbingGraph]:
     """The graph file as it is, or the boundary graph of the arrangement
     file, reduced under --reduce; --reduce on a graph file is an error."""
@@ -84,9 +93,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Optional[IncidenceData], Plum
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "random":
-        import random as _random
-
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         inc = incidence_from_lines(random_rational_lines(args.n, rng))
     else:
         inc = generate_family(args.kind, args.n)
@@ -95,10 +102,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma_c(args: argparse.Namespace) -> int:
-    inc, g = _load_any(args.input)
-    if inc is None:
-        raise InvalidInput("gamma-c expects an arrangement, not a graph")
-    gc = build_gamma_c(inc)
+    gc = build_gamma_c(_load_arrangement(args))
     text = to_dot(gc) if args.dot else _dump(graph_to_json(gc))
     _emit(text, args.output)
     return 0
@@ -134,10 +138,7 @@ def _cmd_string(args: argparse.Namespace) -> int:
 
 
 def _cmd_plumbing(args: argparse.Namespace) -> int:
-    inc, g = _load_any(args.input)
-    if inc is None:
-        raise InvalidInput("plumbing expects an arrangement, not a graph")
-    g = boundary_graph(inc, reduce=args.reduce)
+    g = boundary_graph(_load_arrangement(args), reduce=args.reduce)
     text = to_dot(g) if args.dot else _dump(graph_to_json(g))
     _emit(text, args.output)
     return 0
@@ -185,10 +186,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _cmd_betti(args: argparse.Namespace) -> int:
-    inc, g = _load_any(args.input)
-    if inc is None:
-        raise InvalidInput("betti expects an arrangement, not a graph")
-    _emit(f"{betti_formula(inc)}\n", args.output)
+    _emit(f"{betti_formula(_load_arrangement(args))}\n", args.output)
     return 0
 
 
@@ -237,10 +235,7 @@ def _cmd_generic_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    inc, g = _load_any(args.input)
-    if inc is None:
-        raise InvalidInput("probe-conjecture expects an arrangement")
-    report = probe_conjecture(inc)
+    report = probe_conjecture(_load_arrangement(args))
     _emit(_dump(report.to_json()), args.output)
     return 0 if report.all_hold() else 1
 

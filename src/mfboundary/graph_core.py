@@ -37,17 +37,18 @@ class Vertex:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InvalidInput(f"vertex id must be a non-empty string: {self.id!r}")
-        if not isinstance(self.genus, int) or self.genus < 0:
+        # type(x) is int: a bool is not an integer here
+        if type(self.genus) is not int or self.genus < 0:
             raise InvalidInput(f"vertex {self.id}: genus must be a non-negative integer")
-        if self.euler is not None and not isinstance(self.euler, int):
+        if self.euler is not None and type(self.euler) is not int:
             raise InvalidInput(f"vertex {self.id}: euler must be an integer or None")
-        if self.mult is not None and (not isinstance(self.mult, int) or self.mult < 1):
+        if self.mult is not None and (type(self.mult) is not int or self.mult < 1):
             raise InvalidInput(f"vertex {self.id}: multiplicity must be a positive integer")
         if self.kind not in KINDS:
             raise InvalidInput(f"vertex {self.id}: unknown kind {self.kind!r}")
         if self.dec is not None:
             d = tuple(self.dec)
-            if len(d) != 3 or not all(isinstance(x, int) for x in d):
+            if len(d) != 3 or not all(type(x) is int for x in d):
                 raise InvalidInput(f"vertex {self.id}: dec must be three integers")
             if d[0] < 1 or d[1] < 0 or d[2] < 1:
                 raise InvalidInput(f"vertex {self.id}: bad decoration {d}")
@@ -68,10 +69,12 @@ class Edge:
     arrow: bool = False
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise InvalidInput(f"edge {self.a}--{self.b}: sign must be +1 or -1")
-        if self.edge_type not in (None, 1, 2):
+        if type(self.edge_type) not in (int, type(None)) or self.edge_type not in (None, 1, 2):
             raise InvalidInput(f"edge {self.a}--{self.b}: type must be 1, 2 or None")
+        if not isinstance(self.arrow, bool):
+            raise InvalidInput(f"edge {self.a}--{self.b}: arrow must be True or False")
 
     def other(self, vid: str) -> str:
         if vid == self.a:
@@ -363,10 +366,8 @@ def graph_to_json(g: PlumbingGraph) -> dict:
     }
 
 
-def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...],
-               numbers: tuple[str, ...]) -> list[dict]:
-    """The rows under obj[key], each an object with the required fields
-    and no true/false where a number belongs."""
+def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...]) -> list[dict]:
+    """The rows under obj[key], each an object with the required fields."""
     rows = obj[key]
     if not isinstance(rows, list):
         raise InvalidInput(f'graph JSON "{key}" must be a list')
@@ -376,12 +377,6 @@ def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...],
         for name in required:
             if name not in row:
                 raise InvalidInput(f'{what} row needs "{name}": {row!r}')
-        for name in numbers:
-            value = row.get(name)
-            if isinstance(value, bool) or (
-                isinstance(value, list) and any(isinstance(x, bool) for x in value)
-            ):
-                raise InvalidInput(f'{what} "{name}" must be numeric, got {value!r}')
     return rows
 
 
@@ -389,8 +384,7 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInput('graph JSON needs "vertices" and "edges"')
     verts = []
-    vertex_rows = _json_rows(obj, "vertices", "vertex", ("id",), ("genus", "euler", "mult", "dec"))
-    for row in vertex_rows:
+    for row in _json_rows(obj, "vertices", "vertex", ("id",)):
         dec = row.get("dec")
         if dec is not None and not isinstance(dec, list):
             raise InvalidInput(f"vertex {row['id']!r}: dec must be a list of three integers")
@@ -405,16 +399,11 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
             )
         )
     edges = []
-    for row in _json_rows(obj, "edges", "edge", ("a", "b"), ("sign", "type")):
+    for row in _json_rows(obj, "edges", "edge", ("a", "b")):
         if not isinstance(row["a"], str) or not isinstance(row["b"], str):
             raise InvalidInput(f"edge ends must be vertex ids: {row['a']!r}--{row['b']!r}")
         sign = row.get("sign", "+")
-        if sign in ("+", 1):
-            s = 1
-        elif sign in ("-", -1):
-            s = -1
-        else:
-            raise InvalidInput(f"bad edge sign {sign!r}")
+        sign = 1 if sign == "+" else -1 if sign == "-" else sign  # Edge checks the rest
         arrow = row.get("arrow")
         if arrow is not None and not isinstance(arrow, bool):
             raise InvalidInput(f"edge arrow must be true, false or null, got {arrow!r}")
@@ -422,7 +411,7 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
             Edge(
                 a=row["a"],
                 b=row["b"],
-                sign=s,
+                sign=sign,
                 edge_type=row.get("type"),
                 arrow=bool(arrow),
             )

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .arrangement import IncidenceData, is_near_pencil, is_pencil
 from .errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
 from .graph_core import PlumbingGraph, first_betti_of_graph, vertex_order
+from .pipeline import boundary_graph, point_genus
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -517,8 +518,6 @@ class ConjectureReport:
 
 
 def probe_conjecture(inc: IncidenceData) -> ConjectureReport:
-    from .pipeline import boundary_graph, point_genus
-
     g = boundary_graph(inc)
     group = homology_of_graph(g)
     n = inc.n

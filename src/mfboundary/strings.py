@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalError, InvalidInput, InvalidSize, NoSolution
 
@@ -69,16 +68,6 @@ def hj_continued_fraction(p: int, q: int) -> list[int]:
             raise InvalidSize(f"continued fraction longer than {MAX_CF_TERMS} terms")
         p, q = q, k * q - p
     return terms
-
-
-def evaluate_negative_cf(terms: list[int]) -> Fraction:
-    """Value of [k1, ..., ks] as k1 - 1/(k2 - 1/(...))."""
-    if not terms:
-        raise InvalidInput("empty continued fraction")
-    value = Fraction(terms[-1])
-    for k in reversed(terms[:-1]):
-        value = k - 1 / value
-    return value
 
 
 @dataclass(frozen=True)

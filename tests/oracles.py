@@ -87,6 +87,30 @@ def cf_value(terms):
     return x
 
 
+def incidence_fault(n, points):
+    """The first fault of n lines and these points, as IncidenceData words
+    it, or None: the points in sorted order, each line pair checked against
+    a dict of all pairs seen.  Quadratic memory, so keep n small."""
+    points = sorted(tuple(sorted(p)) for p in points)
+    seen = {}
+    for idx, pt in enumerate(points):
+        if len(pt) < 2:
+            return f"point {idx} has fewer than two lines"
+        if len(set(pt)) != len(pt):
+            return f"point {idx} repeats a line"
+        for i in pt:
+            if not 0 <= i < n:
+                return f"point {idx} references line {i}, out of range"
+        for pair in combinations(pt, 2):
+            if pair in seen:
+                return f"line pair {pair} appears on points {seen[pair]} and {idx}"
+            seen[pair] = idx
+    for pair in combinations(range(n), 2):
+        if pair not in seen:
+            return f"line pair {pair} meets no point"
+    return None
+
+
 def random_matrix(rng: random.Random, max_size: int = 6, bound: int = 9):
     """Random integer matrix; sizes are biased small so the exhaustive
     minor-gcd oracle stays affordable."""

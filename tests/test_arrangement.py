@@ -3,16 +3,19 @@
 import itertools
 import json
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfboundary.arrangement import (
     RANDOM_BOX_LINES,
     IncidenceData,
     MultiPoint,
     ProjLine,
-    ProjPoint,
     arrangement_from_json,
     generate_family,
     incidence_from_lines,
@@ -30,6 +33,8 @@ from mfboundary.errors import (
     InvalidInput,
     InvalidSize,
 )
+
+from oracles import incidence_fault
 
 
 def test_line_canonicalization():
@@ -59,8 +64,15 @@ def test_intersect_lines_cross_product():
     x = ProjLine.from_coeffs([1, 0, 0])
     y = ProjLine.from_coeffs([0, 1, 0])
     p = intersect_lines(x, y)
-    assert p == ProjPoint.from_coords([0, 0, 1])
-    assert x.contains(p) and y.contains(p)
+    assert p == (0, 0, 1)
+    assert all(sum(a * c for a, c in zip(l.coeffs, p)) == 0 for l in (x, y))
+
+
+def test_intersect_lines_returns_the_primitive_triple():
+    # (1, 2, 3) x (4, 5, 6) = (-3, 6, -3): content 3, first entry negative
+    p = intersect_lines(ProjLine.from_coeffs([1, 2, 3]), ProjLine.from_coeffs([4, 5, 6]))
+    assert p == (1, -2, 1)
+    assert type(p) is tuple and all(type(v) is int for v in p)
 
 
 def test_intersect_identical_lines_fails():
@@ -98,6 +110,81 @@ def test_incidence_size_bounds():
         IncidenceData(n=0, points=())
     with pytest.raises(InvalidIncidence):
         IncidenceData(n=2, points=(MultiPoint(lines=(0, 0)),))
+
+
+def assert_same_fault(n, points):
+    """IncidenceData reports the fault the pair table reports, except that
+    of several repeated pairs it may name any, with two points it lies on."""
+    try:
+        IncidenceData(n, tuple(MultiPoint(tuple(p)) for p in points))
+        got = None
+    except InvalidIncidence as exc:
+        got = str(exc)
+    want = incidence_fault(n, points)
+    if want is None or " appears on points " not in want:
+        assert got == want
+        return
+    a, b, p, q = map(int, re.fullmatch(
+        r"line pair \((\d+), (\d+)\) appears on points (\d+) and (\d+)", got).groups())
+    ordered = sorted(tuple(sorted(pt)) for pt in points)
+    assert a < b and p < q and {a, b} <= set(ordered[p]) & set(ordered[q])
+
+
+@given(st.integers(1, 6), st.lists(st.lists(st.integers(-1, 6), max_size=5), max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_incidence_errors_match_the_pair_table(n, points):
+    assert_same_fault(n, points)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_incidence_errors_match_the_pair_table_near_valid_input(seed):
+    # a valid arrangement with one point dropped, duplicated, merged into
+    # another or extended by a line
+    rng = random.Random(seed)
+    inc = incidence_from_lines(random_rational_lines(rng.randint(3, 9), rng))
+    points = [list(p.lines) for p in inc.points]
+    k = rng.randrange(len(points))
+    edit = seed % 4
+    if edit == 0:
+        del points[k]
+    elif edit == 1:
+        points.append(list(points[k]))
+    elif edit == 2:
+        points[k] += points[rng.randrange(len(points))]
+        points[k] = sorted(set(points[k]))
+    else:
+        points[k].append(rng.randrange(inc.n))
+    assert_same_fault(inc.n, points)
+
+
+def test_one_repeated_pair_is_named_with_its_two_points():
+    points = [(0, 1, 2), (0, 3), (1, 3), (2, 3), (1, 2)]  # (1, 2) twice; sorted, points 0 and 2
+    with pytest.raises(InvalidIncidence, match=r"^line pair \(1, 2\) appears on points 0 and 2$"):
+        IncidenceData(4, tuple(MultiPoint(p) for p in points))
+
+
+def test_points_form_pencil_validates_in_linear_memory():
+    # a pair table would hold every one of the 1999000 line pairs
+    obj = {"n": 2000, "points": [list(range(2000))]}
+    tracemalloc.start()
+    try:
+        inc = arrangement_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_pencil(inc)
+    assert peak < 5 * 2 ** 20
+
+
+def test_a_huge_n_with_few_points_fails_in_little_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidIncidence, match=r"^line pair \(0, 2\) meets no point$"):
+            arrangement_from_json({"n": 10 ** 9, "points": [[0, 1], [5, 10 ** 8]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("n", range(2, 9))

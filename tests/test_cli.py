@@ -398,6 +398,15 @@ def test_wrong_input_kind_is_reported(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("command", ["gamma-c", "plumbing", "betti", "probe-conjecture"])
+def test_arrangement_commands_refuse_a_graph_file(tmp_path, capsys, command):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({"vertices": [{"id": "v", "euler": -5}], "edges": []}))
+    payload = assert_one_json_error(*run_cli(capsys, command, str(gfile)))
+    assert payload == {"error": "InvalidInput",
+                       "message": f"{command} expects an arrangement, not a graph"}
+
+
 def test_string_error_path(capsys):
     code, out, err = run_cli(capsys, "string", "1", "2", "0")
     assert code == 1

@@ -36,6 +36,29 @@ def test_vertex_validation():
     Vertex(id="v0", dec=(2, 4, 1), euler=None)  # fine
 
 
+@pytest.mark.parametrize("field", [
+    {"genus": True}, {"euler": True}, {"euler": False}, {"mult": True},
+    {"dec": (True, 0, 1)}, {"dec": (1, False, 1)},
+])
+def test_vertex_rejects_a_bool_where_an_integer_belongs(field):
+    with pytest.raises(InvalidInput):
+        Vertex(id="x", **field)
+
+
+def test_bool_genus_and_euler_do_not_make_a_graph():
+    with pytest.raises(InvalidInput):
+        PlumbingGraph((Vertex("x", genus=True, euler=True),), ())
+
+
+@pytest.mark.parametrize("field", [
+    {"sign": True}, {"sign": 1.0}, {"edge_type": True}, {"edge_type": 2.0},
+    {"arrow": 1}, {"arrow": 0}, {"arrow": None}, {"arrow": "yes"},
+])
+def test_edge_rejects_a_bool_integer_and_a_non_bool_arrow(field):
+    with pytest.raises(InvalidInput):
+        Edge("x", "y", **field)
+
+
 def test_edge_validation_and_helpers():
     e = Edge(a="x", b="y", sign=-1)
     assert e.other("x") == "y" and e.other("y") == "x"

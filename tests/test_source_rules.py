@@ -19,6 +19,10 @@ LABELS = {"dec", "edge_type"}
 
 OUTSIDE_GRAPH_CORE = [p for p in MODULES if p.name != "graph_core.py"]
 
+# the one import inside a function: reduction imports calculus, which
+# imports homology, which imports pipeline
+LATE_IMPORTS = {("pipeline.py", "boundary_graph", ".reduction")}
+
 # a package's __init__ imports its public names for its users
 NOT_INIT = [p for p in MODULES if p.name != "__init__.py"]
 
@@ -83,3 +87,18 @@ def test_no_private_names_imported_across_modules(path):
                if module is not None and module.startswith((".", "mfboundary"))
                and name.startswith("_") and not name.startswith("__")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    # an import inside a function hides a dependency and runs on every call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    late = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    late |= {(path.name, func.name, a.name) for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    late.add((path.name, func.name, "." * node.level + (node.module or "")))
+    assert late <= LATE_IMPORTS

@@ -11,7 +11,6 @@ from mfboundary.errors import InvalidInput, InvalidSize
 from mfboundary.strings import (
     MAX_CF_TERMS,
     build_string,
-    evaluate_negative_cf,
     hj_continued_fraction,
     solve_lambda,
 )
@@ -51,7 +50,6 @@ def test_hj_reconstructs_ratio(p, q):
     terms = hj_continued_fraction(p, q)
     if p != q:  # the ratio-1 expansion is the single term [1]
         assert all(k >= 2 for k in terms)
-    assert evaluate_negative_cf(terms) == Fraction(p, q)
     assert cf_value(terms) == Fraction(p, q)  # independent evaluation
 
 
@@ -108,7 +106,7 @@ def test_multiplicity_recurrence(a, b, c):
     assert s.end_mults == (chain[0], chain[-1])
     # the continued fraction really evaluates to c'/lambda
     cp = c // d
-    assert evaluate_negative_cf(s.cf_terms) == Fraction(cp, s.lam)
+    assert cf_value(s.cf_terms) == Fraction(cp, s.lam)
 
 
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30))
