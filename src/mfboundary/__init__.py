@@ -31,15 +31,7 @@ from .graph_core import (
     to_dot,
     vertex_order,
 )
-from .homology import (
-    AbelianGroup,
-    betti_formula,
-    homology_of_graph,
-    incidence_matrix,
-    probe_conjecture,
-    projective_complement_euler,
-    smith_normal_form,
-)
+from .homology import AbelianGroup, homology_of_graph, incidence_matrix, smith_normal_form
 from .generic_algebra import (
     build_An,
     build_Xn,
@@ -47,8 +39,11 @@ from .generic_algebra import (
     generic_h1_closed_form,
 )
 from .pipeline import (
+    betti_formula,
     boundary_graph,
     decorate_and_insert,
+    probe_conjecture,
+    projective_complement_euler,
     solve_euler,
     strip_arrowheads,
 )

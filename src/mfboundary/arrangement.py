@@ -27,8 +27,6 @@ Triple = tuple[int, int, int]
 def _primitive(ints: Sequence[int]) -> Triple:
     """Canonical representative of a nonzero integer triple: content 1,
     first nonzero entry positive."""
-    if len(ints) != 3:
-        raise InvalidInput(f"expected 3 coordinates, got {len(ints)}")
     g = math.gcd(*ints)
     if g == 0:
         raise InvalidInput("zero vector does not define a projective object")
@@ -66,6 +64,8 @@ class ProjLine:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, label: int = 0) -> "ProjLine":
+        if len(coeffs) != 3:  # before parsing, which a long row makes slow
+            raise InvalidInput(f"expected 3 coordinates, got {len(coeffs)}")
         fracs = [_parse_rational(c) for c in coeffs]
         denom = math.lcm(*(f.denominator for f in fracs))
         return cls(_primitive([f.numerator * (denom // f.denominator) for f in fracs]), label)
@@ -236,15 +236,6 @@ def is_near_pencil(inc: IncidenceData) -> bool:
         return False
     mults = sorted(p.multiplicity for p in inc.points)
     return mults == [2] * (inc.n - 1) + [inc.n - 1]
-
-
-def moment_curve_lines(n: int) -> list[ProjLine]:
-    """n rational lines in general position: x + t*y + t^2*z for t = 0..n-1.
-
-    Any two meet at (t1*t2 : -(t1+t2) : 1), and distinct pairs give distinct
-    points, so the resulting arrangement is generic.
-    """
-    return [ProjLine.from_coeffs((1, t, t * t), t) for t in range(n)]
 
 
 # distinct projective lines with coefficients in the box [-2, 2]^3

@@ -188,33 +188,6 @@ def two_alteration(g: PlumbingGraph, vid: str, flip: Optional[str] = None) -> Pl
                   put=[replace(v, euler=-2), _bumped(g, i, -1), _bumped(g, j, -1)])
 
 
-def blow_up_edge(g: PlumbingGraph, a: str, b: str, euler: int = -1,
-                 sign_a: Optional[int] = None, new_id: Optional[str] = None) -> PlumbingGraph:
-    """Inverse of blow_down_b: subdivide an existing a--b edge by a fresh
-    genus-0 vertex with Euler number +-1, incrementing both ends by it.
-
-    The two new signs may be chosen freely subject to
-    sign_a * sign_b = -euler * old_sign; blowing the new vertex back down
-    restores the original graph.  Exists to express the +-2-alteration as a
-    derived move."""
-    if euler not in (1, -1):
-        raise InvalidInput("blow-up Euler number must be +1 or -1")
-    edge = next((e for e in g.edges_at(a) if not e.arrow and not e.is_loop()
-                 and {e.a, e.b} == {a, b}), None)
-    if edge is None:
-        raise InvalidInput(f"no edge {a}--{b} to blow up")
-    if sign_a is None:
-        sign_a = 1
-    sign_b = -euler * edge.sign * sign_a
-    nid = new_id or g.fresh_id("u")
-    return g.edit(
-        add_vertices=[Vertex(id=nid, genus=0, euler=euler, kind="plain")],
-        remove=[edge],
-        add_edges=[Edge(a=a, b=nid, sign=sign_a), Edge(a=nid, b=b, sign=sign_b)],
-        put=[_bumped(g, a, euler), _bumped(g, b, euler)],
-    )
-
-
 # -- scripted application ----------------------------------------------------
 
 # kind -> (the move, the one optional field of its spec it reads, or None)

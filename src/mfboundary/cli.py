@@ -41,13 +41,8 @@ from .graph_core import (
     graph_to_json,
     to_dot,
 )
-from .homology import (
-    betti_formula,
-    homology_of_graph,
-    probe_conjecture,
-    smith_normal_form,
-)
-from .pipeline import boundary_graph
+from .homology import homology_of_graph, smith_normal_form
+from .pipeline import betti_formula, boundary_graph, probe_conjecture
 from .strings import build_string
 
 

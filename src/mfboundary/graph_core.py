@@ -15,7 +15,6 @@ point, then everything else by id.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -126,11 +125,6 @@ def _check_edge(e: Edge, index: dict) -> None:
         raise InvalidInput(f"edge {e.a}--{e.b} touches an arrowhead but is not an arrow")
 
 
-# Edge keys: an edge added later, to any graph, sorts after every edge
-# already stored, so key order is edge order.
-_edge_keys = itertools.count()
-
-
 @dataclass(frozen=True)
 class PlumbingGraph:
     """Vertices and edges in a fixed order, with three indexes: ``_index``
@@ -206,7 +200,9 @@ class PlumbingGraph:
                 if other in adj:
                     adj[other] = tuple(x for x in adj[other] if x != k)
         fresh = {}  # new keys per vertex, joined to its tuple once
-        for k, e in zip(_edge_keys, add_edges):
+        # new keys count on from the last stored one; stored keys ascend,
+        # so key order stays edge order
+        for k, e in enumerate(add_edges, next(reversed(store), -1) + 1):
             _check_edge(e, index)
             store[k] = e
             fresh.setdefault(e.a, []).append(k)
@@ -283,14 +279,6 @@ class PlumbingGraph:
                 return False
             seen.add(key)
         return True
-
-    # -- ids -----------------------------------------------------------------
-
-    def fresh_id(self, prefix: str) -> str:
-        k = 0
-        while f"{prefix}{k}" in self._index:
-            k += 1
-        return f"{prefix}{k}"
 
     # -- canonical form ------------------------------------------------------
 
@@ -434,6 +422,11 @@ def _vertex_label(v: Vertex) -> str:
     return f"{v.id}: {core}"
 
 
+def _quoted(text: str) -> str:
+    """A DOT quoted string, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: PlumbingGraph) -> str:
     """Graphviz rendering.  Arrows keep their direction, ordinary edges are
     drawn without one; edge labels show the sign and, if present, the type."""
@@ -441,16 +434,16 @@ def to_dot(g: PlumbingGraph) -> str:
     lines = ["digraph plumbing {", "  edge [dir=none];"]
     for v in g.vertices:
         shape = "point" if v.kind == "arrowhead" else "ellipse"
-        lines.append(f'  "{v.id}" [shape={shape} label="{_vertex_label(v)}"];')
+        lines.append(f"  {_quoted(v.id)} [shape={shape} label={_quoted(_vertex_label(v))}];")
     for e in g.edges:
         label = "+" if e.sign == 1 else "-"
         if e.edge_type is not None:
             label += f" t{e.edge_type}"
-        attrs = [f'label="{label}"']
+        attrs = [f"label={_quoted(label)}"]
         if e.arrow:
             head, tail = (e.a, e.b) if g.vertex(e.a).kind == "arrowhead" else (e.b, e.a)
-            lines.append(f'  "{tail}" -> "{head}" [dir=forward {" ".join(attrs)}];')
+            lines.append(f'  {_quoted(tail)} -> {_quoted(head)} [dir=forward {" ".join(attrs)}];')
         else:
-            lines.append(f'  "{e.a}" -> "{e.b}" [{" ".join(attrs)}];')
+            lines.append(f'  {_quoted(e.a)} -> {_quoted(e.b)} [{" ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,18 +13,23 @@ Stages:
   3. strip_arrowheads      drop the arrows, leaving the closed graph.
 
 boundary_graph composes the three, optionally followed by the chain
-reduction recipes.
+reduction recipes.  probe_conjecture then checks the graph's H1 against the
+closed forms of the arrangement: betti_formula for its rank, and the
+torsion predictions, with projective_complement_euler, for its torsion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
-from .arrangement import IncidenceData
+from .arrangement import IncidenceData, is_near_pencil, is_pencil
 from .curve_config import build_gamma_c
 from .errors import InternalError, InvalidInput, NonIntegralEuler, UnsupportedLoop
 from .graph_core import Edge, PlumbingGraph, Vertex
+from .homology import AbelianGroup, homology_of_graph
+from .reduction import reduce_double_chains
 from .strings import build_string
 
 
@@ -141,7 +146,90 @@ def boundary_graph(inc: IncidenceData, reduce: bool = False) -> PlumbingGraph:
     exactly the compact model with intersection matrix A_n."""
     g = strip_arrowheads(solve_euler(decorate_and_insert(build_gamma_c(inc))))
     if reduce:
-        from .reduction import reduce_double_chains
-
         g = reduce_double_chains(g, inc)
     return g
+
+
+# -- closed forms and probes -------------------------------------------------
+
+def betti_formula(inc: IncidenceData) -> int:
+    """First Betti number of the boundary straight from the incidence data:
+    sum over intersection points of 1 + (m - 2) * gcd(m, n)."""
+    if inc.n < 2:
+        raise InvalidInput("Betti formula needs n >= 2")
+    return sum(
+        1 + (p.multiplicity - 2) * math.gcd(p.multiplicity, inc.n)
+        for p in inc.points
+    )
+
+
+def projective_complement_euler(inc: IncidenceData) -> int:
+    """Euler characteristic of the complement of the projectivized
+    arrangement: 3 - 2n + sum (m_j - 1)."""
+    return 3 - 2 * inc.n + sum(p.multiplicity - 1 for p in inc.points)
+
+
+@dataclass(frozen=True)
+class ConjectureReport:
+    """Evidence for the three torsion predictions on one arrangement.
+
+    flat_hypothesis     every point has (m-2)(gcd(m,n)-1) = 0, i.e. no
+                        point vertex carries genus;
+    flat_prediction_ok  under that hypothesis, whether the torsion is
+                        exactly (Z_n)^chi with chi the complement Euler
+                        characteristic (None when the hypothesis fails);
+    orders_divide_n     every invariant factor divides n;
+    torsion_free_iff    torsion-freeness happens exactly for pencil and
+                        near-pencil shapes.
+    """
+
+    n: int
+    group: AbelianGroup
+    betti_matches: bool
+    flat_hypothesis: bool
+    complement_euler: int
+    flat_prediction_ok: Optional[bool]
+    orders_divide_n: bool
+    torsion_free: bool
+    pencil_like: bool
+    near_pencil_like: bool
+    torsion_free_iff: bool
+
+    def all_hold(self) -> bool:
+        checks = [self.betti_matches, self.orders_divide_n, self.torsion_free_iff]
+        if self.flat_prediction_ok is not None:
+            checks.append(self.flat_prediction_ok)
+        return all(checks)
+
+    def to_json(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "group"}
+        out.update(h1=str(self.group), rank=self.group.free_rank,
+                   torsion=list(self.group.torsion), all_hold=self.all_hold())
+        return out
+
+
+def probe_conjecture(inc: IncidenceData) -> ConjectureReport:
+    g = boundary_graph(inc)
+    group = homology_of_graph(g)
+    n = inc.n
+    flat = all(point_genus(p.multiplicity, n) == 0 for p in inc.points)
+    chi = projective_complement_euler(inc)
+    prediction = None
+    if flat and chi >= 0:
+        prediction = group.torsion == ((n,) * chi if chi else ())
+    torsion_free = group.is_torsion_free
+    pencil = is_pencil(inc)
+    near = is_near_pencil(inc)
+    return ConjectureReport(
+        n=n,
+        group=group,
+        betti_matches=group.free_rank == betti_formula(inc),
+        flat_hypothesis=flat,
+        complement_euler=chi,
+        flat_prediction_ok=prediction,
+        orders_divide_n=all(n % d == 0 for d in group.torsion),
+        torsion_free=torsion_free,
+        pencil_like=pencil,
+        near_pencil_like=near,
+        torsion_free_iff=torsion_free == (pencil or near),
+    )

@@ -39,13 +39,11 @@ from mfboundary.generic_algebra import (
 )
 from mfboundary.homology import (
     AbelianGroup,
-    betti_formula,
     homology_of_graph,
     incidence_matrix,
-    probe_conjecture,
     smith_normal_form,
 )
-from mfboundary.pipeline import boundary_graph
+from mfboundary.pipeline import betti_formula, boundary_graph, probe_conjecture
 from mfboundary.reduction import (
     generic_reduction_script,
     near_pencil_reduction_script,

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from mfboundary.arrangement import (
     is_generic,
     is_near_pencil,
     is_pencil,
-    moment_curve_lines,
     random_rational_lines,
 )
 from mfboundary.errors import (
@@ -58,6 +58,14 @@ def test_line_rejects_garbage():
         ProjLine.from_coeffs([True, 0, 1])
     with pytest.raises(InvalidInput):
         ProjLine.from_coeffs([1, 2])
+
+
+def test_a_long_row_is_rejected_before_it_is_parsed():
+    obj = {"lines": [["1/3"] * 10**6, [0, 1, 0]]}
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="^expected 3 coordinates, got 1000000$"):
+        arrangement_from_json(obj)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_intersect_lines_cross_product():
@@ -234,7 +242,8 @@ def test_generate_family_validates():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_moment_curve_lines_are_generic(n):
-    inc = incidence_from_lines(moment_curve_lines(n))
+    # x + t*y + t^2*z: any two meet at (t1*t2 : -(t1+t2) : 1), distinct per pair
+    inc = incidence_from_lines([ProjLine.from_coeffs((1, t, t * t), t) for t in range(n)])
     assert is_generic(inc)
     assert generate_family("generic", n) == inc
 

@@ -12,7 +12,6 @@ from mfboundary.calculus import (
     apply_script,
     blow_down_a,
     blow_down_b,
-    blow_up_edge,
     handle_absorb,
     sign_reversal,
     split,
@@ -296,7 +295,9 @@ def test_two_alteration_is_blow_up_then_blow_down():
                  [("x", "t", -1), ("t", "y", -1)])
     altered = two_alteration(base, "t", flip="x")
     # blow up the x--t edge with a -1 vertex, then blow down t (now +1)
-    staged = blow_up_edge(base, "x", "t", euler=-1, sign_a=1, new_id="u")
+    staged = base.edit(add_vertices=[Vertex("u", euler=-1)], remove=[Edge("x", "t", sign=-1)],
+                       add_edges=[Edge("x", "u", sign=1), Edge("u", "t", sign=-1)],
+                       put=[Vertex("x", euler=-2), Vertex("t", euler=1)])
     assert staged.vertex("t").euler == 1
     staged = blow_down_b(staged, "t")
     relabeled = staged.edit(put=[staged.vertex("u")])
@@ -312,13 +313,14 @@ def test_two_alteration_is_blow_up_then_blow_down():
 
 def test_blow_up_edge_round_trip():
     g = graph([("x", -3, 0), ("y", -4, 2)], [("x", "y", -1)])
-    up = blow_up_edge(g, "x", "y", euler=-1, sign_a=-1, new_id="u")
+    # subdivide x--y by a -1 vertex u, signs multiplying to -euler * old sign
+    up = g.edit(add_vertices=[Vertex("u", euler=-1)], remove=[Edge("x", "y", sign=-1)],
+                add_edges=[Edge("x", "u", sign=-1), Edge("u", "y", sign=1)],
+                put=[Vertex("x", euler=-4), Vertex("y", euler=-5, genus=2)])
     assert up.vertex("x").euler == -4
     assert up.vertex("u").euler == -1
     down = blow_down_b(up, "u")
     assert down.canonical() == g.canonical()
-    with pytest.raises(InvalidInput):
-        blow_up_edge(g, "x", "y", euler=2)
 
 
 def test_move_spec_round_trip():

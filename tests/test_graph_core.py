@@ -1,5 +1,7 @@
 """Plumbing graph data structures, canonical order, JSON and DOT."""
 
+import re
+
 import pytest
 
 from mfboundary.calculus import _bumped
@@ -159,8 +161,6 @@ def test_graph_edit_helpers():
     assert g4.vertex("n0").genus == 2
     with pytest.raises(UnknownVertex):
         g.vertex("zzz")
-    fresh = g.fresh_id("n")
-    assert fresh not in g.ids
 
 
 def test_remove_edge_once():
@@ -226,3 +226,14 @@ def test_dot_output():
     assert '"n0"' in dot and '"a0"' in dot
     assert "shape=point" in dot  # arrowheads drawn as points
     assert "dir=forward" in dot  # arrows directed
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids_and_labels():
+    g = PlumbingGraph((Vertex('x"y', euler=-1), Vertex("z\\", euler=-2, genus=1)),
+                      (Edge('x"y', "z\\", sign=-1),))
+    dot = to_dot(g)
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')  # a backslash escapes the next character
+    decoded = [re.sub(r"\\(.)", r"\1", s) for s in quoted.findall(dot)]
+    assert decoded == ['x"y', 'x"y: -1', "z\\", "z\\: -2 [1]", 'x"y', "z\\", "-"]
+    outside = quoted.sub("", dot)
+    assert '"' not in outside and "\\" not in outside

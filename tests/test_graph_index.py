@@ -8,6 +8,7 @@ the edge list; an edit must cost the same at any graph size; and every
 edit that a rebuild would reject must be rejected with the same error
 class."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -23,7 +24,6 @@ from mfboundary.calculus import (
     _bumped,
     apply_move,
     blow_down_b,
-    blow_up_edge,
     run_script,
 )
 from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
@@ -47,6 +47,7 @@ def assert_indexed(g):
     assert all(g.edges_at(vid) == rebuilt.edges_at(vid) for vid in g.ids)
     # keys are drawn afresh by a rebuild, so check the store's own shape
     assert tuple(g._store.values()) == g.edges
+    assert list(g._store) == sorted(g._store)  # key order is edge order
     assert g._adj.keys() == g._index.keys()
     for vid, keys in g._adj.items():
         assert list(keys) == sorted(set(keys))
@@ -112,6 +113,10 @@ def test_double_chain_scripts_on_random_arrangements_keep_the_index():
         assert g == reduce_double_chains(boundary_graph(inc), inc)
 
 
+def fresh_id(g, prefix):
+    return next(f"{prefix}{k}" for k in itertools.count() if not g.has_vertex(f"{prefix}{k}"))
+
+
 def random_edit(rng, g):
     """One random edit of g, with the graph a rebuild gives for the plain
     edits; None when the edit does not apply."""
@@ -126,8 +131,12 @@ def random_edit(rng, g):
         if not plain:
             return None, None
         e = rng.choice(plain)
-        return blow_up_edge(g, e.a, e.b, euler=rng.choice([1, -1]),
-                            sign_a=rng.choice([1, -1])), None
+        # subdivide e by a +-1 vertex u, signs multiplying to -euler * e.sign
+        euler, sign_a = rng.choice([1, -1]), rng.choice([1, -1])
+        u = fresh_id(g, "u")
+        halves = [Edge(e.a, u, sign=sign_a), Edge(u, e.b, sign=-euler * e.sign * sign_a)]
+        return g.edit(add_vertices=[Vertex(u, euler=euler)], remove=[e], add_edges=halves,
+                      put=[_bumped(g, e.a, euler), _bumped(g, e.b, euler)]), None
     if kind == "add_edge":
         e = Edge(vid, rng.choice(ids), sign=rng.choice([1, -1]))  # may be a loop
         return g.edit(add_edges=[e]), PlumbingGraph(g.vertices, g.edges + (e,))
@@ -151,7 +160,7 @@ def random_edit(rng, g):
         return g.edit(put=[_bumped(g, vid, delta)]), PlumbingGraph(
             [bumped if u.id == vid else u for u in g.vertices], g.edges
         )
-    nv = Vertex(g.fresh_id("q"), euler=rng.randint(-2, 2))
+    nv = Vertex(fresh_id(g, "q"), euler=rng.randint(-2, 2))
     return g.edit(add_vertices=[nv]), PlumbingGraph(g.vertices + (nv,), g.edges)
 
 
@@ -321,6 +330,17 @@ def test_remove_takes_an_equal_edge_that_is_not_the_stored_object():
     out = g.edit(remove=[Edge("x", "y")])
     assert out.edges == ()
     assert_indexed(out)
+
+
+def test_a_graph_keys_its_edges_from_zero_whatever_was_built_before():
+    # keys belong to one graph: no count is shared between graphs
+    for n in (3, 4, 5, 4):
+        g = boundary_graph(generate_family("generic", n))
+        assert list(g._store) == list(range(len(g.edges)))
+    last = g.edges[-1]
+    edited = g.edit(remove=[last], add_edges=[last, Edge(last.a, last.b, -last.sign)])
+    assert list(edited._store) == list(range(len(edited.edges)))
+    assert_indexed(edited)
 
 
 @pytest.mark.parametrize("remove", [

@@ -20,14 +20,16 @@ from mfboundary.homology import (
     SmithForm,
     _bareiss_rank_modulus,
     _coprime_split,
-    betti_formula,
     homology_of_graph,
     incidence_matrix,
-    probe_conjecture,
-    projective_complement_euler,
     smith_normal_form,
 )
-from mfboundary.pipeline import boundary_graph
+from mfboundary.pipeline import (
+    betti_formula,
+    boundary_graph,
+    probe_conjecture,
+    projective_complement_euler,
+)
 
 from oracles import minor_gcd_smith, random_matrix, random_plumbing, rational_rank
 
@@ -438,8 +440,12 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_graph_core.py::test_graph_validation",
         "tests/test_graph_core.py::test_arrowhead_degree_one",
     ]
+    # pytest warns that -O turns its asserts off, which is this run's point;
+    # every other warning is still an error
+    quiet = "ignore:assertions not in test modules:pytest.PytestConfigWarning"
     out = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *selected],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", quiet,
+         *selected],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

@@ -11,8 +11,8 @@ from mfboundary.arrangement import is_generic, is_near_pencil, is_pencil, random
 from mfboundary.calculus import apply_script
 from mfboundary.errors import InvalidInput
 from mfboundary.generic_algebra import build_An, generic_h1_closed_form
-from mfboundary.homology import betti_formula, homology_of_graph, incidence_matrix
-from mfboundary.pipeline import boundary_graph
+from mfboundary.homology import homology_of_graph, incidence_matrix
+from mfboundary.pipeline import betti_formula, boundary_graph
 from mfboundary.reduction import (
     chain_survivor,
     generic_reduction_script,

@@ -19,10 +19,6 @@ LABELS = {"dec", "edge_type"}
 
 OUTSIDE_GRAPH_CORE = [p for p in MODULES if p.name != "graph_core.py"]
 
-# the one import inside a function: reduction imports calculus, which
-# imports homology, which imports pipeline
-LATE_IMPORTS = {("pipeline.py", "boundary_graph", ".reduction")}
-
 # a package's __init__ imports its public names for its users
 NOT_INIT = [p for p in MODULES if p.name != "__init__.py"]
 
@@ -101,4 +97,38 @@ def test_imports_are_at_module_level(path):
                     late |= {(path.name, func.name, a.name) for a in node.names}
                 elif isinstance(node, ast.ImportFrom):
                     late.add((path.name, func.name, "." * node.level + (node.module or "")))
-    assert late <= LATE_IMPORTS
+    assert late == set()
+
+
+def import_cycle():
+    """The first cycle among the package's modules, linked by every relative
+    import at any nesting level, as [m1, m2, ..., m1]; None if there is none.
+    ``from . import name`` links to the module ``name`` if there is one and
+    to ``__init__`` otherwise."""
+    names = {p.stem for p in MODULES}
+    links = {
+        p.stem: sorted({module.lstrip(".") or (name if name in names else "__init__")
+                        for _, module, _, name in imports(p)
+                        if module is not None and module.startswith(".")})
+        for p in MODULES
+    }
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            return path[path.index(m):] + [m]
+        if m in done:
+            return None
+        path.append(m)
+        cycle = next(filter(None, map(visit, links[m])), None)
+        path.pop()
+        done.add(m)
+        return cycle
+
+    return next(filter(None, map(visit, sorted(links))), None)
+
+
+def test_module_imports_form_no_cycle():
+    # a cycle forces an import into a function, or makes import order matter
+    cycle = import_cycle()
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
