@@ -155,7 +155,7 @@ class PlumbingGraph:
                         equal to it, the first in key order at its a end;
           drop          remove these vertices, in order, and every edge at them;
           add_edges     append these edges;
-          put           put each vertex in place of the one with its id.
+          put           put each vertex for the one with its id: both arrowheads or neither.
 
         Vertex and edge order come out as a rebuild from the edited lists
         would give them: a kept edge keeps its key and an added one takes a
@@ -216,11 +216,9 @@ class PlumbingGraph:
             old = index.get(v.id)
             if old is None:
                 raise UnknownVertex(f"no vertex {v.id!r}")
-            index[v.id] = v
             if (old.kind == "arrowhead") != (v.kind == "arrowhead"):
-                touched.append(v.id)
-                for k in adj[v.id]:
-                    _check_edge(store[k], index)
+                raise InvalidInput(f"put cannot turn {v.id!r} into or out of an arrowhead")
+            index[v.id] = v
         object.__setattr__(self, "vertices", tuple(index.values()))
         object.__setattr__(self, "edges", tuple(store.values()))
         object.__setattr__(self, "_index", index)

@@ -7,14 +7,15 @@ incidence matrix A (Euler numbers on the diagonal, edge signs off it); then
     H_1 = Z^(corank A + 2*total genus + b_1(graph)) (+) torsion of A,
 
 the torsion being the invariant factors of A that exceed 1.  Invariant
-factors come from one exact sparse Smith normal form engine of two steps:
-a unit pivot, taken from a priority queue ordered by Markowitz cost, and a
-content division when no unit is left.  A core where both are stuck is
-finished over coprime moduli: first a multiple R of its last invariant
-factor, where every entry coprime to R is a unit, then coprime splits of
-any modulus that is stuck too.  `smith_normal_form` hands the engine the
-nonzeros of a dense matrix; `homology_of_graph` hands it the nonzeros
-straight from the graph, so the V x V matrix is never built on that route.
+factors come from one exact Smith normal form engine on one sparse form,
+row -> {column: nonzero}, in two steps: a unit pivot, taken from a priority
+queue ordered by Markowitz cost, and a content division when no unit is
+left.  A core where both are stuck is finished over coprime moduli: first
+a multiple R of its last invariant factor, from a fraction-free sweep over
+the core's own rows, and every entry coprime to R is a unit mod R; then
+coprime splits of any modulus that is stuck too.  `smith_normal_form`
+hands the engine the nonzeros of a dense matrix; `homology_of_graph` hands
+it the nonzeros straight from the graph, so no V x V matrix is built.
 Everything runs over unbounded Python integers; no floating point anywhere.
 """
 
@@ -84,66 +85,48 @@ def _sparse_rows(M: Sequence[Sequence[int]]) -> tuple[int, int, dict[int, dict[i
     return nrows, (ncols or 0), sparse
 
 
-def _bareiss_rank_modulus(B: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination of a dense integer matrix (left unchanged).
+def _bareiss_rank_modulus(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the sparse integer matrix
+    ``rows`` (row -> {column: nonzero}), which it leaves unchanged.
 
     Returns (rank, R) where R is a positive multiple of the largest
-    nonzero invariant factor, or (0, 0) for a zero matrix.  Bareiss keeps
-    every intermediate entry equal to a minor of the input, so sizes grow
-    polynomially instead of doubling per pivot.  After r-1 steps the live
-    block consists of r x r minors; the gcd of the final live block is
-    therefore a multiple of the r-th determinantal divisor, hence of the
-    last invariant factor d_r.  That gcd is usually far smaller than any
-    single minor, which keeps the modular stage below cheap.
+    nonzero invariant factor, or (0, 0) for no rows.  Every intermediate
+    entry is a minor of the input, so sizes grow polynomially and each
+    division by the previous pivot is exact on any row storage.  After r-1
+    steps the live block consists of r x r minors, so the gcd of the block
+    the last pivot came from is a multiple of the r-th determinantal
+    divisor d_1 * ... * d_r, hence of d_r, and usually far smaller than
+    any single minor, which keeps the modular stage cheap.
 
-    Each step builds the next live block as new lists, so the block the
-    last pivot came from is still whole when the loop ends, whether it ran
-    out of rows or columns or the block became zero.
+    Each step pivots on an entry p of least absolute value, which keeps
+    the products x*p small: the least of each row, found in C, then the
+    first row with the least and its first such entry.  Every other row
+    becomes (x*p - f*y) // prev without its zeros, and empty rows go, so
+    the sweep ends when no row is left.
     """
-    block = B
-    last: list[list[int]] = []
-    prev = 1
-    r = 0
-    while block and block[0]:
-        # pivot: an entry of least absolute value, the first in row-major
-        # order among those
-        least = [min(map(abs, filter(None, row)), default=0) for row in block]
-        m = min(filter(None, least), default=0)
-        if not m:
-            break
-        pi = least.index(m)
+    block = last = rows
+    prev, r = 1, 0
+    while block:
+        least = {i: min(map(abs, row.values())) for i, row in block.items()}
+        pi = min(least, key=least.__getitem__)
         prow = block[pi]
-        pj = next(jj for jj, v in enumerate(prow) if v == m or v == -m)
-        p = prow[pj]
-        # the first row and column move into the pivot's places
-        rest = block[1:]
-        if pi:
-            rest[pi - 1] = block[0]
-        pk = prow[1:]
-        if pj:
-            pk[pj - 1] = prow[0]
-        nxt = []
-        for row in rest:
-            f = row[pj]
-            rk = row[1:]
-            if pj:
-                rk[pj - 1] = row[0]
-            if f:
-                nxt.append([(x * p - f * y) // prev for x, y in zip(rk, pk)])
-            else:
-                nxt.append([x * p // prev for x in rk])
-        last = block
-        block = nxt
-        prev = p
-        r += 1
-    if r == 0:
-        return 0, 0
-    g = 0
-    for row in last:
-        g = math.gcd(g, *row)
-        if g == 1:
-            break
-    return r, g
+        pj, p = next((c, v) for c, v in prow.items() if abs(v) == least[pi])
+        nxt = {}
+        for i, row in block.items():
+            if i == pi:
+                continue
+            f = row.get(pj)
+            if f is None:
+                nxt[i] = {c: x * p // prev for c, x in row.items()}
+                continue
+            new = {c: x * p for c, x in row.items()}
+            for c, y in prow.items():  # the pivot column cancels to 0
+                new[c] = new.get(c, 0) - f * y
+            new = {c: v // prev for c, v in new.items() if v}
+            if new:
+                nxt[i] = new
+        last, block, prev, r = block, nxt, p, r + 1
+    return r, math.gcd(*(v for row in last.values() for v in row.values()))
 
 
 def _coprime_split(rows: dict[int, dict[int, int]], modulus: int) -> tuple[int, int]:
@@ -322,12 +305,7 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
         if modulus:
             parts, left = _coprime_split(rows, modulus), count - len(factors)
         else:
-            cmap = {c: t for t, c in enumerate(sorted(cols))}
-            dense = [[0] * len(cmap) for _ in rows]
-            for row, i in zip(dense, sorted(rows)):
-                for c, v in rows[i].items():
-                    row[cmap[c]] = v
-            left, R = _bareiss_rank_modulus(dense)
+            left, R = _bareiss_rank_modulus(rows)
             if left < 1:
                 raise InternalError("the unit-free core of a nonzero matrix has rank 0")
             parts = (R,)

@@ -296,6 +296,10 @@ def test_edits_reject_what_a_rebuild_rejects():
         # a vertex with edges turned into an arrowhead
         (lambda: g.edit(put=[Vertex("n0", kind="arrowhead")]),
          (Vertex("n0", kind="arrowhead"), v[1], v[2]), e),
+        # an isolated plain vertex turned into an arrowhead
+        (lambda: g.edit(add_vertices=[Vertex("z0", euler=0)]).edit(
+            put=[Vertex("z0", kind="arrowhead")]),
+         v + (Vertex("z0", kind="arrowhead"),), e),
     ]
     for edit, vertices, edges in cases:
         with pytest.raises(MFBoundaryError) as rebuild:
@@ -309,6 +313,8 @@ def test_edits_reject_what_a_rebuild_rejects():
             edit()
     with pytest.raises(InvalidInput):
         g.edit(put=[_bumped(g, "a0", 1)])  # an arrowhead has no Euler number
+    with pytest.raises(InvalidInput):  # put keeps arrowheads, even with the arrow removed
+        g.edit(remove=[e[1]], put=[Vertex("a0", euler=0)])
     assert_indexed(g)  # a rejected edit leaves the graph as it was
 
 

@@ -17,6 +17,9 @@ GRAPH_PRIVATE = {"_index", "_adj", "_store", "_build"}
 # reads them
 LABELS = {"dec", "edge_type"}
 
+# the math functions that take and give integers; the rest work in floats
+INTEGER_MATH = {"gcd", "lcm", "prod", "isqrt", "comb"}
+
 OUTSIDE_GRAPH_CORE = [p for p in MODULES if p.name != "graph_core.py"]
 
 # a package's __init__ imports its public names for its users
@@ -45,6 +48,29 @@ def attribute_reads(path, names):
             if isinstance(node, ast.Attribute) and node.attr in names]
 
 
+def float_arithmetic(path):
+    """(line, what) of every float operation in the file: a true division,
+    a float or complex literal, a call of float, complex or round, or a
+    math function other than the integer ones."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "complex", "round")):
+            found.append((node.lineno, node.func.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in INTEGER_MATH):
+            found.append((node.lineno, "math." + node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, "math." + a.name) for a in node.names
+                      if a.name not in INTEGER_MATH]
+    return sorted(found)
+
+
 def test_the_package_is_found():
     assert {"graph_core.py", "homology.py", "calculus.py"} <= {p.name for p in MODULES}
 
@@ -55,6 +81,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_arithmetic(path):
+    # every answer is exact: integers throughout, and a division that must
+    # come out even is written //
+    found = float_arithmetic(path)
+    assert not found, "; ".join(f"{path.name}:{line}: {what}" for line, what in found)
 
 
 @pytest.mark.parametrize("path", OUTSIDE_GRAPH_CORE, ids=lambda p: p.name)
