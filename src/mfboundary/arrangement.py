@@ -187,7 +187,7 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
 
 # The largest n generate_family accepts.  A generic family has n(n-1)/2
 # points: n = 200 builds in 0.4 s, already far past what the pipeline
-# finishes (raw generic n = 24 needs 4 s of Smith form), while n = 2000
+# finishes (raw generic n = 24 needs 1.1 s of Smith form), while n = 2000
 # takes 21 s and 70 MB only to build (2-core VM, Python 3.11).
 MAX_FAMILY_LINES = 200
 

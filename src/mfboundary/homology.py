@@ -13,9 +13,13 @@ queue ordered by Markowitz cost, and a content division when no unit is
 left.  A core where both are stuck is finished over coprime moduli: first
 a multiple R of its last invariant factor, from a fraction-free sweep over
 the core's own rows, and every entry coprime to R is a unit mod R; then
-coprime splits of any modulus that is stuck too.  `smith_normal_form`
-hands the engine the nonzeros of a dense matrix; `homology_of_graph` hands
-it the nonzeros straight from the graph, so no V x V matrix is built.
+coprime splits of any modulus that is stuck too.  A step of the sweep
+visits only the rows its pivot column meets: a row written at step s
+keeps its values v, which at step t stand for v * P[t] / P[s], P being
+the pivots by step (P[0] = 1), and is brought up to date when read.
+`smith_normal_form` hands the engine the nonzeros of a dense matrix;
+`homology_of_graph` hands it the nonzeros straight from the graph, so no
+V x V matrix is built.
 Everything runs over unbounded Python integers; no floating point anywhere.
 """
 
@@ -99,34 +103,63 @@ def _bareiss_rank_modulus(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
     any single minor, which keeps the modular stage cheap.
 
     Each step pivots on an entry p of least absolute value, which keeps
-    the products x*p small: the least of each row, found in C, then the
-    first row with the least and its first such entry.  Every other row
-    becomes (x*p - f*y) // prev without its zeros, and empty rows go, so
-    the sweep ends when no row is left.
+    the products x*p small: the first row, in input order, with the least,
+    then its first such entry.  Only the rows the pivot column meets,
+    found by a column index, are rebuilt, as (x*p - f*y) // prev without
+    zeros; empty rows go, and the sweep ends when no row is left.  Every
+    other row would only be rescaled to x*p // prev, and those rescales
+    telescope: a row keeps the values v it was written with at step s,
+    which at step t stand for v * P[t] / P[s], an exact integer (P[t] the
+    pivot of step t, P[0] = 1).  A row is brought up to date when it is
+    read, as the pivot row or a row the pivot column meets, and its least
+    |entry| is scaled the same way to pick pivots.  At the last step the
+    pivot column meets every row left, so R comes from rows brought up to
+    date.
     """
-    block = last = rows
-    prev, r = 1, 0
-    while block:
-        least = {i: min(map(abs, row.values())) for i, row in block.items()}
-        pi = min(least, key=least.__getitem__)
-        prow = block[pi]
-        pj, p = next((c, v) for c, v in prow.items() if abs(v) == least[pi])
-        nxt = {}
-        for i, row in block.items():
-            if i == pi:
-                continue
-            f = row.get(pj)
-            if f is None:
-                nxt[i] = {c: x * p // prev for c, x in row.items()}
-                continue
+    live = dict(rows)
+    stamp = dict.fromkeys(rows, 0)
+    least = {i: min(map(abs, row.values())) for i, row in rows.items()}
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+    P, size = [1], [1]  # the pivots and their absolute values, by step
+    R = 0
+    while live:
+        t, prev, scale = len(P) - 1, P[-1], size[-1]
+        pi = min(live, key=lambda i: least[i] * scale // size[stamp[i]])
+        prow, s = live.pop(pi), stamp.pop(pi)
+        if s < t:
+            prow = {c: x * prev // P[s] for c, x in prow.items()}
+        lp = least.pop(pi) * scale // size[s]
+        pj, p = next((c, v) for c, v in prow.items() if abs(v) == lp)
+        for c in prow:
+            cols[c].discard(pi)
+        block = [prow]
+        for i in list(cols.pop(pj)):
+            row, s = live[i], stamp[i]
+            if s < t:
+                row = {c: x * prev // P[s] for c, x in row.items()}
+            block.append(row)
+            f = row[pj]
             new = {c: x * p for c, x in row.items()}
             for c, y in prow.items():  # the pivot column cancels to 0
                 new[c] = new.get(c, 0) - f * y
             new = {c: v // prev for c, v in new.items() if v}
+            for c in prow:
+                if c in new and c not in row:
+                    cols[c].add(i)
+                elif c in row and c not in new and c != pj:
+                    cols[c].discard(i)
             if new:
-                nxt[i] = new
-        last, block, prev, r = block, nxt, p, r + 1
-    return r, math.gcd(*(v for row in last.values() for v in row.values()))
+                live[i], stamp[i], least[i] = new, t + 1, min(map(abs, new.values()))
+            else:
+                del live[i], stamp[i], least[i]
+        P.append(p)
+        size.append(abs(p))
+        if not live:
+            R = math.gcd(*(v for row in block for v in row.values()))
+    return len(P) - 1, R
 
 
 def _coprime_split(rows: dict[int, dict[int, int]], modulus: int) -> tuple[int, int]:

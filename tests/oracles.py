@@ -157,3 +157,35 @@ def random_plumbing(rng: random.Random, max_vertices: int = 7) -> PlumbingGraph:
         for (i, j) in sorted(chosen)
     ]
     return PlumbingGraph(vertices=tuple(verts), edges=tuple(edges))
+
+
+def plain_bareiss(rows):
+    """(rank, R) of the sparse rows (row -> {column: nonzero}) by the plain
+    fraction-free sweep: each step pivots on the first least |entry| of the
+    first row holding the least, and rebuilds every other row, as
+    (x*p - f*y) // prev or, with no entry in the pivot column, x*p // prev.
+    R is the gcd of the block the last pivot came from; (0, 0) for no
+    rows."""
+    block = last = rows
+    prev, r = 1, 0
+    while block:
+        least = {i: min(map(abs, row.values())) for i, row in block.items()}
+        pi = min(least, key=least.__getitem__)
+        prow = block[pi]
+        pj, p = next((c, v) for c, v in prow.items() if abs(v) == least[pi])
+        nxt = {}
+        for i, row in block.items():
+            if i == pi:
+                continue
+            f = row.get(pj)
+            if f is None:
+                nxt[i] = {c: x * p // prev for c, x in row.items()}
+                continue
+            new = {c: x * p for c, x in row.items()}
+            for c, y in prow.items():
+                new[c] = new.get(c, 0) - f * y
+            new = {c: v // prev for c, v in new.items() if v}
+            if new:
+                nxt[i] = new
+        last, block, prev, r = block, nxt, p, r + 1
+    return r, math.gcd(*(v for row in last.values() for v in row.values()))

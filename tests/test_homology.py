@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -33,7 +34,13 @@ from mfboundary.pipeline import (
     projective_complement_euler,
 )
 
-from oracles import minor_gcd_smith, random_matrix, random_plumbing, rational_rank
+from oracles import (
+    minor_gcd_smith,
+    plain_bareiss,
+    random_matrix,
+    random_plumbing,
+    rational_rank,
+)
 
 
 def v(vid, euler=None, genus=0, kind="plain"):
@@ -176,11 +183,15 @@ def nonzero_rows(M):
     return _sparse_rows(M)[2]
 
 
-def test_bareiss_modulus_is_a_multiple_of_the_last_factor():
+def sweep_matrices():
+    """300 small seeded matrices, every other one of low rank."""
     rng = random.Random(5150)
+    return [low_rank_matrix(rng) if k % 2 else random_matrix(rng) for k in range(300)]
+
+
+def test_bareiss_modulus_is_a_multiple_of_the_last_factor():
     endings = set()
-    for k in range(300):
-        M = low_rank_matrix(rng) if k % 2 else random_matrix(rng)
+    for M in sweep_matrices():
         rows = nonzero_rows(M)
         rank, R = _bareiss_rank_modulus(rows)
         assert rows == nonzero_rows(M)  # the input is left as it was
@@ -204,6 +215,79 @@ def test_bareiss_modulus_is_a_multiple_of_the_last_factor():
     rows = nonzero_rows([[2, 4, 0], [4, 8, 0], [0, 0, 3]])
     assert _bareiss_rank_modulus(rows) == (2, 6)
     assert rows == nonzero_rows([[2, 4, 0], [4, 8, 0], [0, 0, 3]])
+
+
+@pytest.fixture
+def stuck_cores(monkeypatch):
+    """Copies of the cores the engine hands the sweep, in call order."""
+    seen = []
+    sweep = homology._bareiss_rank_modulus
+
+    def recording(rows):
+        seen.append({i: dict(row) for i, row in rows.items()})
+        return sweep(rows)
+
+    monkeypatch.setattr(homology, "_bareiss_rank_modulus", recording)
+    return seen
+
+
+def test_the_sweep_matches_the_plain_sweep(stuck_cores):
+    # the sweep visits only the rows its pivot column meets and brings the
+    # others up to date on demand; the plain sweep rebuilds every row at
+    # every step, and the two must agree on rank and R exactly
+    for n in range(3, 11):
+        homology_of_graph(boundary_graph(generate_family("generic", n)))
+    for n in range(5, 13):
+        homology_of_graph(boundary_graph(generate_family("near_pencil", n)))
+    for n in range(5, 11):
+        for seed in range(6):
+            inc = incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+            homology_of_graph(boundary_graph(inc))
+    assert len(stuck_cores) >= 30 and max(map(len, stuck_cores)) >= 80
+    cases = [nonzero_rows(M) for M in sweep_matrices()] + stuck_cores
+    for rows in cases:
+        want = plain_bareiss(rows)
+        copy = {i: dict(row) for i, row in rows.items()}
+        assert _bareiss_rank_modulus(rows) == want, rows
+        assert rows == copy  # the input is left as it was
+
+
+@pytest.mark.parametrize("rows, want", [
+    # step 1 pivots on the 2 and leaves rows 1 and 2 as written; step 2
+    # pivots in row 1, whose entries must first be doubled to 6 and 10,
+    # and so must row 2's
+    pytest.param({0: {0: 2}, 1: {1: 3, 2: 5}, 2: {1: 4, 2: 7}}, (3, 2), id="stale pivot row"),
+    pytest.param({0: {0: 2}, 1: {1: 3}, 2: {2: 2}}, (3, 12), id="no pivot column meets a row"),
+    # step 1 empties rows 1 and 2 and leaves rows 3 and 4 untouched
+    pytest.param({0: {0: 2, 1: 4}, 1: {0: 4, 1: 8}, 2: {0: 6, 1: 12}, 3: {2: 3},
+                  4: {2: 5, 3: 7}}, (3, 42), id="emptied and untouched rows"),
+    # the last block is rows 2 and 0 brought up to date, -4 and -12; with
+    # row 0 as written, 6, or with step 1's pivot, -2, the gcd would be 2
+    pytest.param({0: {1: 6}, 1: {0: -2}, 2: {1: 2}}, (2, 4), id="R from the last block"),
+    # at step 2 row 1, left as written at step 0, holds the least entry
+    # but is the larger once brought up to date: 12 against row 2's -10
+    pytest.param({0: {1: 5, 2: -2}, 1: {0: 6}, 2: {2: 2, 3: 6}}, (3, 60),
+                 id="least compared up to date"),
+])
+def test_the_sweep_brings_rows_up_to_date_when_it_reads_them(rows, want):
+    assert plain_bareiss(rows) == want
+    assert _bareiss_rank_modulus(rows) == want
+
+
+def test_a_step_costs_the_rows_its_pivot_column_meets():
+    # on a diagonal no pivot column meets another row: the plain sweep
+    # rescales every row at every step, this one writes no row at all
+    rows = {k: {k: 2 + k % 2} for k in range(800)}
+    want = (800, 6 ** 400)
+    times = {}
+    for sweep in (_bareiss_rank_modulus, plain_bareiss):
+        best = math.inf
+        for _ in range(2):
+            start = time.perf_counter()
+            assert sweep(rows) == want
+            best = min(best, time.perf_counter() - start)
+        times[sweep.__name__] = best
+    assert 3 * times["_bareiss_rank_modulus"] < times["plain_bareiss"], times
 
 
 def unit_free_matrix(rng):
@@ -472,6 +556,7 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_homology.py::test_snf_unit_free_matrices_match_oracle",
         "tests/test_homology.py::test_snf_coprime_split_matches_oracle",
         "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
+        "tests/test_homology.py::test_the_sweep_matches_the_plain_sweep",
         "tests/test_acceptance.py::test_criterion_11_snf_oracle",
         "tests/test_graph_index.py::test_edits_reject_what_a_rebuild_rejects",
         "tests/test_graph_core.py::test_graph_validation",

@@ -21,6 +21,7 @@ LABELS = {"dec", "edge_type"}
 INTEGER_MATH = {"gcd", "lcm", "prod", "isqrt", "comb"}
 
 OUTSIDE_GRAPH_CORE = [p for p in MODULES if p.name != "graph_core.py"]
+OUTSIDE_ARRANGEMENT = [p for p in MODULES if p.name != "arrangement.py"]
 
 # a package's __init__ imports its public names for its users
 NOT_INIT = [p for p in MODULES if p.name != "__init__.py"]
@@ -89,6 +90,15 @@ def test_no_float_arithmetic(path):
     # come out even is written //
     found = float_arithmetic(path)
     assert not found, "; ".join(f"{path.name}:{line}: {what}" for line, what in found)
+
+
+@pytest.mark.parametrize("path", OUTSIDE_ARRANGEMENT, ids=lambda p: p.name)
+def test_only_arrangement_imports_fractions(path):
+    # the parser reads rationals; every later stage, the Smith form engine
+    # included, works in plain integers
+    found = [line for line, module, _, name in imports(path)
+             if "fractions" in (module, name)]
+    assert found == []
 
 
 @pytest.mark.parametrize("path", OUTSIDE_GRAPH_CORE, ids=lambda p: p.name)
