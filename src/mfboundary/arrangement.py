@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import IdenticalLines, InvalidIncidence, InvalidInput, InvalidSize
 
@@ -85,22 +85,26 @@ def intersect_lines(l1: ProjLine, l2: ProjLine) -> Triple:
     return _primitive(cross)
 
 
-@dataclass(frozen=True, slots=True)
-class MultiPoint:
+class MultiPoint(tuple):
     """An intersection point of the arrangement, recorded combinatorially:
-    the sorted tuple of labels of all lines through it."""
+    the sorted tuple of labels of all lines through it.  It is that tuple
+    itself, so it costs no more than one."""
 
-    lines: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(sorted(self.lines)))
+    def __new__(cls, lines: Iterable[int]):
+        return super().__new__(cls, sorted(lines))
+
+    @property
+    def lines(self) -> tuple[int, ...]:
+        return self
 
     @property
     def multiplicity(self) -> int:
-        return len(self.lines)
+        return len(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncidenceData:
     """Incidence combinatorics of an arrangement of n projective lines.
 
@@ -116,9 +120,7 @@ class IncidenceData:
     points: tuple[MultiPoint, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", tuple(sorted(self.points, key=lambda p: p.lines))
-        )
+        object.__setattr__(self, "points", tuple(sorted(self.points)))
         self._validate()
 
     def _validate(self):
@@ -181,14 +183,15 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
     by_point: dict[Triple, set[int]] = {}
     for l1, l2 in itertools.combinations(lines, 2):
         by_point.setdefault(intersect_lines(l1, l2), set()).update((l1.label, l2.label))
-    points = tuple(MultiPoint(tuple(sorted(s))) for s in by_point.values())
+    points = tuple(MultiPoint(s) for s in by_point.values())
     return IncidenceData(len(lines), points)
 
 
 # The largest n generate_family accepts.  A generic family has n(n-1)/2
 # points: n = 200 builds in 0.4 s, already far past what the pipeline
-# finishes (raw generic n = 24 needs 1.1 s of Smith form), while n = 2000
-# takes 21 s and 70 MB only to build (2-core VM, Python 3.11).
+# finishes (raw generic n = 60, 104490 vertices, needs 2.3 s to build the
+# graph and 1.3 s of Smith form, and both grow about as n^4), while
+# n = 2000 takes 21 s and 70 MB only to build (2-core VM, Python 3.11).
 MAX_FAMILY_LINES = 200
 
 
@@ -301,7 +304,7 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
         for p in pts:
             if not isinstance(p, list) or not all(type(i) is int for i in p):
                 raise InvalidInput(f"a point is a list of line indices, got {p!r}")
-        return IncidenceData(n, tuple(MultiPoint(tuple(p)) for p in pts))
+        return IncidenceData(n, tuple(map(MultiPoint, pts)))
     raise InvalidInput('arrangement JSON needs "lines" or "points"')
 
 

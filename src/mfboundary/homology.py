@@ -6,17 +6,23 @@ incidence matrix A (Euler numbers on the diagonal, edge signs off it); then
 
     H_1 = Z^(corank A + 2*total genus + b_1(graph)) (+) torsion of A,
 
-the torsion being the invariant factors of A that exceed 1.  Invariant
-factors come from one exact Smith normal form engine on one sparse form,
-row -> {column: nonzero}, in two steps: a unit pivot, taken from a priority
-queue ordered by Markowitz cost, and a content division when no unit is
-left.  A core where both are stuck is finished over coprime moduli: first
-a multiple R of its last invariant factor, from a fraction-free sweep over
-the core's own rows, and every entry coprime to R is a unit mod R; then
-coprime splits of any modulus that is stuck too.  A step of the sweep
-visits only the rows its pivot column meets: a row written at step s
-keeps its values v, which at step t stand for v * P[t] / P[s], P being
-the pivots by step (P[0] = 1), and is brought up to date when read.
+the torsion being the invariant factors of A that exceed 1.  A graph is
+mostly strings, chains of vertices of degree 2, and a string acts on the
+rest only through its continuants: before the engine runs, every chain
+that leaves a node is contracted in closed form, k-1 of its k rows being
+unit pivots solved by 2 x 2 transfer matrices, so the engine sees one
+relation row per chain and node-to-node entries instead of whole chains.
+Invariant factors come from one exact Smith normal form engine on one
+sparse form, row -> {column: nonzero}, in two steps: a unit pivot, taken
+from a priority queue ordered by Markowitz cost, and a content division
+when no unit is left.  A core where both are stuck is finished over
+coprime moduli: first a multiple R of its last invariant factor, from a
+fraction-free sweep over the core's own rows, and every entry coprime to
+R is a unit mod R; then coprime splits of any modulus that is stuck too.
+A step of the sweep visits only the rows its pivot column meets: a row
+written at step s keeps its values v, which at step t stand for
+v * P[t] / P[s], P being the pivots by step (P[0] = 1), and is brought
+up to date when read.
 `smith_normal_form` hands the engine the nonzeros of a dense matrix;
 `homology_of_graph` hands it the nonzeros straight from the graph, so no
 V x V matrix is built.
@@ -378,7 +384,7 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
 
 # -- finitely generated abelian groups ---------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbelianGroup:
     """Z^free_rank plus cyclic factors in invariant-factor form (each at
     least 2, each dividing the next).  Equality is isomorphism."""
@@ -442,6 +448,76 @@ def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:
     return len(pos), rows
 
 
+def _contract_chains(rows: dict[int, dict[int, int]]) -> int:
+    """Contract, in place, every string chain of the incidence rows of a
+    closed simple graph, and return the number of unit invariant factors
+    that went with the rows removed.
+
+    A chain is a maximal path v_1..v_k of vertices of degree 1 or 2 that
+    leaves a node u (degree >= 3) and ends at a node w (possibly u) or at
+    a leaf.  Row v_i reads s_{i-1} x_{i-1} + e_i x_i + s_i x_{i+1} with
+    x_0 = u and edge signs s = +-1, so rows v_1..v_{k-1} solve for x_2..x_k
+    in turn, x_{i+1} = -s_i (s_{i-1} x_{i-1} + e_i x_i), each one a unit
+    pivot: every x_i is a pair (a_i, b_i) of continuants, x_i = a_i u + b_i
+    y with y = x_1.  Those k-1 rows and the columns v_2..v_k go; row v_k
+    becomes its relation in u, y (and w), and in w's row the entry s_k at
+    column v_k becomes s_k (a_k u + b_k y).  Entries add up where columns
+    meet, and zeros are dropped.  Each step is a unit pivot of the Smith
+    form, so the rank drops by the count returned and every other
+    invariant factor is kept.  Components with no node, and vertices of
+    degree 0, are left as they are."""
+    nbrs = {i: [c for c in row if c != i] for i, row in rows.items()}
+    done: set[int] = set()
+    removed = 0
+    for u, around in nbrs.items():
+        if len(around) < 3:
+            continue
+        for y in around:
+            if y in done or len(nbrs[y]) > 2:
+                continue
+            chain, prev, w = [y], u, None
+            while len(nbrs[chain[-1]]) == 2:
+                a, b = nbrs[chain[-1]]
+                nxt = b if a == prev else a
+                if len(nbrs[nxt]) > 2:
+                    w = nxt
+                    break
+                prev = chain[-1]
+                chain.append(nxt)
+            done.update(chain)
+            if len(chain) < 2:
+                continue
+            # (a0, b0) and (a1, b1) are x_{i-1} and x_i, s0 is s_{i-1}
+            (a0, b0), (a1, b1), s0 = (1, 0), (0, 1), rows[y][u]
+            for vi, nxt in zip(chain, chain[1:]):
+                e, s = rows[vi].get(vi, 0), rows[vi][nxt]
+                (a0, b0), (a1, b1), s0 = (a1, b1), (-s * (s0 * a0 + e * a1),
+                                                    -s * (s0 * b0 + e * b1)), s
+            last = chain[-1]
+            e = rows[last].get(last, 0)
+            relation = {u: s0 * a0 + e * a1, y: s0 * b0 + e * b1}
+            if w is not None:
+                sk = rows[last][w]
+                relation[w] = relation.get(w, 0) + sk
+                wrow = rows[w]
+                del wrow[last]
+                for c, x in ((u, sk * a1), (y, sk * b1)):
+                    x += wrow.get(c, 0)
+                    if x:
+                        wrow[c] = x
+                    else:
+                        wrow.pop(c, None)
+            for vi in chain[:-1]:
+                del rows[vi]
+            row = rows[last]  # rewritten in place, to keep its place in row order
+            row.clear()
+            row.update((c, x) for c, x in relation.items() if x)
+            if not row:
+                del rows[last]
+            removed += len(chain) - 1
+    return removed
+
+
 def incidence_matrix(g: PlumbingGraph) -> list[list[int]]:
     """Weighted incidence matrix of a closed simple plumbing graph in
     canonical vertex order: Euler numbers on the diagonal, the sign of the
@@ -460,9 +536,11 @@ def homology_of_graph(g: PlumbingGraph) -> AbelianGroup:
     graph free summands, invariant factors >= 2 as torsion.
 
     The Smith form engine gets the matrix's nonzeros straight from the
-    graph; the dense V x V matrix is never built."""
+    graph, with every string chain contracted first; the dense V x V
+    matrix is never built."""
     size, rows = _incidence_rows(g)
-    snf = SmithForm(size, size, tuple(_invariant_factors(rows)))
+    units = _contract_chains(rows)
+    snf = SmithForm(size, size, (1,) * units + tuple(_invariant_factors(rows)))
     free = snf.corank + 2 * sum(v.genus for v in g.vertices) + first_betti_of_graph(g)
     torsion = tuple(d for d in snf.factors if d >= 2)
     return AbelianGroup(free, torsion)

@@ -231,18 +231,25 @@ def stuck_cores(monkeypatch):
     return seen
 
 
+def uncontracted_factors(g):
+    """The engine's invariant factors of g's incidence rows as they are,
+    with no chain contracted: the cores these leave are the sweep's and
+    the coprime finish's test data."""
+    return homology._invariant_factors(homology._incidence_rows(g)[1])
+
+
 def test_the_sweep_matches_the_plain_sweep(stuck_cores):
     # the sweep visits only the rows its pivot column meets and brings the
     # others up to date on demand; the plain sweep rebuilds every row at
     # every step, and the two must agree on rank and R exactly
     for n in range(3, 11):
-        homology_of_graph(boundary_graph(generate_family("generic", n)))
+        uncontracted_factors(boundary_graph(generate_family("generic", n)))
     for n in range(5, 13):
-        homology_of_graph(boundary_graph(generate_family("near_pencil", n)))
+        uncontracted_factors(boundary_graph(generate_family("near_pencil", n)))
     for n in range(5, 11):
         for seed in range(6):
             inc = incidence_from_lines(random_rational_lines(n, random.Random(seed)))
-            homology_of_graph(boundary_graph(inc))
+            uncontracted_factors(boundary_graph(inc))
     assert len(stuck_cores) >= 30 and max(map(len, stuck_cores)) >= 80
     cases = [nonzero_rows(M) for M in sweep_matrices()] + stuck_cores
     for rows in cases:
@@ -405,11 +412,14 @@ def test_snf_coprime_split_matches_oracle(splits):
     (3, AbelianGroup(43, (5, 5) + (10,) * 22)),
 ])
 def test_non_generic_boundaries_split_the_modulus(splits, seed, group):
-    # random arrangements of 10 lines whose raw graphs leave a core with no
-    # unit and content 1 modulo R; the groups are literals recorded from an
-    # engine that finished such cores by Euclid steps instead
+    # random arrangements of 10 lines whose raw incidence rows, with no
+    # chain contracted, leave a core with no unit and content 1 modulo R;
+    # the groups are literals recorded from an engine that finished such
+    # cores by Euclid steps instead
     inc = incidence_from_lines(random_rational_lines(10, random.Random(seed)))
-    assert homology_of_graph(boundary_graph(inc)) == group
+    raw = boundary_graph(inc)
+    assert homology_of_graph(raw) == group
+    assert tuple(d for d in uncontracted_factors(raw) if d >= 2) == group.torsion
     assert splits
     assert homology_of_graph(boundary_graph(inc, reduce=True)) == group
 
@@ -522,6 +532,153 @@ def test_homology_of_graph_matches_dense_route(reduce):
         assert homology_of_graph(g) == dense_homology(g)
 
 
+# -- string chains -----------------------------------------------------------
+
+SHAPES = {"leaf chain", "loop chain", "chain between nodes", "adjacent nodes",
+          "node-free path", "node-free cycle", "genus", "zero Euler in a chain"}
+
+
+def string_plumbing(rng, longest, nodes):
+    """A random closed simple plumbing graph of 1..``nodes`` nodes joined by
+    strings of 1..``longest`` vertices, and the shapes of SHAPES it holds.
+    Every node is topped up to degree 3 with leaf chains."""
+    verts, edges, shapes = [], [], set()
+
+    def vertex():
+        verts.append(v(f"v{len(verts)}", rng.choice((-3, -2, -1, 0, 1, 2, 3)),
+                       rng.choice((0, 0, 0, 1))))
+        return verts[-1].id
+
+    def strand(ends, k):
+        """k new vertices strung between ends (None for a free end)."""
+        ids = [vertex() for _ in range(k)]
+        walk = [x for x in (ends[0], *ids, ends[1]) if x is not None]
+        edges.extend(Edge(a, b, rng.choice((1, -1))) for a, b in zip(walk, walk[1:]))
+        if ends != (None, None) and any(x.euler == 0 for x in verts[len(verts) - k:]):
+            shapes.add("zero Euler in a chain")
+        return walk
+
+    hubs = [vertex() for _ in range(rng.randint(1, nodes))]
+    degree = dict.fromkeys(hubs, 0)
+    for a, b in zip(hubs, hubs[1:]):
+        # one or two strands, at most one of them an edge
+        for k in [rng.randint(0, longest)] + [rng.randint(1, longest)] * rng.randint(0, 1):
+            strand((a, b), k)
+            degree[a] += 1
+            degree[b] += 1
+            if k != 1:
+                shapes.add("chain between nodes" if k else "adjacent nodes")
+    for u in hubs:
+        if rng.random() < 0.4:
+            strand((u, u), rng.randint(2, max(2, longest)))
+            degree[u] += 2
+            shapes.add("loop chain")
+        while degree[u] < 3 or rng.random() < 0.2:
+            k = rng.randint(1, longest)
+            strand((u, None), k)
+            degree[u] += 1
+            if k > 1:
+                shapes.add("leaf chain")
+    if rng.random() < 0.3:
+        strand((None, None), rng.randint(1, longest))
+        shapes.add("node-free path")
+    if rng.random() < 0.3:
+        walk = strand((None, None), rng.randint(3, max(3, longest)))
+        edges.append(Edge(walk[-1], walk[0], rng.choice((1, -1))))
+        shapes.add("node-free cycle")
+    if any(x.genus for x in verts):
+        shapes.add("genus")
+    return PlumbingGraph(vertices=verts, edges=edges), shapes
+
+
+def contracted_rows(g):
+    """(units removed, rows left) of g's incidence rows after
+    ``_contract_chains``."""
+    rows = homology._incidence_rows(g)[1]
+    return homology._contract_chains(rows), rows
+
+
+def test_contracted_chains_keep_the_invariant_factors():
+    # every chain row but the last is a unit pivot, so the engine on the
+    # contracted rows, after the removed units, gives the raw rows' factors
+    rng = random.Random(3571)
+    seen = dict.fromkeys(SHAPES, 0)
+    removed = 0
+    for _ in range(300):
+        g, shapes = string_plumbing(rng, longest=5, nodes=3)
+        units, rows = contracted_rows(g)
+        assert [1] * units + homology._invariant_factors(rows) == uncontracted_factors(g)
+        assert homology_of_graph(g) == dense_homology(g)
+        removed += units
+        for s in shapes:
+            seen[s] += 1
+    assert min(seen.values()) >= 20 and removed >= 1000, (seen, removed)
+
+
+def dense(rows):
+    """The sparse rows as a dense matrix over the rows and columns they
+    use; a row or column with no entry adds no invariant factor."""
+    cols = sorted({c for row in rows.values() for c in row})
+    return [[row.get(c, 0) for c in cols] for _, row in sorted(rows.items())]
+
+
+NODE_FREE = "node-free path and cycle, isolated vertex"
+
+# the shapes of SHAPES on at most 7 vertices, as edge lists; a and d are
+# the nodes, and the Euler numbers, genera and signs are drawn per case
+SMALL_SHAPES = {
+    "leaf chains": ["ab", "bc", "ad", "de", "af"],
+    "loop chain": ["ab", "bc", "ca", "ad"],
+    "chain between adjacent nodes": ["ab", "bc", "cd", "ad", "ae", "df"],
+    "two chains between nodes": ["ab", "bc", "cd", "ae", "ed", "af", "dg"],
+    NODE_FREE: ["ab", "bc", "de", "ef", "fd", "g"],
+}
+
+
+def test_contracted_chains_match_minor_gcd_oracle():
+    # the oracle on the raw matrix against the oracle, and the engine, on
+    # the contracted one; components with no node keep their rows as they are
+    rng = random.Random(1597)
+    removed = dict.fromkeys(SMALL_SHAPES, 0)
+    for shape, pairs in SMALL_SHAPES.items():
+        ids = sorted(set("".join(pairs)))
+        for _ in range(20):
+            g = closed_graph(
+                [(x, rng.choice((-3, -2, -1, 0, 1, 2, 3)), rng.choice((0, 0, 1))) for x in ids],
+                [(a, b, rng.choice((1, -1))) for a, b in (p for p in pairs if len(p) == 2)],
+            )
+            units, rows = contracted_rows(g)
+            if shape == NODE_FREE:
+                assert rows == homology._incidence_rows(g)[1]
+            want = minor_gcd_smith(incidence_matrix(g))
+            assert (1,) * units + minor_gcd_smith(dense(rows)) == want, (shape, g)
+            assert (1,) * units + tuple(homology._invariant_factors(rows)) == want, (shape, g)
+            assert homology_of_graph(g) == dense_homology(g)
+            removed[shape] += units
+    assert [s for s, k in removed.items() if not k] == [NODE_FREE]
+
+
+def test_raw_family_graphs_leave_no_stuck_core(stuck_cores):
+    # with its chains contracted, a raw generic or near-pencil graph is
+    # finished by unit pivots and content divisions alone
+    for n in range(3, 13):
+        homology_of_graph(boundary_graph(generate_family("generic", n)))
+        homology_of_graph(boundary_graph(generate_family("near_pencil", n)))
+    assert stuck_cores == []
+
+
+def test_a_leaf_chain_leaves_its_continuants():
+    # a - b - c with Euler numbers -1, -2, -2 and + edges, a topped up to a
+    # node by the leaves d and e: row b solves c = 2b - a, and row c, b - 2c,
+    # becomes 2a - 3b, the continuants of the string's 3/2
+    g = closed_graph(
+        [("a", -1, 0), ("b", -2, 0), ("c", -2, 0), ("d", -2, 0), ("e", -3, 0)],
+        [("a", "b", 1), ("b", "c", 1), ("a", "d", 1), ("a", "e", -1)],
+    )
+    assert contracted_rows(g) == (1, {0: {0: -1, 1: 1, 3: 1, 4: -1}, 2: {0: 2, 1: -3},
+                                      3: {3: -2, 0: 1}, 4: {4: -3, 0: -1}})
+
+
 def test_homology_of_graph_rejects_what_incidence_matrix_rejects():
     arrow = PlumbingGraph(
         vertices=[v("v0", -1), v("a0", kind="arrowhead")],
@@ -557,6 +714,7 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_homology.py::test_snf_coprime_split_matches_oracle",
         "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
         "tests/test_homology.py::test_the_sweep_matches_the_plain_sweep",
+        "tests/test_homology.py::test_contracted_chains_match_minor_gcd_oracle",
         "tests/test_acceptance.py::test_criterion_11_snf_oracle",
         "tests/test_graph_index.py::test_edits_reject_what_a_rebuild_rejects",
         "tests/test_graph_core.py::test_graph_validation",
