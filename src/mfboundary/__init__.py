@@ -1,10 +1,10 @@
 """Homology of Milnor fiber boundaries of central plane arrangements.
 
 The pipeline: incidence combinatorics of a projective line arrangement ->
-curve-configuration graph -> string insertion and Euler data -> closed
-plumbing graph -> first homology via Smith normal form.  A plumbing
-calculus engine and the closed-form generic-arrangement algebra ride along
-for cross-checking.
+closed plumbing graph, string chains and Euler data written in one pass ->
+first homology via Smith normal form.  The curve-configuration graph and
+its staged resolution, a plumbing calculus engine and the closed-form
+generic-arrangement algebra ride along for cross-checking.
 """
 
 __version__ = "0.1.0"

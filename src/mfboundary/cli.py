@@ -241,8 +241,16 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises InvalidInput, so it too is one JSON line;
+    subparsers are made of the same class."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mfboundary",
         description="Homology of Milnor fiber boundaries of plane arrangements",
     )
@@ -304,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except MFBoundaryError as exc:
         sys.stderr.write(json.dumps(exc.payload()) + "\n")

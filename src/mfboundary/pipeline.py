@@ -1,21 +1,22 @@
 """From incidence combinatorics to the closed plumbing graph of the Milnor
 fiber boundary.
 
-Stages:
-  1. decorate_and_insert   turn the curve-configuration graph into a
-                           multiplicity-decorated graph: fix genus and
-                           multiplicity of every vertex, replace each
-                           line-point edge by its string chain (all edges
-                           signed -), sign the arrows +;
-  2. solve_euler           recover every Euler number from the local
-                           formula e_v * m_v + sum of signed neighbor
-                           multiplicities = 0;
+boundary_graph writes the closed graph in one pass, splicing the string
+chain Str(1, m; n) into every line-point incidence, all edges signed -.
+A chain vertex's Euler number is its Hirzebruch-Jung term; a line's and a
+point's come from the local formula e_v * m_v + sum of signed neighbor
+multiplicities = 0, each line's arrow folded in.  reduce=True then runs the
+chain reduction recipes.  Three stages, kept as the check route, give the
+same graph with every step inspectable:
+  1. decorate_and_insert   the curve-configuration graph (arrows included)
+                           decorated with genus and multiplicity, a string
+                           chain in every line-point edge, arrows signed +;
+  2. solve_euler           every Euler number from the local formula;
   3. strip_arrowheads      drop the arrows, leaving the closed graph.
 
-boundary_graph composes the three, optionally followed by the chain
-reduction recipes.  probe_conjecture then checks the graph's H1 against the
-closed forms of the arrangement: betti_formula for its rank, and the
-torsion predictions, with projective_complement_euler, for its torsion.
+probe_conjecture then checks the graph's H1 against the closed forms of
+the arrangement: betti_formula for its rank, and the torsion predictions,
+with projective_complement_euler, for its torsion.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .arrangement import IncidenceData, is_near_pencil, is_pencil
-from .curve_config import build_gamma_c
-from .errors import InternalError, InvalidInput, NonIntegralEuler, UnsupportedLoop
+from .errors import InternalError, InvalidInput, InvalidSize, NonIntegralEuler, UnsupportedLoop
 from .graph_core import Edge, PlumbingGraph, Vertex
 from .homology import AbelianGroup, homology_of_graph
 from .reduction import reduce_double_chains
@@ -41,6 +41,14 @@ def point_genus(m: int, n: int) -> int:
     if num % 2:
         raise InternalError(f"odd genus numerator (m-2)(gcd(m,n)-1) = {num} for m={m}, n={n}")
     return num // 2
+
+
+def _chain(line: str, point: str, i: int, j: int, k: int) -> tuple[list[str], list[Edge]]:
+    """Ids s{i}_{j}#{pos} of the k vertices of the chain from line i to
+    point j, pos counted from the line end, and the chain's - edges."""
+    ids = [f"s{i}_{j}#{pos}" for pos in range(k)]
+    path = [line, *ids, point]
+    return ids, [Edge(a=a, b=b, sign=-1) for a, b in zip(path, path[1:])]
 
 
 def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
@@ -75,6 +83,7 @@ def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
                                "other edge join a line to a point it meets once")
     vertices: list[Vertex] = []
     chains = {}  # point id -> multiplicities of its chain's interior
+    strings = {m: build_string(1, m, n) for m in set(mult.values()) if m >= 2}
     for v in gc.vertices:
         if v.kind == "line" and arrows[v.id] != 1:
             raise InvalidInput(f"line {v.id} needs exactly one arrow, has {arrows[v.id]}")
@@ -86,7 +95,7 @@ def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
         m = mult[v.id]
         if m < 2:
             raise InvalidInput(f"point {v.id} meets {m} line(s), needs at least two")
-        chains[v.id] = build_string(1, m, n).interior_mults
+        chains[v.id] = strings[m].interior_mults
         vertices.append(Vertex(id=v.id, genus=point_genus(m, n),
                                mult=m // math.gcd(m, n), kind="point"))
     edges: list[Edge] = []
@@ -95,10 +104,9 @@ def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
             edges.append(Edge(a=e.a, b=e.b, sign=1, arrow=True))
             continue
         line, point = (e.a, e.b) if e.a in arrows else (e.b, e.a)
-        ids = [f"s{index[line]}_{index[point]}#{pos}" for pos in range(len(chains[point]))]
+        ids, chain = _chain(line, point, index[line], index[point], len(chains[point]))
         vertices += [Vertex(id=vid, mult=k, kind="string") for vid, k in zip(ids, chains[point])]
-        path = [line] + ids + [point]
-        edges += [Edge(a=a, b=b, sign=-1) for a, b in zip(path, path[1:])]
+        edges += chain
     return PlumbingGraph(tuple(vertices), tuple(edges))
 
 
@@ -139,12 +147,36 @@ def strip_arrowheads(g: PlumbingGraph) -> PlumbingGraph:
 
 
 def boundary_graph(inc: IncidenceData, reduce: bool = False) -> PlumbingGraph:
-    """Closed plumbing graph of the Milnor fiber boundary of the arrangement.
+    """Closed plumbing graph of the Milnor fiber boundary of the arrangement,
+    equal, vertex and edge order included, to strip_arrowheads(solve_euler(
+    decorate_and_insert(build_gamma_c(inc)))).  A line's Euler number is -1
+    (its arrow) plus the first chain multiplicities at it; a point's is the
+    sum of its m last ones over its multiplicity m/gcd(m, n).  An empty chain
+    joins multiplicities m/gcd(m, n) and 1.
 
     With reduce=True the double-point chains are compacted by the calculus
     recipes (one middle vertex per chain); for a generic arrangement this is
     exactly the compact model with intersection matrix A_n."""
-    g = strip_arrowheads(solve_euler(decorate_and_insert(build_gamma_c(inc))))
+    n = inc.n
+    if n < 2:
+        raise InvalidSize(f"need at least two lines, got n={n}")
+    strings = {m: build_string(1, m, n) for m in {p.multiplicity for p in inc.points}}
+    line_euler = [-1] * n
+    points, chains, edges = [], [], []
+    for j, p in enumerate(inc.points):
+        m, d = p.multiplicity, math.gcd(p.multiplicity, n)
+        ks, ms = strings[m].cf_terms, strings[m].interior_mults
+        first, last = (ms[0], ms[-1]) if ms else (m // d, 1)
+        points.append(Vertex(id=f"w{j}", genus=point_genus(m, n), euler=d * last,
+                             mult=m // d, kind="point"))
+        for i in p.lines:
+            line_euler[i] += first
+            ids, chain = _chain(f"v{i}", f"w{j}", i, j, len(ms))
+            chains += [Vertex(id=vid, euler=k, mult=mk, kind="string")
+                       for vid, k, mk in zip(ids, ks, ms)]
+            edges += chain
+    lines = [Vertex(id=f"v{i}", euler=e, mult=1, kind="line") for i, e in enumerate(line_euler)]
+    g = PlumbingGraph(tuple(lines + points + chains), tuple(edges))
     if reduce:
         g = reduce_double_chains(g, inc)
     return g

@@ -450,3 +450,23 @@ def test_string_text_shows_all_three_parameters(capsys):
     code, out, err = run_cli(capsys, "string", "2", "3", "5")
     assert code == 0
     assert out.startswith("Str(2,3;5):")
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["generate", "generic", "x"], "invalid int value"),
+    ([], "required: command"),
+    (["bogus"], "invalid choice"),
+    (["calculus", "g.json"], "required: --script"),
+], ids=["bad integer", "no subcommand", "unknown subcommand", "calculus without --script"])
+def test_usage_errors_are_one_json_error(capsys, argv, names):
+    payload = assert_one_json_error(*run_cli(capsys, *argv))
+    assert payload["error"] == "InvalidInput"
+    assert names in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["generate", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mfboundary")

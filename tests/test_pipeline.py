@@ -1,19 +1,32 @@
 """String insertion, Euler solving and the assembled boundary graphs."""
 
+import json
+import random
+
 import pytest
 
-from mfboundary.arrangement import generate_family, incidence_from_lines
+from mfboundary import cli, pipeline
+from mfboundary.arrangement import (
+    IncidenceData,
+    generate_family,
+    incidence_from_lines,
+    incidence_to_json,
+    random_rational_lines,
+)
 from mfboundary.arrangement import ProjLine
 from mfboundary.curve_config import build_gamma_c
-from mfboundary.errors import InvalidInput, NonIntegralEuler, UnsupportedLoop
+from mfboundary.errors import InvalidInput, InvalidSize, NonIntegralEuler, UnsupportedLoop
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
+from mfboundary.homology import homology_of_graph
 from mfboundary.pipeline import (
     boundary_graph,
     decorate_and_insert,
     point_genus,
+    probe_conjecture,
     solve_euler,
     strip_arrowheads,
 )
+from mfboundary.reduction import reduce_double_chains
 
 
 @pytest.mark.parametrize("m,n,g", [
@@ -184,3 +197,80 @@ def _arrow_to(vid, head="a9"):
 def test_malformed_gamma_c_is_one_invalid_input(edit, names):
     with pytest.raises(InvalidInput, match=names):
         decorate_and_insert(generic_5_gamma_c().edit(**edit))
+
+
+# -- the one-pass builder against the three-stage check route ---------------
+
+def three_stage(inc, reduce=False):
+    g = strip_arrowheads(solve_euler(decorate_and_insert(build_gamma_c(inc))))
+    return reduce_double_chains(g, inc) if reduce else g
+
+
+def family_cases():
+    return ([("generic", n) for n in range(2, 13)] + [("pencil", n) for n in range(2, 41)]
+            + [("near_pencil", n) for n in range(3, 31)])
+
+
+@pytest.mark.parametrize("fam,n", family_cases())
+def test_one_pass_equals_the_three_stages_on_families(fam, n):
+    inc = generate_family(fam, n)
+    g, ref = boundary_graph(inc), three_stage(inc)
+    assert g.vertices == ref.vertices  # order included
+    assert g.edges == ref.edges
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_one_pass_equals_the_three_stages_on_random_arrangements(n):
+    for seed in range(40):
+        inc = incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+        g, ref = boundary_graph(inc), three_stage(inc)
+        assert (g.vertices, g.edges) == (ref.vertices, ref.edges), seed
+
+
+CLI_RUNS = [("plumbing",), ("plumbing", "--dot"), ("export-dot",), ("homology", "--json")]
+
+
+@pytest.mark.parametrize("inc", [
+    generate_family("generic", 6),
+    generate_family("near_pencil", 8),
+    incidence_from_lines(random_rational_lines(9, random.Random(3))),
+], ids=["generic6", "near_pencil8", "random9"])
+def test_cli_stdout_is_that_of_the_three_stages(inc, tmp_path, capsys, monkeypatch):
+    arr = tmp_path / "arr.json"
+    arr.write_text(json.dumps(incidence_to_json(inc)))
+
+    def stdouts():
+        outs = []
+        for command, *flags in CLI_RUNS:
+            assert cli.main([command, str(arr), *flags]) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    one_pass = stdouts()
+    monkeypatch.setattr(cli, "boundary_graph", three_stage)
+    assert stdouts() == one_pass
+
+
+def test_boundary_graph_takes_no_stage_of_the_check_route(monkeypatch):
+    cases = [generate_family("generic", 5), generate_family("near_pencil", 6),
+             generate_family("pencil", 5),
+             incidence_from_lines(random_rational_lines(8, random.Random(1)))]
+
+    def groups():
+        return [(homology_of_graph(boundary_graph(inc)),
+                 homology_of_graph(boundary_graph(inc, reduce=True)),
+                 probe_conjecture(inc).group) for inc in cases]
+
+    before = groups()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the check route was called")
+
+    for name in ("build_gamma_c", "decorate_and_insert", "solve_euler", "strip_arrowheads"):
+        monkeypatch.setattr(pipeline, name, refuse, raising=False)
+    assert groups() == before
+
+
+def test_one_line_is_invalid_size():
+    with pytest.raises(InvalidSize, match=r"^need at least two lines, got n=1$"):
+        boundary_graph(IncidenceData(1, ()))
