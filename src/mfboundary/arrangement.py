@@ -188,10 +188,11 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
 
 
 # The largest n generate_family accepts.  A generic family has n(n-1)/2
-# points: n = 200 builds in 0.4 s, already far past what the pipeline
-# finishes (raw generic n = 60, 104490 vertices, needs 2.3 s to build the
-# graph and 1.3 s of Smith form, and both grow about as n^4), while
-# n = 2000 takes 21 s and 70 MB only to build (2-core VM, Python 3.11).
+# points: n = 200 builds in 0.04 s, already far past what the pipeline
+# finishes (raw generic n = 60, 104490 vertices, needs 0.8 s to build the
+# graph and 0.6-0.9 s for its H1, and both grow about as n^4), while
+# n = 2000 takes 6 s and 280 MB of peak RSS only to build (2-core VM,
+# Python 3.11).
 MAX_FAMILY_LINES = 200
 
 

@@ -24,8 +24,13 @@ from .errors import InvalidInput, UnknownVertex
 KINDS = ("line", "point", "string", "arrowhead", "plain")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Vertex:
+    """The constructor checks the fields, then writes them straight into the
+    instance dict, without the frozen dataclass's per-field setattr;
+    ``dataclasses.replace``, equality, hashing, repr and frozenness still
+    come from the dataclass."""
+
     id: str
     genus: int = 0
     euler: Optional[int] = None
@@ -33,47 +38,65 @@ class Vertex:
     kind: str = "plain"
     dec: Optional[tuple[int, int, int]] = None
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidInput(f"vertex id must be a non-empty string: {self.id!r}")
+    def __init__(self, id: str, genus: int = 0, euler: Optional[int] = None,
+                 mult: Optional[int] = None, kind: str = "plain",
+                 dec: Optional[tuple[int, int, int]] = None):
+        if not isinstance(id, str) or not id:
+            raise InvalidInput(f"vertex id must be a non-empty string: {id!r}")
         # type(x) is int: a bool is not an integer here
-        if type(self.genus) is not int or self.genus < 0:
-            raise InvalidInput(f"vertex {self.id}: genus must be a non-negative integer")
-        if self.euler is not None and type(self.euler) is not int:
-            raise InvalidInput(f"vertex {self.id}: euler must be an integer or None")
-        if self.mult is not None and (type(self.mult) is not int or self.mult < 1):
-            raise InvalidInput(f"vertex {self.id}: multiplicity must be a positive integer")
-        if self.kind not in KINDS:
-            raise InvalidInput(f"vertex {self.id}: unknown kind {self.kind!r}")
-        if self.dec is not None:
-            d = tuple(self.dec)
-            if len(d) != 3 or not all(type(x) is int for x in d):
-                raise InvalidInput(f"vertex {self.id}: dec must be three integers")
-            if d[0] < 1 or d[1] < 0 or d[2] < 1:
-                raise InvalidInput(f"vertex {self.id}: bad decoration {d}")
-            object.__setattr__(self, "dec", d)
-        if self.kind == "arrowhead":
-            if self.euler is not None:
-                raise InvalidInput(f"arrowhead {self.id} must not carry an Euler number")
-            if self.genus != 0:
-                raise InvalidInput(f"arrowhead {self.id} must have genus 0")
+        if type(genus) is not int or genus < 0:
+            raise InvalidInput(f"vertex {id}: genus must be a non-negative integer")
+        if euler is not None and type(euler) is not int:
+            raise InvalidInput(f"vertex {id}: euler must be an integer or None")
+        if mult is not None and (type(mult) is not int or mult < 1):
+            raise InvalidInput(f"vertex {id}: multiplicity must be a positive integer")
+        if kind not in KINDS:
+            raise InvalidInput(f"vertex {id}: unknown kind {kind!r}")
+        if dec is not None:
+            dec = tuple(dec)
+            if len(dec) != 3 or not all(type(x) is int for x in dec):
+                raise InvalidInput(f"vertex {id}: dec must be three integers")
+            if dec[0] < 1 or dec[1] < 0 or dec[2] < 1:
+                raise InvalidInput(f"vertex {id}: bad decoration {dec}")
+        if kind == "arrowhead":
+            if euler is not None:
+                raise InvalidInput(f"arrowhead {id} must not carry an Euler number")
+            if genus != 0:
+                raise InvalidInput(f"arrowhead {id} must have genus 0")
+        d = self.__dict__
+        d["id"] = id
+        d["genus"] = genus
+        d["euler"] = euler
+        d["mult"] = mult
+        d["kind"] = kind
+        d["dec"] = dec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
+    """Built as a Vertex is: the fields are checked, then written straight
+    into the instance dict."""
+
     a: str
     b: str
     sign: int = 1
     edge_type: Optional[int] = None
     arrow: bool = False
 
-    def __post_init__(self):
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise InvalidInput(f"edge {self.a}--{self.b}: sign must be +1 or -1")
-        if type(self.edge_type) not in (int, type(None)) or self.edge_type not in (None, 1, 2):
-            raise InvalidInput(f"edge {self.a}--{self.b}: type must be 1, 2 or None")
-        if not isinstance(self.arrow, bool):
-            raise InvalidInput(f"edge {self.a}--{self.b}: arrow must be True or False")
+    def __init__(self, a: str, b: str, sign: int = 1, edge_type: Optional[int] = None,
+                 arrow: bool = False):
+        if type(sign) is not int or sign not in (1, -1):
+            raise InvalidInput(f"edge {a}--{b}: sign must be +1 or -1")
+        if edge_type is not None and (type(edge_type) is not int or edge_type not in (1, 2)):
+            raise InvalidInput(f"edge {a}--{b}: type must be 1, 2 or None")
+        if type(arrow) is not bool:
+            raise InvalidInput(f"edge {a}--{b}: arrow must be True or False")
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
+        d["sign"] = sign
+        d["edge_type"] = edge_type
+        d["arrow"] = arrow
 
     def other(self, vid: str) -> str:
         if vid == self.a:
@@ -89,26 +112,25 @@ class Edge:
         return self.a == self.b
 
 
-_ID_V = re.compile(r"^v(\d+)$")
-_ID_W = re.compile(r"^w(\d+)$")
-_ID_S = re.compile(r"^s(\d+)_(\d+)#(\d+)$")
-_ID_A = re.compile(r"^a(\d+)$")
+_ID_NUM = re.compile(r"(\d+)$")
+_ID_S = re.compile(r"s(\d+)_(\d+)#(\d+)$")
+_ID_SLOT = {"v": 0, "w": 1, "a": 2}  # prefix -> slot of a "<prefix><digits>" id
 
 
 def _order_key(vid: str):
-    m = _ID_V.match(vid)
-    if m:
-        return (0, int(m.group(1)), 0, 0, 0, vid)
-    m = _ID_W.match(vid)
-    if m:
-        return (1, int(m.group(1)), 0, 0, 0, vid)
-    m = _ID_S.match(vid)
-    if m:
-        line, point, pos = (int(g) for g in m.groups())
-        return (1, point, 1, line, pos, vid)
-    m = _ID_A.match(vid)
-    if m:
-        return (2, int(m.group(1)), 0, 0, 0, vid)
+    """The sort key of an id, dispatched on its first character so that it
+    runs at most one regex.  An id may end in one newline, and its digits
+    may be any Unicode decimal digits, which ``int`` reads."""
+    first = vid[:1]
+    if first == "s":
+        m = _ID_S.match(vid)
+        if m:
+            line, point, pos = m.groups()
+            return (1, int(point), 1, int(line), int(pos), vid)
+    elif first in _ID_SLOT:
+        m = _ID_NUM.match(vid, 1)
+        if m:
+            return (_ID_SLOT[first], int(m.group(1)), 0, 0, 0, vid)
     return (3, 0, 0, 0, 0, vid)
 
 
@@ -178,7 +200,8 @@ class PlumbingGraph:
                 raise InvalidInput(f"duplicate vertex id {v.id!r}")
             index[v.id] = v
             adj[v.id] = ()
-            touched.append(v.id)
+            if v.kind == "arrowhead":
+                touched.append(v.id)
         for e in remove:
             k = next((k for k in adj.get(e.a, ()) if store[k] == e), None)
             if k is None:
@@ -299,28 +322,30 @@ def vertex_order(g: PlumbingGraph) -> list[str]:
     """Canonical vertex id order: line vertices by line index, then point and
     string vertices grouped by host point (strings after their point, by host
     line and position), then arrowheads, then anything else by id."""
-    return sorted(g.ids, key=_order_key)
+    return sorted(g._index, key=_order_key)
 
 
 def first_betti_of_graph(g: PlumbingGraph) -> int:
     """b_1 of the underlying topological graph, arrowheads and arrows
-    excluded: edges - vertices + components."""
-    verts = [v.id for v in g.vertices if v.kind != "arrowhead"]
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = g.plain_edges()  # none touches an arrowhead
-    for e in edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[ra] = rb
-    components = len({find(v) for v in verts})
-    return len(edges) - len(verts) + components
+    excluded: the number of edges whose ends union-find, over the vertices'
+    positions, has already joined.  An arrow ends at an arrowhead of degree
+    1, so it never closes a cycle and needs no exclusion."""
+    pos = {vid: k for k, vid in enumerate(g._index)}
+    parent = list(range(len(pos)))
+    b1 = 0
+    for e in g.edges:
+        a, b = pos[e.a], pos[e.b]
+        while parent[a] != a:  # find, halving the path
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            b1 += 1
+        else:
+            parent[a] = b
+    return b1
 
 
 # -- serialization ----------------------------------------------------------

@@ -393,8 +393,9 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise InvalidInput("free rank cannot be negative")
+        # type(x) is int: a bool is not a rank
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise InvalidInput(f"free rank must be a non-negative integer, got {self.free_rank!r}")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
             if not isinstance(d, int) or d < 2:
@@ -427,23 +428,34 @@ class AbelianGroup:
 def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:
     """Size and nonzeros by row of the weighted incidence matrix of a closed
     simple plumbing graph, rows and columns in canonical vertex order:
-    each row's diagonal entry first, then its edges in edge order."""
-    if any(v.kind == "arrowhead" for v in g.vertices):
-        raise InvalidInput("graph still has arrowheads; strip them first")
-    for v in g.vertices:
-        if v.euler is None:
-            raise MissingEuler(f"vertex {v.id} has no Euler number")
-    if not g.is_simple():
-        raise NonSimpleGraph(
-            "graph has loops or parallel edges; absorb them first "
-            "(a +- double edge is a handle_absorb target, an Euler-0 "
-            "degree-2 vertex a zero_chain_absorb target)"
-        )
+    each row's diagonal entry first, then its edges in edge order.
+
+    The vertex pass checks that the graph is closed: an arrowhead has no
+    Euler number, so the first vertex without one decides between the
+    arrowhead and the missing-Euler error.  The edge pass checks that it is
+    simple while writing the rows: a loop, or a second edge between two
+    vertices finding its entry already there, raises."""
     pos = {vid: k for k, vid in enumerate(vertex_order(g))}
-    rows = {pos[v.id]: {pos[v.id]: v.euler} for v in g.vertices if v.euler}
+    rows: dict[int, dict[int, int]] = {}
+    for v in g.vertices:
+        e = v.euler
+        if e is None:
+            if any(u.kind == "arrowhead" for u in g.vertices):
+                raise InvalidInput("graph still has arrowheads; strip them first")
+            raise MissingEuler(f"vertex {v.id} has no Euler number")
+        if e:
+            k = pos[v.id]
+            rows[k] = {k: e}
     for e in g.edges:
         a, b = pos[e.a], pos[e.b]
-        rows.setdefault(a, {})[b] = e.sign
+        row = rows.setdefault(a, {})
+        if a == b or b in row:
+            raise NonSimpleGraph(
+                "graph has loops or parallel edges; absorb them first "
+                "(a +- double edge is a handle_absorb target, an Euler-0 "
+                "degree-2 vertex a zero_chain_absorb target)"
+            )
+        row[b] = e.sign
         rows.setdefault(b, {})[a] = e.sign
     return len(pos), rows
 

@@ -9,9 +9,11 @@ Slow is fine here; these only run on small inputs.
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
+from mfboundary.errors import InvalidInput, MissingEuler, NonSimpleGraph
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
 
 
@@ -189,3 +191,107 @@ def plain_bareiss(rows):
                 nxt[i] = new
         last, block, prev, r = block, nxt, p, r + 1
     return r, math.gcd(*(v for row in last.values() for v in row.values()))
+
+
+# -- graph constructors, vertex order, b_1 and the homology front end, as
+# the dataclass constructors, regex chain and separate scans had them ------
+
+ORACLE_KINDS = ("line", "point", "string", "arrowhead", "plain")
+
+
+def vertex_outcome(id, genus=0, euler=None, mult=None, kind="plain", dec=None):
+    """("error", message) for the InvalidInput a Vertex of these fields
+    raises, field by field in a fixed order, or ("ok", fields) with dec
+    made a tuple."""
+    if not isinstance(id, str) or not id:
+        return "error", f"vertex id must be a non-empty string: {id!r}"
+    if type(genus) is not int or genus < 0:
+        return "error", f"vertex {id}: genus must be a non-negative integer"
+    if euler is not None and type(euler) is not int:
+        return "error", f"vertex {id}: euler must be an integer or None"
+    if mult is not None and (type(mult) is not int or mult < 1):
+        return "error", f"vertex {id}: multiplicity must be a positive integer"
+    if kind not in ORACLE_KINDS:
+        return "error", f"vertex {id}: unknown kind {kind!r}"
+    if dec is not None:
+        d = tuple(dec)
+        if len(d) != 3 or not all(type(x) is int for x in d):
+            return "error", f"vertex {id}: dec must be three integers"
+        if d[0] < 1 or d[1] < 0 or d[2] < 1:
+            return "error", f"vertex {id}: bad decoration {d}"
+        dec = d
+    if kind == "arrowhead":
+        if euler is not None:
+            return "error", f"arrowhead {id} must not carry an Euler number"
+        if genus != 0:
+            return "error", f"arrowhead {id} must have genus 0"
+    return "ok", (id, genus, euler, mult, kind, dec)
+
+
+def edge_outcome(a, b, sign=1, edge_type=None, arrow=False):
+    """("error", message) for the InvalidInput an Edge of these fields
+    raises, or ("ok", fields)."""
+    if type(sign) is not int or sign not in (1, -1):
+        return "error", f"edge {a}--{b}: sign must be +1 or -1"
+    if type(edge_type) not in (int, type(None)) or edge_type not in (None, 1, 2):
+        return "error", f"edge {a}--{b}: type must be 1, 2 or None"
+    if not isinstance(arrow, bool):
+        return "error", f"edge {a}--{b}: arrow must be True or False"
+    return "ok", (a, b, sign, edge_type, arrow)
+
+
+def regex_chain_order_key(vid):
+    """The sort key of a vertex id by up to four anchored regex matches,
+    one per id family, tried in turn."""
+    m = re.match(r"^v(\d+)$", vid)
+    if m:
+        return (0, int(m.group(1)), 0, 0, 0, vid)
+    m = re.match(r"^w(\d+)$", vid)
+    if m:
+        return (1, int(m.group(1)), 0, 0, 0, vid)
+    m = re.match(r"^s(\d+)_(\d+)#(\d+)$", vid)
+    if m:
+        line, point, pos = (int(g) for g in m.groups())
+        return (1, point, 1, line, pos, vid)
+    m = re.match(r"^a(\d+)$", vid)
+    if m:
+        return (2, int(m.group(1)), 0, 0, 0, vid)
+    return (3, 0, 0, 0, 0, vid)
+
+
+def front_end_error(g):
+    """The error class the homology front end gives the graph, or None:
+    any arrowhead first, then any missing Euler number, then any loop or
+    parallel pair among the non-arrow edges, each in its own scan."""
+    if any(v.kind == "arrowhead" for v in g.vertices):
+        return InvalidInput
+    if any(v.euler is None for v in g.vertices):
+        return MissingEuler
+    seen = set()
+    for e in g.edges:
+        if e.arrow:
+            continue
+        key = frozenset((e.a, e.b))
+        if len(key) == 1 or key in seen:
+            return NonSimpleGraph
+        seen.add(key)
+    return None
+
+
+def component_count_betti(g):
+    """b_1 of the graph without its arrowheads and arrows, as edges -
+    vertices + components, the components found by union-find on ids."""
+    verts = [v.id for v in g.vertices if v.kind != "arrowhead"]
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = [e for e in g.edges if not e.arrow]
+    for e in edges:
+        ra, rb = find(e.a), find(e.b)
+        if ra != rb:
+            parent[ra] = rb
+    return len(edges) - len(verts) + len({find(v) for v in verts})

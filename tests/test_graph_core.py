@@ -1,21 +1,29 @@
 """Plumbing graph data structures, canonical order, JSON and DOT."""
 
+import random
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
 from mfboundary.calculus import _bumped
+from mfboundary.curve_config import build_gamma_c
 from mfboundary.errors import InvalidInput, UnknownVertex
 from mfboundary.graph_core import (
+    KINDS,
     Edge,
     PlumbingGraph,
     Vertex,
+    _order_key,
     first_betti_of_graph,
     graph_from_json,
     graph_to_json,
     to_dot,
     vertex_order,
 )
+from mfboundary.pipeline import boundary_graph, decorate_and_insert
+from oracles import edge_outcome, regex_chain_order_key, vertex_outcome
 
 
 def path_graph(eulers, sign=1):
@@ -69,6 +77,133 @@ def test_edge_validation_and_helpers():
     assert Edge(a="x", b="x").is_loop()
     with pytest.raises(InvalidInput):
         Edge(a="x", b="y", sign=0)
+
+
+class Tag(str):
+    """A str subclass: a valid id or kind that is not of type str."""
+
+
+# per field, values a valid object may hold, then values it may not
+VERTEX_FIELDS = {
+    "id": (["v0", "s1_2#0", "x", "\u0663", Tag("w1")],
+           ["", None, 3, ["v0"], {"v0": 1}]),
+    "genus": ([0, 1, 2], [-1, True, False, 1.0, "0", None]),
+    "euler": ([None, 0, -3, 5], [True, False, 1.5, "1", [1]]),
+    "mult": ([None, 1, 2, 7], [0, -1, True, 1.0, "2"]),
+    "kind": (list(KINDS) + [Tag("line")],
+             ["", "Line", None, 3, [], {}, ["line"], {"line": 1}]),
+    "dec": ([None, (1, 0, 1), (2, 4, 1), [2, 4, 1], [3, 0, 2]],
+            [(0, 1, 1), (1, -1, 1), (1, 0, 0), (True, 0, 1), (1.0, 0, 1), (1, 0),
+             [1, 0, 1, 2], [], {}, {"a": 1, "b": 2, "c": 3}]),
+}
+EDGE_FIELDS = {
+    "a": (["v0", "w1", Tag("v2")], []),  # an Edge does not check its ends
+    "b": (["v1", "s1_2#0", ""], []),
+    "sign": ([1, -1], [0, 2, -2, True, False, 1.0, -1.0, "+", None, []]),
+    "edge_type": ([None, 1, 2], [0, 3, True, 1.0, "1", []]),
+    "arrow": ([False, True], [0, 1, None, "yes", []]),
+}
+
+# a phrase of each message of the full checks
+CHECKS = {
+    Vertex: ("non-empty string", "genus must be", "euler must be", "multiplicity must be",
+             "unknown kind", "dec must be", "bad decoration", "must not carry an Euler",
+             "must have genus 0"),
+    Edge: ("sign must be", "type must be", "arrow must be"),
+}
+
+
+def draw_fields(rng, table):
+    """Each field from its valid values with probability 0.7, else from all."""
+    return {name: rng.choice(good if rng.random() < 0.7 or not bad else good + bad)
+            for name, (good, bad) in table.items()}
+
+
+def built(make, names):
+    """("error", message) for the InvalidInput make() raises, or ("ok",
+    fields) with the type of every field, so a bool never passes for 1."""
+    try:
+        obj = make()
+    except InvalidInput as exc:
+        return "error", str(exc)
+    values = tuple(getattr(obj, name) for name in names)
+    return "ok", (values, tuple(map(type, values)))
+
+
+def expected(outcome):
+    status, got = outcome
+    return (status, got) if status == "error" else (status, (got, tuple(map(type, got))))
+
+
+@pytest.mark.parametrize("cls, table, oracle, base", [
+    (Vertex, VERTEX_FIELDS, vertex_outcome, Vertex(id="base", euler=-1)),
+    (Edge, EDGE_FIELDS, edge_outcome, Edge("base", "other")),
+], ids=["Vertex", "Edge"])
+def test_constructors_raise_or_build_what_the_full_checks_give(cls, table, oracle, base):
+    # every draw raises the oracle's message or holds the oracle's fields,
+    # whether it comes from the constructor or from dataclasses.replace
+    rng = random.Random(20260417)
+    names = list(table)
+    seen = {"ok": 0, "error": set()}
+    for _ in range(4000):
+        fields = draw_fields(rng, table)
+        want = expected(oracle(**fields))
+        assert built(lambda: cls(**fields), names) == want, fields
+        assert built(lambda: cls(*fields.values()), names) == want, fields
+        assert built(lambda: replace(base, **fields), names) == want, fields
+        some = {k: fields[k] for k in rng.sample(names, rng.randint(1, len(names)))}
+        merged = {k: getattr(base, k) for k in names} | some
+        assert built(lambda: replace(base, **some), names) == expected(oracle(**merged)), some
+        if want[0] == "ok":
+            seen["ok"] += 1
+            again = cls(**fields)
+            assert again == cls(**fields) and hash(again) == hash(cls(**fields))
+        else:
+            seen["error"].add(next(c for c in CHECKS[cls] if c in want[1]))
+    assert seen["ok"] >= 500
+    assert seen["error"] == set(CHECKS[cls])  # every check failed somewhere
+    with pytest.raises(FrozenInstanceError):
+        setattr(base, names[-1], None)
+
+
+ORDER_IDS = [
+    "v0", "v007", "w00", "w12", "a3", "a000", "s01_002#003", "s1_2#0", "s12_3#45",
+    "v\u0663", "w\u0661\u0662", "s\u0661_\u0662#\u0663", "a\u0660", "v\u00b3",
+    "v3\n", "w3\n", "a1\n", "s1_2#0\n", "v3\n\n", "v\n", "s1_2#0\nx",
+    "s1_2#", "s1_2", "s1_", "s1", "s_1#0", "s1_2#0#1", "a1_2#3",
+    "v", "w", "a", "s", "x", "", "V3", "x3", "n0", "v3a", "vv3", "ws1", "v-1", "v+1", "v 3",
+]
+
+
+def test_order_key_is_the_regex_chain_key():
+    rng = random.Random(917)
+    alphabet = "vwsax_#0123\u0663\n "
+    fuzz = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 7))) for _ in range(3000)]
+    fuzz += [f"{p}{d}" for p in "vwsa" for d in ("1", "01", "\u0663", "1\n")]
+    for vid in ORDER_IDS + fuzz:
+        assert _order_key(vid) == regex_chain_order_key(vid), repr(vid)
+    assert sorted(ORDER_IDS, key=_order_key) == sorted(ORDER_IDS, key=regex_chain_order_key)
+
+
+def family_graphs():
+    incs = [generate_family(kind, n) for kind, ns in (("generic", range(2, 9)),
+                                                      ("pencil", range(2, 9)),
+                                                      ("near_pencil", range(3, 10)))
+            for n in ns]
+    incs += [incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+             for n in (5, 8) for seed in range(3)]
+    for inc in incs:
+        gc = build_gamma_c(inc)
+        yield from (gc, decorate_and_insert(gc), boundary_graph(inc),
+                    boundary_graph(inc, reduce=True))
+
+
+def test_vertex_order_of_family_graphs_is_unchanged():
+    count = 0
+    for g in family_graphs():
+        assert vertex_order(g) == sorted(g.ids, key=regex_chain_order_key)
+        count += 1
+    assert count == 4 * 27
 
 
 def test_graph_validation():

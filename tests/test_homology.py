@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
 from mfboundary import homology
-from mfboundary.errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
+from mfboundary.errors import (
+    InternalError,
+    InvalidInput,
+    MFBoundaryError,
+    MissingEuler,
+    NonSimpleGraph,
+)
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, first_betti_of_graph
 from mfboundary.homology import (
     AbelianGroup,
@@ -35,6 +41,8 @@ from mfboundary.pipeline import (
 )
 
 from oracles import (
+    component_count_betti,
+    front_end_error,
     minor_gcd_smith,
     plain_bareiss,
     random_matrix,
@@ -67,6 +75,12 @@ def test_abelian_group_validation():
         AbelianGroup(0, (1,))
     with pytest.raises(InvalidInput):
         AbelianGroup(0, (4, 2))
+
+
+@pytest.mark.parametrize("rank", [True, False, 1.5, 2.0, "2", None, -1, [1]])
+def test_abelian_group_free_rank_is_a_non_bool_int(rank):
+    with pytest.raises(InvalidInput, match="free rank must be a non-negative integer"):
+        AbelianGroup(rank)
 
 
 def test_abelian_group_equality_and_str():
@@ -698,10 +712,87 @@ def test_homology_of_graph_rejects_what_incidence_matrix_rejects():
             homology_of_graph(g)
 
 
+NON_SIMPLE = {
+    "loop": ([("v0", -1, 0)], [("v0", "v0", 1)]),
+    "loop at an Euler-0 vertex": ([("v0", 0, 0), ("v1", 0, 0)],
+                                  [("v0", "v1", 1), ("v1", "v1", -1)]),
+    "parallel pair": ([("v0", -1, 0), ("v1", -2, 0)], [("v0", "v1", 1), ("v0", "v1", 1)]),
+    "reversed parallel pair": ([("v0", -1, 0), ("v1", -2, 0)],
+                               [("v0", "v1", 1), ("v1", "v0", -1)]),
+    # rows of Euler-0 vertices are made by their first edge
+    "parallel pair at Euler 0": ([("v0", 0, 0), ("v1", 0, 0), ("v2", -1, 0)],
+                                 [("v2", "v0", 1), ("v0", "v1", 1), ("v1", "v0", 1)]),
+}
+
+
+@pytest.mark.parametrize("shape", NON_SIMPLE)
+def test_loops_and_parallel_pairs_are_not_simple(shape):
+    g = closed_graph(*NON_SIMPLE[shape])
+    for route in (incidence_matrix, homology_of_graph):
+        with pytest.raises(NonSimpleGraph):
+            route(g)
+
+
+def faulty_graph(rng):
+    """A small graph that may have arrowheads, vertices with no Euler
+    number, loops and parallel pairs, any of them at once."""
+    k = rng.randint(1, 6)
+    verts = [Vertex(id=f"n{i}", genus=rng.choice((0, 0, 1)),
+                    euler=rng.choice((None, -2, -1, -1, 0, 0, 1, 2)))
+             for i in range(k)]
+    edges = [Edge(f"n{rng.randrange(k)}", f"n{rng.randrange(k)}", rng.choice((1, -1)))
+             for _ in range(rng.randint(0, k + 1))]
+    for h in range(rng.choice((0, 0, 0, 1, 2))):
+        verts.append(Vertex(id=f"a{h}", kind="arrowhead"))
+        edges.append(Edge(f"n{rng.randrange(k)}", f"a{h}", arrow=True))
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    return PlumbingGraph(vertices=verts, edges=edges)
+
+
+def test_front_end_raises_the_first_fault_class():
+    # arrowheads, then a missing Euler number, then a loop or parallel
+    # pair, however many of them a graph has; a graph with none gets the
+    # dense route's group; b_1 is the component count's, arrowheads or not
+    rng = random.Random(8191)
+    seen = {}
+    for _ in range(1500):
+        g = faulty_graph(rng)
+        want = front_end_error(g)
+        faults = (any(x.kind == "arrowhead" for x in g.vertices),
+                  any(x.euler is None and x.kind != "arrowhead" for x in g.vertices),
+                  not g.is_simple())
+        seen[faults] = seen.get(faults, 0) + 1
+        assert first_betti_of_graph(g) == component_count_betti(g)
+        if want is None:
+            assert homology_of_graph(g) == dense_homology(g)
+            continue
+        for route in (incidence_matrix, homology_of_graph):
+            with pytest.raises(MFBoundaryError) as caught:
+                route(g)
+            assert type(caught.value) is want, (g, caught.value)
+        if want is MissingEuler:
+            first = next(x for x in g.vertices if x.euler is None)
+            assert str(caught.value) == f"vertex {first.id} has no Euler number"
+    # every mix of the three faults, all three at once included
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
+
+
+def test_first_betti_is_the_component_count():
+    rng = random.Random(2718)
+    cycles = 0
+    for _ in range(300):
+        g, shapes = string_plumbing(rng, longest=5, nodes=3)
+        assert first_betti_of_graph(g) == component_count_betti(g)
+        cycles += "node-free cycle" in shapes
+    assert cycles >= 50, cycles
+
+
 def test_snf_oracle_tests_pass_under_python_O():
-    # python -O strips assert statements; the engine's invariant checks and
-    # the graph checks of incremental edits are explicit raises and must
-    # still hold in an optimised run
+    # python -O strips assert statements; the engine's invariant checks,
+    # the graph checks of incremental edits and of the constructors, and
+    # the homology front end's checks are explicit raises and must still
+    # hold in an optimised run
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.dirname(here)
     env = dict(os.environ)
@@ -719,6 +810,10 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_graph_index.py::test_edits_reject_what_a_rebuild_rejects",
         "tests/test_graph_core.py::test_graph_validation",
         "tests/test_graph_core.py::test_arrowhead_degree_one",
+        "tests/test_graph_core.py::test_constructors_raise_or_build_what_the_full_checks_give[Vertex]",
+        "tests/test_graph_core.py::test_constructors_raise_or_build_what_the_full_checks_give[Edge]",
+        "tests/test_graph_core.py::test_order_key_is_the_regex_chain_key",
+        "tests/test_homology.py::test_front_end_raises_the_first_fault_class",
     ]
     # pytest warns that -O turns its asserts off, which is this run's point;
     # every other warning is still an error

@@ -94,3 +94,14 @@ def test_a_file_that_is_not_utf8_is_one_json_error(tmp_path, capsys):
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff\xfe{}")
     assert one_json_error(capsys, path) == "InvalidInput"
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": []}, {"kind": {}}, {"kind": ["line"]}, {"id": []}, {"id": {}},
+    {"genus": []}, {"euler": {}}, {"mult": []}, {"dec": {}},
+])
+def test_an_unhashable_vertex_field_is_one_json_error(tmp_path, capsys, field):
+    # the constructor must not look an unhashable value up in a set
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": [{"id": "x", "euler": -1, **field}], "edges": []}))
+    assert one_json_error(capsys, path) == "InvalidInput"
