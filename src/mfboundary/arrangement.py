@@ -127,6 +127,8 @@ class IncidenceData:
         # memory O(sum of multiplicities) whatever n: each line on a point marks
         # the higher lines it meets, testing them against its largest point's set
         n, pts = self.n, [p.lines for p in self.points]
+        if type(n) is not int:  # not a bool either
+            raise InvalidInput(f"n must be an integer, got {n!r}")
         if n < 1:
             raise InvalidSize(f"need at least one line, got n={n}")
         through: dict[int, list[int]] = {}  # the points on each line

@@ -15,9 +15,10 @@ inductively by X_2 = (1 -1) and
     X_n = [ ones   -E_{n-1} ]
           [ zeros   X_{n-1} ].
 
-Everything here is exact integer arithmetic on plain nested lists; matrix
-identities and the Smith normal form E_{2n-2} (+) n*E_{(n-2)(n-3)/2} (+) 0
-feed the closed-form homology answer.
+Everything here is exact integer arithmetic on sparse rows, row -> {column:
+value} with zeros dropped as in the Smith form engine; the public builders
+render dense lists.  The identities and the Smith normal form
+E_{2n-2} (+) n*E_{(n-2)(n-3)/2} (+) 0 feed the closed-form homology answer.
 """
 
 from __future__ import annotations
@@ -26,70 +27,80 @@ from .errors import InvalidSize
 from .homology import AbelianGroup
 
 Matrix = list[list[int]]
+Rows = dict[int, dict[int, int]]
 
 
-def _zeros(r: int, c: int) -> Matrix:
-    return [[0] * c for _ in range(r)]
+def _sum(*terms: tuple[int, Rows]) -> Rows:
+    """The sum of s * M over the (s, M) terms."""
+    acc: Rows = {}
+    for s, M in terms:
+        for r, row in M.items():
+            dst = acc.setdefault(r, {})
+            for c, v in row.items():
+                dst[c] = dst.get(c, 0) + s * v
+    return {r: kept for r, row in acc.items() if (kept := {c: v for c, v in row.items() if v})}
 
 
-def _eye(k: int, scale: int = 1) -> Matrix:
-    out = _zeros(k, k)
-    for i in range(k):
-        out[i][i] = scale
+def _diag(k: int, s: int) -> Rows:
+    return {i: {i: s} for i in range(k)}
+
+
+def _t(M: Rows) -> Rows:
+    out: Rows = {}
+    for r, row in M.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
     return out
 
 
-def _neg(M: Matrix) -> Matrix:
-    return [[-v for v in row] for row in M]
+def _mul(A: Rows, B: Rows) -> Rows:
+    # row r of A B is the sum of a * (row k of B) over the entries a = A[r][k]
+    return _sum(*((a, {r: B[k]}) for r, row in A.items() for k, a in row.items() if k in B))
 
 
-def transpose(M: Matrix) -> Matrix:
-    return [list(col) for col in zip(*M)]
+def _blocks(h: int, w: int, tl: Rows, tr: Rows, bl: Rows, br: Rows) -> Rows:
+    """[[tl, tr], [bl, br]] with tl h rows by w columns."""
+    out: Rows = {}
+    for block, dr, dc in ((tl, 0, 0), (tr, 0, w), (bl, h, 0), (br, h, w)):
+        for r, row in block.items():
+            out.setdefault(r + dr, {}).update((c + dc, v) for c, v in row.items())
+    return out
 
 
-def matmul(A: Matrix, B: Matrix) -> Matrix:
-    if not A or not B or len(A[0]) != len(B):
-        raise InvalidSize("matrix dimensions do not match")
-    Bt = transpose(B)
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+def _dense(rows: Rows, height: int, width: int) -> Matrix:
+    return [[rows.get(r, {}).get(c, 0) for c in range(width)] for r in range(height)]
 
 
-def matsub(A: Matrix, B: Matrix) -> Matrix:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _block(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
-    top = [rl + rr for rl, rr in zip(tl, tr)]
-    bottom = [rl + rr for rl, rr in zip(bl, br)]
-    return top + bottom
+def _x_rows(n: int) -> Rows:
+    """X_n by the inductive block definition, from X_2 up."""
+    if n < 2:
+        raise InvalidSize(f"X_n needs n >= 2, got {n}")
+    X = {0: {0: 1, 1: -1}}
+    for m in range(3, n + 1):
+        X = _blocks(m - 1, 1, {r: {0: 1} for r in range(m - 1)}, _diag(m - 1, -1), {}, X)
+    return X
 
 
 def build_Xn(n: int) -> Matrix:
     """The pair-by-line matrix, built by the inductive block definition."""
-    if n < 2:
-        raise InvalidSize(f"X_n needs n >= 2, got {n}")
-    if n == 2:
-        return [[1, -1]]
-    prev = build_Xn(n - 1)
-    top = [[1] + row for row in _neg(_eye(n - 1))]
-    bottom = [[0] + row for row in prev]
-    return top + bottom
+    return _dense(_x_rows(n), n * (n - 1) // 2, n)
 
 
 def build_Bn(n: int) -> Matrix:
     """B_n = n E - X_n X_n^T, the pair-pair Gram complement."""
-    X = build_Xn(n)
+    X = _x_rows(n)
     k = len(X)
-    return matsub(_eye(k, n), matmul(X, transpose(X)))
+    return _dense(_sum((n, _diag(k, 1)), (-1, _mul(X, _t(X)))), k, k)
 
 
 def build_An(n: int) -> Matrix:
     """Intersection matrix of the compact generic boundary graph."""
     if n < 2:
         raise InvalidSize(f"A_n needs n >= 2, got {n}")
-    X = build_Xn(n)
+    X = _x_rows(n)
     k = len(X)
-    return _block(_eye(n, -1), _neg(transpose(X)), _neg(X), _eye(k, -n))
+    A = _blocks(n, n, _diag(n, -1), _sum((-1, _t(X))), _sum((-1, X)), _diag(k, -n))
+    return _dense(A, n + k, n + k)
 
 
 def check_lemma_identities(n: int) -> dict[str, bool]:
@@ -103,38 +114,21 @@ def check_lemma_identities(n: int) -> dict[str, bool]:
     """
     if n < 3:
         raise InvalidSize(f"lemma identities need n >= 3, got {n}")
-    X = build_Xn(n)
-    Xp = build_Xn(n - 1)
-    kp = len(Xp)
-    out = {}
-
-    gram = matmul(X, transpose(X))
-    expect1 = _block(
-        [[1 + (1 if a == b else 0) for b in range(n - 1)] for a in range(n - 1)],
-        _neg(transpose(Xp)),
-        _neg(Xp),
-        matmul(Xp, transpose(Xp)),
-    )
-    out["gram_blocks"] = gram == expect1
-
+    X, Xp = _x_rows(n), _x_rows(n - 1)
+    Xt, Xpt = _t(X), _t(Xp)
+    gram, gram_p = _mul(X, Xt), _mul(Xp, Xpt)
+    B = _sum((n, _diag(len(X), 1)), (-1, gram))
+    Bp = _sum((n, _diag(len(Xp), 1)), (-1, gram_p))  # n E - X' X'^T
+    h = n - 1
+    j_plus_e = {a: {b: 1 + (a == b) for b in range(h)} for a in range(h)}
     # n E - J has n-1 on the diagonal and -1 off it
-    out["normal_equations"] = matmul(transpose(X), X) == [
-        [n - 1 if a == b else -1 for b in range(n)] for a in range(n)
-    ]
-
-    B = build_Bn(n)
-    expect3 = _block(
-        matmul(transpose(Xp), Xp),
-        transpose(Xp),
-        Xp,
-        matsub(_eye(kp, n), matmul(Xp, transpose(Xp))),
-    )
-    out["complement_blocks"] = B == expect3
-
-    out["annihilation"] = matmul(B, X) == _zeros(len(B), n) and matmul(
-        matsub(_eye(kp, n), matmul(Xp, transpose(Xp))), Xp
-    ) == Xp
-    return out
+    n_e_minus_j = {a: {b: n - 1 if a == b else -1 for b in range(n)} for a in range(n)}
+    return {
+        "gram_blocks": gram == _blocks(h, h, j_plus_e, _sum((-1, Xpt)), _sum((-1, Xp)), gram_p),
+        "normal_equations": _mul(Xt, X) == n_e_minus_j,
+        "complement_blocks": B == _blocks(h, h, _mul(Xpt, Xp), Xpt, Xp, Bp),
+        "annihilation": _mul(B, X) == {} and _mul(Bp, Xp) == Xp,
+    }
 
 
 def expected_An_factors(n: int) -> tuple[tuple[int, ...], int]:

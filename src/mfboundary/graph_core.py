@@ -53,7 +53,7 @@ class Vertex:
         if kind not in KINDS:
             raise InvalidInput(f"vertex {id}: unknown kind {kind!r}")
         if dec is not None:
-            dec = tuple(dec)
+            dec = tuple(dec) if hasattr(dec, "__iter__") else ()  # () fails below
             if len(dec) != 3 or not all(type(x) is int for x in dec):
                 raise InvalidInput(f"vertex {id}: dec must be three integers")
             if dec[0] < 1 or dec[1] < 0 or dec[2] < 1:

@@ -10,10 +10,11 @@ Slow is fine here; these only run on small inputs.
 import math
 import random
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
 
-from mfboundary.errors import InvalidInput, MissingEuler, NonSimpleGraph
+from mfboundary.errors import InvalidInput, InvalidSize, MissingEuler, NonSimpleGraph
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
 
 
@@ -214,6 +215,8 @@ def vertex_outcome(id, genus=0, euler=None, mult=None, kind="plain", dec=None):
     if kind not in ORACLE_KINDS:
         return "error", f"vertex {id}: unknown kind {kind!r}"
     if dec is not None:
+        if not isinstance(dec, Iterable):
+            return "error", f"vertex {id}: dec must be three integers"
         d = tuple(dec)
         if len(d) != 3 or not all(type(x) is int for x in d):
             return "error", f"vertex {id}: dec must be three integers"
@@ -295,3 +298,107 @@ def component_count_betti(g):
         if ra != rb:
             parent[ra] = rb
     return len(edges) - len(verts) + len({find(v) for v in verts})
+
+
+# -- the generic-arrangement matrices on dense nested lists: X_n by its
+# inductive block definition, B_n, A_n and the four block identities by
+# dense matmul, as generic_algebra computed them before it went sparse ----
+
+def _zeros(r, c):
+    return [[0] * c for _ in range(r)]
+
+
+def _eye(k, scale=1):
+    out = _zeros(k, k)
+    for i in range(k):
+        out[i][i] = scale
+    return out
+
+
+def _neg(M):
+    return [[-v for v in row] for row in M]
+
+
+def transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+def matmul(A, B):
+    if not A or not B or len(A[0]) != len(B):
+        raise InvalidSize("matrix dimensions do not match")
+    Bt = transpose(B)
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+
+
+def matsub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _block(tl, tr, bl, br):
+    top = [rl + rr for rl, rr in zip(tl, tr)]
+    bottom = [rl + rr for rl, rr in zip(bl, br)]
+    return top + bottom
+
+
+def dense_Xn(n):
+    if n < 2:
+        raise InvalidSize(f"X_n needs n >= 2, got {n}")
+    if n == 2:
+        return [[1, -1]]
+    prev = dense_Xn(n - 1)
+    top = [[1] + row for row in _neg(_eye(n - 1))]
+    bottom = [[0] + row for row in prev]
+    return top + bottom
+
+
+def dense_Bn(n):
+    X = dense_Xn(n)
+    k = len(X)
+    return matsub(_eye(k, n), matmul(X, transpose(X)))
+
+
+def dense_An(n):
+    if n < 2:
+        raise InvalidSize(f"A_n needs n >= 2, got {n}")
+    X = dense_Xn(n)
+    k = len(X)
+    return _block(_eye(n, -1), _neg(transpose(X)), _neg(X), _eye(k, -n))
+
+
+def dense_lemma_identities(n):
+    """The four identities of generic_algebra.check_lemma_identities, each
+    side a dense matrix: O(k^2 n) per product at k = n(n-1)/2."""
+    if n < 3:
+        raise InvalidSize(f"lemma identities need n >= 3, got {n}")
+    X = dense_Xn(n)
+    Xp = dense_Xn(n - 1)
+    kp = len(Xp)
+    out = {}
+
+    gram = matmul(X, transpose(X))
+    expect1 = _block(
+        [[1 + (1 if a == b else 0) for b in range(n - 1)] for a in range(n - 1)],
+        _neg(transpose(Xp)),
+        _neg(Xp),
+        matmul(Xp, transpose(Xp)),
+    )
+    out["gram_blocks"] = gram == expect1
+
+    # n E - J has n-1 on the diagonal and -1 off it
+    out["normal_equations"] = matmul(transpose(X), X) == [
+        [n - 1 if a == b else -1 for b in range(n)] for a in range(n)
+    ]
+
+    B = dense_Bn(n)
+    expect3 = _block(
+        matmul(transpose(Xp), Xp),
+        transpose(Xp),
+        Xp,
+        matsub(_eye(kp, n), matmul(Xp, transpose(Xp))),
+    )
+    out["complement_blocks"] = B == expect3
+
+    out["annihilation"] = matmul(B, X) == _zeros(len(B), n) and matmul(
+        matsub(_eye(kp, n), matmul(Xp, transpose(Xp))), Xp
+    ) == Xp
+    return out

@@ -219,6 +219,17 @@ def test_criterion_08_lemma_identities():
     _ok(8, "all four block identities hold for n=3..12")
 
 
+def test_lemma_identities_time_budget():
+    # the identities are checked on sparse rows, about 30 ms at n = 24 on a
+    # 2-core VM; dense products of k = n(n-1)/2 rows took about 0.9 s there
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert all(check_lemma_identities(24).values())
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.25, f"check_lemma_identities(24) took {best:.3f}s, budget 0.25s"
+
+
 def test_criterion_09_string_examples():
     for n in range(2, 13):
         s = build_string(1, n, n)

@@ -120,6 +120,13 @@ def test_incidence_size_bounds():
         IncidenceData(n=2, points=(MultiPoint(lines=(0, 0)),))
 
 
+@pytest.mark.parametrize("n", [True, False, "3", 3.0, None, [3]])
+def test_incidence_n_must_be_an_int(n):
+    # as arrangement_from_json requires of "n": a bool is not an integer here
+    with pytest.raises(InvalidInput, match="n must be an integer"):
+        IncidenceData(n, ())
+
+
 def assert_same_fault(n, points):
     """IncidenceData reports the fault the pair table reports, except that
     of several repeated pairs it may name any, with two points it lies on."""

@@ -4,6 +4,7 @@ between the closed-form answer and the full pipeline."""
 
 import pytest
 
+from mfboundary import generic_algebra
 from mfboundary.arrangement import generate_family
 from mfboundary.errors import InvalidSize
 from mfboundary.generic_algebra import (
@@ -13,11 +14,10 @@ from mfboundary.generic_algebra import (
     check_lemma_identities,
     expected_An_factors,
     generic_h1_closed_form,
-    matmul,
-    transpose,
 )
 from mfboundary.homology import homology_of_graph, smith_normal_form
 from mfboundary.pipeline import boundary_graph
+from oracles import dense_An, dense_Bn, dense_lemma_identities, dense_Xn, matmul, transpose
 
 X3 = [
     [1, -1, 0],
@@ -116,13 +116,50 @@ def test_Bn_annihilates_Xn(n):
 
 
 def test_size_validation():
-    for bad in (build_Xn, build_An, expected_An_factors, generic_h1_closed_form):
+    for bad in (build_Xn, build_Bn, build_An, expected_An_factors, generic_h1_closed_form):
         with pytest.raises(InvalidSize):
             bad(1)
     with pytest.raises(InvalidSize):
         check_lemma_identities(2)
-    with pytest.raises(InvalidSize):
-        matmul([[1]], [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_sparse_route_matches_the_dense_oracle(n):
+    assert build_Xn(n) == dense_Xn(n)
+    assert build_Bn(n) == dense_Bn(n)
+    assert build_An(n) == dense_An(n)
+    if n >= 3:
+        got, want = check_lemma_identities(n), dense_lemma_identities(n)
+        assert got == want and list(got) == list(want)
+        assert all(type(v) is bool for v in got.values())
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_Xn_is_its_inductive_block_form(n):
+    # X_n = [[1, -E], [0, X_{n-1}]], written out densely
+    top = [[1] + [-1 if a == b else 0 for b in range(n - 1)] for a in range(n - 1)]
+    bottom = [[0] + row for row in build_Xn(n - 1)]
+    assert build_Xn(n) == top + bottom
+
+
+@pytest.mark.parametrize("level", [0, 1], ids=["X_n", "X_n-1"])
+def test_lemma_check_sees_every_flipped_sign(monkeypatch, level):
+    # one sign of X_n (or of X_{n-1}) flipped at a time: some identity fails
+    n = 5
+    real = generic_algebra._x_rows
+    entries = [(r, c) for r, row in real(n - level).items() for c in row]
+    assert len(entries) == 2 * len(real(n - level))
+    for r, c in entries:
+        def flipped(m, r=r, c=c):
+            X = real(m)
+            if m == n - level:
+                X[r] = {**X[r], c: -X[r][c]}
+            return X
+
+        monkeypatch.setattr(generic_algebra, "_x_rows", flipped)
+        assert False in check_lemma_identities(n).values(), (r, c)
+    monkeypatch.undo()
+    assert all(check_lemma_identities(n).values())
 
 
 @pytest.mark.parametrize("n", range(3, 13))

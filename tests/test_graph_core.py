@@ -94,7 +94,7 @@ VERTEX_FIELDS = {
              ["", "Line", None, 3, [], {}, ["line"], {"line": 1}]),
     "dec": ([None, (1, 0, 1), (2, 4, 1), [2, 4, 1], [3, 0, 2]],
             [(0, 1, 1), (1, -1, 1), (1, 0, 0), (True, 0, 1), (1.0, 0, 1), (1, 0),
-             [1, 0, 1, 2], [], {}, {"a": 1, "b": 2, "c": 3}]),
+             [1, 0, 1, 2], [], {}, {"a": 1, "b": 2, "c": 3}, 5, 1.0, True]),
 }
 EDGE_FIELDS = {
     "a": (["v0", "w1", Tag("v2")], []),  # an Edge does not check its ends
