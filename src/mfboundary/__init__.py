@@ -29,7 +29,6 @@ from .graph_core import (
     graph_from_json,
     graph_to_json,
     to_dot,
-    vertex_order,
 )
 from .homology import AbelianGroup, homology_of_graph, incidence_matrix, smith_normal_form
 from .generic_algebra import (

@@ -131,6 +131,9 @@ class IncidenceData:
             raise InvalidInput(f"n must be an integer, got {n!r}")
         if n < 1:
             raise InvalidSize(f"need at least one line, got n={n}")
+        if not set(map(type, itertools.chain.from_iterable(pts))) <= {int}:  # not a bool either
+            idx, i = next((idx, i) for idx, p in enumerate(pts) for i in p if type(i) is not int)
+            raise InvalidInput(f"point {idx} has line index {i!r}, not an integer")
         through: dict[int, list[int]] = {}  # the points on each line
         fault = None
         for idx, lines in enumerate(pts):

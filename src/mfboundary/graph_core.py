@@ -8,9 +8,12 @@ operation returns a new graph.
 
 Vertex ids double as ordering keys.  The pipeline assigns structured ids
  ("v3" line 3, "w5" point 5, "s1_4#0" first string vertex on the edge from
-line 1 toward point 4, "a2" arrowhead of line 2) and vertex_order sorts
-line vertices first by line index, then point and string vertices by host
-point, then everything else by id.
+line 1 toward point 4, "a2" arrowhead of line 2), and the canonical order
+of ``PlumbingGraph.canonical`` sorts line vertices first by line index,
+then point and string vertices by host point (strings after their point,
+by host line and position), then arrowheads, then everything else by id.
+That order is an output format (JSON, DOT, structural equality); every
+computation reads a graph in its own vertex order.
 """
 
 from __future__ import annotations
@@ -137,10 +140,12 @@ def _order_key(vid: str):
 def _check_edge(e: Edge, index: dict) -> None:
     """Both ends are known vertices, and the edge touches an arrowhead
     exactly when it is an arrow, and then at one end only."""
+    heads = 0
     for vid in (e.a, e.b):
-        if vid not in index:
-            raise UnknownVertex(f"edge references unknown vertex {vid!r}")
-    heads = (index[e.a].kind == "arrowhead") + (index[e.b].kind == "arrowhead")
+        try:
+            heads += index[vid].kind == "arrowhead"
+        except (KeyError, TypeError):  # TypeError: an unhashable end
+            raise UnknownVertex(f"edge references unknown vertex {vid!r}") from None
     if e.arrow and heads != 1:
         raise InvalidInput(f"arrow edge {e.a}--{e.b} must join a vertex to one arrowhead")
     if not e.arrow and heads != 0:
@@ -215,9 +220,7 @@ class PlumbingGraph:
                 raise UnknownVertex(f"no vertex {vid!r}")
             del index[vid]
             for k in adj.pop(vid):
-                e = store.pop(k, None)  # None: already gone with its other end
-                if e is None:
-                    continue
+                e = store.pop(k)
                 touched += (e.a, e.b)
                 other = e.b if e.a == vid else e.a
                 if other in adj:
@@ -287,7 +290,7 @@ class PlumbingGraph:
 
     def is_closed(self) -> bool:
         """No arrowheads left and every vertex has its Euler number."""
-        return all(v.kind != "arrowhead" and v.euler is not None for v in self.vertices)
+        return all(v.euler is not None for v in self.vertices)  # an arrowhead has none
 
     def is_simple(self) -> bool:
         """No loops and no parallel edges (arrows ignored)."""
@@ -316,13 +319,6 @@ class PlumbingGraph:
         edges.sort(key=lambda e: (_order_key(e.a), _order_key(e.b), -e.sign,
                                   e.arrow, e.edge_type or 0))
         return PlumbingGraph(verts, tuple(edges))
-
-
-def vertex_order(g: PlumbingGraph) -> list[str]:
-    """Canonical vertex id order: line vertices by line index, then point and
-    string vertices grouped by host point (strings after their point, by host
-    line and position), then arrowheads, then anything else by id."""
-    return sorted(g._index, key=_order_key)
 
 
 def first_betti_of_graph(g: PlumbingGraph) -> int:

@@ -38,7 +38,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
-from .graph_core import PlumbingGraph, first_betti_of_graph, vertex_order
+from .graph_core import PlumbingGraph, first_betti_of_graph
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -427,24 +427,24 @@ class AbelianGroup:
 
 def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:
     """Size and nonzeros by row of the weighted incidence matrix of a closed
-    simple plumbing graph, rows and columns in canonical vertex order:
-    each row's diagonal entry first, then its edges in edge order.
+    simple plumbing graph, rows and columns in vertex order, row k being
+    ``g.vertices[k]``: each row's diagonal entry first, then its edges in
+    edge order.
 
     The vertex pass checks that the graph is closed: an arrowhead has no
     Euler number, so the first vertex without one decides between the
     arrowhead and the missing-Euler error.  The edge pass checks that it is
     simple while writing the rows: a loop, or a second edge between two
     vertices finding its entry already there, raises."""
-    pos = {vid: k for k, vid in enumerate(vertex_order(g))}
+    pos = {vid: k for k, vid in enumerate(g.ids)}
     rows: dict[int, dict[int, int]] = {}
-    for v in g.vertices:
+    for k, v in enumerate(g.vertices):
         e = v.euler
         if e is None:
             if any(u.kind == "arrowhead" for u in g.vertices):
                 raise InvalidInput("graph still has arrowheads; strip them first")
             raise MissingEuler(f"vertex {v.id} has no Euler number")
         if e:
-            k = pos[v.id]
             rows[k] = {k: e}
     for e in g.edges:
         a, b = pos[e.a], pos[e.b]
@@ -531,9 +531,9 @@ def _contract_chains(rows: dict[int, dict[int, int]]) -> int:
 
 
 def incidence_matrix(g: PlumbingGraph) -> list[list[int]]:
-    """Weighted incidence matrix of a closed simple plumbing graph in
-    canonical vertex order: Euler numbers on the diagonal, the sign of the
-    unique i-j edge elsewhere."""
+    """Weighted incidence matrix of a closed simple plumbing graph, row and
+    column k being ``g.vertices[k]``: Euler numbers on the diagonal, the
+    sign of the unique i-j edge elsewhere."""
     size, rows = _incidence_rows(g)
     A = [[0] * size for _ in range(size)]
     for a, row in rows.items():
@@ -552,8 +552,8 @@ def homology_of_graph(g: PlumbingGraph) -> AbelianGroup:
     matrix is never built."""
     size, rows = _incidence_rows(g)
     units = _contract_chains(rows)
-    snf = SmithForm(size, size, (1,) * units + tuple(_invariant_factors(rows)))
-    free = snf.corank + 2 * sum(v.genus for v in g.vertices) + first_betti_of_graph(g)
-    torsion = tuple(d for d in snf.factors if d >= 2)
-    return AbelianGroup(free, torsion)
+    factors = _invariant_factors(rows)
+    corank = size - units - len(factors)
+    free = corank + 2 * sum(v.genus for v in g.vertices) + first_betti_of_graph(g)
+    return AbelianGroup(free, tuple(d for d in factors if d >= 2))
 

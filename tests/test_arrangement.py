@@ -25,6 +25,7 @@ from mfboundary.arrangement import (
     is_generic,
     is_near_pencil,
     is_pencil,
+    load_arrangement,
     random_rational_lines,
 )
 from mfboundary.errors import (
@@ -32,6 +33,7 @@ from mfboundary.errors import (
     InvalidIncidence,
     InvalidInput,
     InvalidSize,
+    MFBoundaryError,
 )
 
 from oracles import incidence_fault
@@ -323,3 +325,46 @@ def test_incidence_helpers():
     big = max(range(len(inc.points)), key=lambda j: inc.points[j].multiplicity)
     assert sum(3 in p.lines for p in inc.points) == 3  # the generic line meets 3 doubles
     assert 3 not in inc.points[big].lines
+
+
+def _bool_labelled_lines():
+    # True stands where the label 1 belongs, and compares equal to it
+    return [ProjLine((1, 0, 0), 0), ProjLine((0, 1, 0), True), ProjLine((0, 0, 1), 2)]
+
+
+ERRORS = [
+    (lambda: incidence_from_lines([]), InvalidSize, "need at least one line"),
+    (lambda: incidence_from_lines([ProjLine((1, 0, 0), 1), ProjLine((0, 1, 0), 0)]),
+     InvalidInput, "line labels must be 0..n-1 in order"),
+    (lambda: random_rational_lines(1, random.Random(0)), InvalidSize, "need n >= 2"),
+    (lambda: arrangement_from_json({"points": [[0, 1]]}),
+     InvalidInput, '"points" form needs an "n" field'),
+    (lambda: arrangement_from_json({"n": 2, "points": {"0": [0, 1]}}),
+     InvalidInput, '"points" must be a list'),
+    (lambda: IncidenceData(3, (MultiPoint((0, True)), MultiPoint((0, 2)), MultiPoint((1, 2)))),
+     InvalidInput, "point 0 has line index True, not an integer"),
+    (lambda: IncidenceData(3, (MultiPoint((0, 1)), MultiPoint((0, 2)), MultiPoint((1, 2.0)))),
+     InvalidInput, "point 2 has line index 2.0, not an integer"),
+    (lambda: incidence_from_lines(_bool_labelled_lines()),
+     InvalidInput, "point 0 has line index True, not an integer"),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", ERRORS, ids=range(len(ERRORS)))
+def test_error_branches_raise_their_class_and_message(call, cls, message):
+    with pytest.raises(MFBoundaryError) as caught:
+        call()
+    assert type(caught.value) is cls and str(caught.value) == message
+
+
+def test_load_arrangement_reads_both_file_shapes(tmp_path):
+    inc = generate_family("near_pencil", 5)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(incidence_to_json(inc)))
+    lines = tmp_path / "lines.json"
+    lines.write_text(json.dumps({"lines": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]}))
+    assert load_arrangement(str(points)) == inc
+    assert load_arrangement(str(lines)).multiplicities == (3, 2, 2, 2)
+    lines.write_text('{"lines": [')
+    with pytest.raises(InvalidInput, match="^invalid JSON in "):
+        load_arrangement(str(lines))

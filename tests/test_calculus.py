@@ -420,3 +420,27 @@ def test_h1_invariance_random_moves():
             assert after == before, (spec, g, out)
             checked += 1
     assert checked >= 520, f"only exercised {checked} applicable moves"
+
+
+def _arrow_graph():
+    """x (Euler 2) between y and z, y carrying the arrow to the arrowhead a0."""
+    verts = (Vertex("x", euler=2), Vertex("y", euler=-1), Vertex("z", euler=-1),
+             Vertex("a0", kind="arrowhead"))
+    edges = (Edge("x", "y"), Edge("x", "z"), Edge("y", "a0", arrow=True))
+    return PlumbingGraph(verts, edges)
+
+
+ERRORS = [
+    (lambda: blow_down_a(_arrow_graph(), "a0"),
+     NotBlowdownable, "blow_down_a: a0 is an arrowhead"),
+    (lambda: split(_arrow_graph(), "a0"), NotSplittable, "split: a0 is an arrowhead"),
+    (lambda: two_alteration(_arrow_graph(), "x", flip="a0"),
+     NotApplicable, "x: flip='a0' is not a neighbor"),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", ERRORS, ids=range(len(ERRORS)))
+def test_error_branches_raise_their_class_and_message(call, cls, message):
+    with pytest.raises(MFBoundaryError) as caught:
+        call()
+    assert type(caught.value) is cls and str(caught.value) == message

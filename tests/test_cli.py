@@ -457,7 +457,9 @@ def test_string_text_shows_all_three_parameters(capsys):
     ([], "required: command"),
     (["bogus"], "invalid choice"),
     (["calculus", "g.json"], "required: --script"),
-], ids=["bad integer", "no subcommand", "unknown subcommand", "calculus without --script"])
+    (["generic-check", "--max-n", "1"], "--max-n must be at least 2"),
+], ids=["bad integer", "no subcommand", "unknown subcommand", "calculus without --script",
+        "generic-check below 2"])
 def test_usage_errors_are_one_json_error(capsys, argv, names):
     payload = assert_one_json_error(*run_cli(capsys, *argv))
     assert payload["error"] == "InvalidInput"

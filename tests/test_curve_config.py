@@ -2,8 +2,9 @@
 
 import pytest
 
-from mfboundary.arrangement import generate_family
+from mfboundary.arrangement import IncidenceData, generate_family
 from mfboundary.curve_config import build_gamma_c
+from mfboundary.errors import InvalidSize, MFBoundaryError
 
 
 def test_gamma_c_triangle_structure():
@@ -52,3 +53,15 @@ def test_gamma_c_point_order_matches_incidence():
         touching = {e.a if e.b == w.id else e.b
                     for e in gc.edges_at(w.id) if e.edge_type == 2}
         assert touching == {f"v{i}" for i in p.lines}
+
+
+ERRORS = [
+    (lambda: build_gamma_c(IncidenceData(1, ())), InvalidSize, "need at least two lines, got n=1"),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", ERRORS, ids=range(len(ERRORS)))
+def test_error_branches_raise_their_class_and_message(call, cls, message):
+    with pytest.raises(MFBoundaryError) as caught:
+        call()
+    assert type(caught.value) is cls and str(caught.value) == message

@@ -9,7 +9,7 @@ import pytest
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
 from mfboundary.calculus import _bumped
 from mfboundary.curve_config import build_gamma_c
-from mfboundary.errors import InvalidInput, UnknownVertex
+from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import (
     KINDS,
     Edge,
@@ -20,7 +20,6 @@ from mfboundary.graph_core import (
     graph_from_json,
     graph_to_json,
     to_dot,
-    vertex_order,
 )
 from mfboundary.pipeline import boundary_graph, decorate_and_insert
 from oracles import edge_outcome, regex_chain_order_key, vertex_outcome
@@ -201,7 +200,7 @@ def family_graphs():
 def test_vertex_order_of_family_graphs_is_unchanged():
     count = 0
     for g in family_graphs():
-        assert vertex_order(g) == sorted(g.ids, key=regex_chain_order_key)
+        assert g.canonical().ids == sorted(g.ids, key=regex_chain_order_key)
         count += 1
     assert count == 4 * 27
 
@@ -267,7 +266,7 @@ def test_vertex_order_slots():
         Vertex(id="a0", kind="arrowhead"),
     )
     g = PlumbingGraph(vertices=verts, edges=(Edge(a="v0", b="a0", arrow=True),))
-    assert vertex_order(g) == ["v0", "v1", "s1_0#0", "w2", "a0"]
+    assert g.canonical().ids == ["v0", "v1", "s1_0#0", "w2", "a0"]
 
 
 def test_first_betti():
@@ -372,3 +371,30 @@ def test_dot_escapes_quotes_and_backslashes_in_ids_and_labels():
     assert decoded == ['x"y', 'x"y: -1', "z\\", "z\\: -2 [1]", 'x"y', "z\\", "-"]
     outside = quoted.sub("", dot)
     assert '"' not in outside and "\\" not in outside
+
+
+@pytest.mark.parametrize("end", [["x"], {"x": 1}, ("x", ["x"])], ids=["list", "dict", "tuple"])
+def test_an_unhashable_edge_end_is_an_unknown_vertex(end):
+    x = Vertex("x", euler=1)
+    g = PlumbingGraph((x,), ())
+    message = f"edge references unknown vertex {end!r}"
+    for build in (lambda: PlumbingGraph((x,), (Edge(a=end, b="x"),)),
+                  lambda: PlumbingGraph((x,), (Edge(a="x", b=end),)),
+                  lambda: g.edit(add_edges=[Edge(a=end, b="x")]),
+                  lambda: g.edit(add_edges=[Edge(a="x", b=end)])):
+        with pytest.raises(UnknownVertex) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+ERRORS = [
+    (lambda: Edge("x", "y").other("z"), UnknownVertex, "edge x--y does not touch z"),
+    (lambda: graph_from_json([]), InvalidInput, 'graph JSON needs "vertices" and "edges"'),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", ERRORS, ids=range(len(ERRORS)))
+def test_error_branches_raise_their_class_and_message(call, cls, message):
+    with pytest.raises(MFBoundaryError) as caught:
+        call()
+    assert type(caught.value) is cls and str(caught.value) == message

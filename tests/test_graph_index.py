@@ -274,6 +274,8 @@ def test_edits_reject_what_a_rebuild_rejects():
     cases = [
         # an edge to an unknown vertex
         (lambda: g.edit(add_edges=[Edge("n0", "zz")]), v, e + (Edge("n0", "zz"),)),
+        # an edge end that is not even hashable
+        (lambda: g.edit(add_edges=[Edge(["n0"], "n1")]), v, e + (Edge(["n0"], "n1"),)),
         # a non-arrow edge at an arrowhead
         (lambda: g.edit(add_edges=[Edge("n0", "a0")]), v, e + (Edge("n0", "a0"),)),
         # an arrow that reaches no arrowhead

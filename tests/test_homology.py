@@ -672,6 +672,50 @@ def test_contracted_chains_match_minor_gcd_oracle():
     assert [s for s, k in removed.items() if not k] == [NODE_FREE]
 
 
+def presentations(g, rng):
+    """Copies of g with its vertices permuted, its edges permuted with
+    their ends swapped at random, and both."""
+    verts = list(g.vertices)
+    rng.shuffle(verts)
+    flipped = [Edge(e.b, e.a, e.sign, e.edge_type, e.arrow) if rng.random() < 0.5 else e
+               for e in g.edges]
+    rng.shuffle(flipped)
+    return [PlumbingGraph(tuple(verts), g.edges), PlumbingGraph(g.vertices, tuple(flipped)),
+            PlumbingGraph(tuple(verts), tuple(flipped))]
+
+
+def test_homology_does_not_depend_on_vertex_or_edge_order(stuck_cores):
+    # the rows follow the graph's own vertex order, which changes the
+    # elimination path but never the group
+    incs = [generate_family(kind, n) for kind, ns in (("generic", range(3, 8)),
+                                                      ("pencil", range(3, 8)),
+                                                      ("near_pencil", range(4, 9)))
+            for n in ns]
+    incs += [incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+             for n in range(8, 13) for seed in range(3)]
+    rng = random.Random(1919)
+    for inc in incs:
+        for reduce in (False, True):
+            g = boundary_graph(inc, reduce=reduce)
+            want = homology_of_graph(g)
+            for other in presentations(g, rng):
+                assert homology_of_graph(other) == want, (inc, reduce)
+    assert len(stuck_cores) >= 60  # random raw and reduced graphs reach the finish
+
+
+def test_incidence_matrix_rows_follow_the_graph_vertex_order():
+    g = boundary_graph(generate_family("near_pencil", 5))
+    g = PlumbingGraph(g.vertices[::-1], g.edges)
+    assert g.ids != g.canonical().ids
+    A = incidence_matrix(g)
+    for k, x in enumerate(g.vertices):
+        assert A[k][k] == x.euler
+    ids = g.ids
+    assert {(ids[i], ids[j], A[i][j]) for i in range(len(A)) for j in range(len(A))
+            if i != j and A[i][j]} == {t for e in g.edges
+                                        for t in ((e.a, e.b, e.sign), (e.b, e.a, e.sign))}
+
+
 def test_raw_family_graphs_leave_no_stuck_core(stuck_cores):
     # with its chains contracted, a raw generic or near-pencil graph is
     # finished by unit pivots and content divisions alone
@@ -814,6 +858,11 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_graph_core.py::test_constructors_raise_or_build_what_the_full_checks_give[Edge]",
         "tests/test_graph_core.py::test_order_key_is_the_regex_chain_key",
         "tests/test_homology.py::test_front_end_raises_the_first_fault_class",
+        "tests/test_homology.py::test_homology_does_not_depend_on_vertex_or_edge_order",
+        "tests/test_homology.py::test_incidence_matrix_rows_follow_the_graph_vertex_order",
+        "tests/test_graph_core.py::test_an_unhashable_edge_end_is_an_unknown_vertex[list]",
+        "tests/test_graph_core.py::test_an_unhashable_edge_end_is_an_unknown_vertex[dict]",
+        "tests/test_graph_core.py::test_an_unhashable_edge_end_is_an_unknown_vertex[tuple]",
     ]
     # pytest warns that -O turns its asserts off, which is this run's point;
     # every other warning is still an error
@@ -905,3 +954,15 @@ def test_probe_report_json_shape():
     assert d["torsion"] == [4]
     assert d["all_hold"] is True
     assert d["n"] == 4
+
+
+ERRORS = [
+    (lambda: smith_normal_form([[1, 2], 3]), InvalidInput, "matrix rows must be lists"),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", ERRORS, ids=range(len(ERRORS)))
+def test_error_branches_raise_their_class_and_message(call, cls, message):
+    with pytest.raises(MFBoundaryError) as caught:
+        call()
+    assert type(caught.value) is cls and str(caught.value) == message

@@ -15,7 +15,13 @@ from mfboundary.arrangement import (
 )
 from mfboundary.arrangement import ProjLine
 from mfboundary.curve_config import build_gamma_c
-from mfboundary.errors import InvalidInput, InvalidSize, NonIntegralEuler, UnsupportedLoop
+from mfboundary.errors import (
+    InvalidInput,
+    InvalidSize,
+    MFBoundaryError,
+    NonIntegralEuler,
+    UnsupportedLoop,
+)
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
 from mfboundary.homology import homology_of_graph
 from mfboundary.pipeline import (
@@ -274,3 +280,20 @@ def test_boundary_graph_takes_no_stage_of_the_check_route(monkeypatch):
 def test_one_line_is_invalid_size():
     with pytest.raises(InvalidSize, match=r"^need at least two lines, got n=1$"):
         boundary_graph(IncidenceData(1, ()))
+
+
+ERRORS = [
+    (lambda: decorate_and_insert(PlumbingGraph((Vertex("w0", kind="point"),), ())),
+     InvalidInput, "no line vertices present"),
+    (lambda: solve_euler(PlumbingGraph((Vertex("x"),), ())),
+     InvalidInput, "vertex x has no multiplicity"),
+    (lambda: solve_euler(PlumbingGraph((Vertex("x", mult=1), Vertex("y")), (Edge("x", "y"),))),
+     InvalidInput, "vertex y has no multiplicity"),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", ERRORS, ids=range(len(ERRORS)))
+def test_error_branches_raise_their_class_and_message(call, cls, message):
+    with pytest.raises(MFBoundaryError) as caught:
+        call()
+    assert type(caught.value) is cls and str(caught.value) == message

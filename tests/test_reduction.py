@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from mfboundary.arrangement import generate_family, incidence_from_lines
 from mfboundary.arrangement import is_generic, is_near_pencil, is_pencil, random_rational_lines
 from mfboundary.calculus import apply_script
-from mfboundary.errors import InvalidInput
+from mfboundary.errors import InvalidInput, MFBoundaryError
 from mfboundary.generic_algebra import build_An, generic_h1_closed_form
 from mfboundary.homology import homology_of_graph, incidence_matrix
 from mfboundary.pipeline import betti_formula, boundary_graph
 from mfboundary.reduction import (
     chain_survivor,
+    double_chain_script,
     generic_reduction_script,
     near_pencil_reduction_script,
     near_pencil_roles,
@@ -135,3 +136,24 @@ def test_scripts_are_json_serializable():
 
     blobs = [m.to_json() for m in script]
     assert [MoveSpec.from_json(b) for b in blobs] == script
+
+
+def _raw(kind, n):
+    inc = generate_family(kind, n)
+    return boundary_graph(inc), inc
+
+
+ERRORS = [
+    # near-pencil 4's point 0 is its triple point (0, 1, 2)
+    (lambda: double_chain_script(*_raw("near_pencil", 4), 0),
+     InvalidInput, "point 0 has multiplicity 3, not 2"),
+    (lambda: generic_reduction_script(*_raw("pencil", 4)),
+     InvalidInput, "generic reduction needs an arrangement with only double points"),
+]
+
+
+@pytest.mark.parametrize("call,cls,message", ERRORS, ids=range(len(ERRORS)))
+def test_error_branches_raise_their_class_and_message(call, cls, message):
+    with pytest.raises(MFBoundaryError) as caught:
+        call()
+    assert type(caught.value) is cls and str(caught.value) == message
