@@ -208,17 +208,26 @@ class PlumbingGraph:
             if v.kind == "arrowhead":
                 touched.append(v.id)
         for e in remove:
-            k = next((k for k in adj.get(e.a, ()) if store[k] == e), None)
+            try:
+                at = adj.get(e.a, ())
+            except TypeError:  # an unhashable end is no vertex's
+                at = ()
+            k = next((k for k in at if store[k] == e), None)
             if k is None:
                 raise InvalidInput(f"no edge {e.a}--{e.b} to remove")
             del store[k]
             for vid in {e.a, e.b}:
                 adj[vid] = tuple(x for x in adj[vid] if x != k)
             touched += (e.a, e.b)
-        for vid in dict.fromkeys(drop):
-            if vid not in index:
-                raise UnknownVertex(f"no vertex {vid!r}")
-            del index[vid]
+        dropped = set()
+        for vid in drop:
+            try:
+                if vid in dropped:
+                    continue
+                del index[vid]
+            except (KeyError, TypeError):  # TypeError: an unhashable id
+                raise UnknownVertex(f"no vertex {vid!r}") from None
+            dropped.add(vid)
             for k in adj.pop(vid):
                 e = store.pop(k)
                 touched += (e.a, e.b)

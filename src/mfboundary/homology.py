@@ -15,10 +15,17 @@ relation row per chain and node-to-node entries instead of whole chains.
 Invariant factors come from one exact Smith normal form engine on one
 sparse form, row -> {column: nonzero}, in two steps: a unit pivot, taken
 from a priority queue ordered by Markowitz cost, and a content division
-when no unit is left.  A core where both are stuck is finished over
-coprime moduli: first a multiple R of its last invariant factor, from a
-fraction-free sweep over the core's own rows, and every entry coprime to
-R is a unit mod R; then coprime splits of any modulus that is stuck too.
+when no unit is left.  A core where both are stuck over Z takes a Bezout
+step when a column's entries have gcd 1: pairs of rows are replaced by
+combinations of determinant 1 until an entry of that column is 1, and the
+unit pivots go on.  With no such column, a fraction-free sweep over the
+core's own rows gives its rank r and a multiple R of its last invariant
+factor, and the core is finished one prime of R at a time: mod p^k for
+k = 1, 2, 4, ... up to v_p(R), stopping at the first k where every factor
+is below p^k.  The primes are those below 1000, found by trial division;
+the cofactor of R that has none of them is finished mod itself, where
+every entry coprime to it is a unit, split into coprime moduli where that
+is stuck too.
 A step of the sweep visits only the rows its pivot column meets: a row
 written at step s keeps its values v, which at step t stand for
 v * P[t] / P[s], P being the pivots by step (P[0] = 1), and is brought
@@ -187,6 +194,63 @@ def _coprime_split(rows: dict[int, dict[int, int]], modulus: int) -> tuple[int, 
     raise InternalError(f"no coprime split of {modulus} at a stuck matrix")
 
 
+def _bezout_anchor(rows: dict[int, dict[int, int]],
+                   cols: dict[int, set[int]]) -> Optional[tuple[int, int]]:
+    """The anchor (row, column) of a Bezout step on a matrix stuck over Z,
+    or None when no column's entries have gcd 1.  Of those columns it takes
+    one with the fewest entries, then the fewest entries in the rows it
+    meets, and anchors it at its least |entry|, then the shortest row: the
+    short rows keep the fill of the steps and the pivots after them small.
+    ``cols`` maps a column to the rows it meets; ties go to the first."""
+    best = None
+    for c, meets in cols.items():
+        if meets and (best is None or len(meets) <= best[0][0]):
+            key = (len(meets), sum(len(rows[r]) for r in meets))
+            if best is None or key < best[0]:
+                g = 0
+                for r in meets:
+                    g = math.gcd(g, rows[r][c])
+                if g == 1:
+                    best = key, c
+    if best is None:
+        return None
+    j = best[1]
+    return min(cols[j], key=lambda r: (abs(rows[r][j]), len(rows[r]), r)), j
+
+
+def _prime_powers(R: int) -> list[tuple[int, int]]:
+    """(p, v_p(R)) for each prime p < 1000 of R > 0, by trial division,
+    then (c, 1) for the cofactor c > 1 that no such prime divides."""
+    found = []
+    d = 2
+    while d < 1000 and R > 1:
+        if R % d == 0:  # d is prime: the primes below it are divided out
+            e = 0
+            while R % d == 0:
+                R //= d
+                e += 1
+            found.append((d, e))
+        d += 1 if d == 2 else 2
+    if R > 1:
+        found.append((R, 1))
+    return found
+
+
+def _local_factors(rows: dict[int, dict[int, int]], p: int, e: int, count: int) -> list[int]:
+    """gcd(d_i, p^e) for the first ``count`` invariant factors d_i of
+    ``rows``, which it leaves as they are, for a prime p with v_p(d_i) <= e:
+    the engine runs on a copy over Z/p^k for k = 1, 2, 4, ... up to e, and
+    stops at the first k where every factor is below p^k, since then every
+    v_p(d_i) < k.  With e = 1 it is one run mod p, for any modulus p."""
+    k = 1
+    while True:
+        q = p ** min(k, e)
+        local = _invariant_factors({i: dict(ri) for i, ri in rows.items()}, q, count)
+        if k >= e or local[-1] < q:
+            return local
+        k *= 2
+
+
 def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
                        count: int = 0) -> list[int]:
     """The Smith normal form engine: the invariant factors d_1 | d_2 | ...
@@ -208,16 +272,22 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
         which in the graph cases turns the torsion core back into a
         unit-pivot matrix.
 
-    Stuck on both (no unit, content 1), the engine finishes the rest once
-    per modulus of a coprime list, on a copy for every modulus but the
-    last, and multiplies the returned lists elementwise (Chinese
-    remainders).  Over Z the list is (R,): a Bareiss sweep gives the rank
-    r of the rest and a multiple R of its last invariant factor, and over
-    Z/R the first r factors are gcd(d_i, R) = d_i.  Over Z/m it is a split
-    of m from ``_coprime_split``; over Z/p^e no unit means content >= p,
-    so splitting ends.  Over Z/m the rows are reduced into (-m/2, m/2] at
-    entry and stay there, and exactly ``count`` factors come back, padded
-    with m for rows that vanish mod m.
+    Stuck on both over Z (no unit, content 1), the engine takes a Bezout
+    step when some column's entries have gcd 1 (``_bezout_anchor``): rows
+    are combined in pairs by matrices of determinant 1 until the anchor
+    entry is +-1, and the loop goes on.  Each step buys at least one unit
+    pivot, so this ends.  With no such column, a Bareiss sweep gives the
+    rank r of the rest and a multiple R of its last invariant factor d_r,
+    and the rest is finished over coprime moduli, each run on a copy, the
+    returned lists multiplied elementwise (Chinese remainders): for each
+    prime p < 1000 of R, Z/p^k at a doubling precision k up to v_p(R)
+    (``_local_factors``), and Z/c for the cofactor c of R with no such
+    prime.  Over Z/q the first r factors are gcd(d_i, q), and every prime
+    of every d_i divides d_r, hence R.  Stuck over Z/m, the engine
+    finishes over a split of m from ``_coprime_split``; over Z/p^k no unit
+    means content >= p, so no split is needed there.  Over Z/m the rows
+    are reduced into (-m/2, m/2] at entry and stay there, and exactly
+    ``count`` factors come back, padded with m for rows that vanish mod m.
 
     Entries are unbounded Python integers throughout; nothing is floated.
     """
@@ -309,6 +379,45 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
         modulus //= g
         return g
 
+    def bezout(i: int, j: int):
+        """Make the anchor (i, j) of a matrix stuck over Z a unit by row
+        steps of determinant 1: with a the anchor, b the entry of another
+        row k of column j and g = gcd(a, b) = x*a + y*b, rows i and k become
+        x*r_i + y*r_k and -(b/g)*r_i + (a/g)*r_k.  Each step takes the row
+        whose b leaves the least g, then the shortest row; the column keeps
+        its gcd 1, so the anchor gets to 1."""
+        nonlocal nnz
+        a = rows[i][j]
+        while abs(a) != 1:
+            k = min(cols[j] - {i}, key=lambda r: (gcd(a, rows[r][j]), len(rows[r]), r))
+            ri, rk = rows[i], rows[k]
+            b = rk[j]
+            g = gcd(a, b)
+            m = abs(b // g)
+            x = pow(a // g, -1, m)  # 0 when m = 1
+            if 2 * x > m:
+                x -= m
+            y = (g - x * a) // b
+            for r, (s, t) in ((i, (x, y)), (k, (-b // g, a // g))):
+                new = {}
+                for c in [*ri, *(c for c in rk if c not in ri)]:
+                    v = s * ri.get(c, 0) + t * rk.get(c, 0)
+                    if v:
+                        new[c] = v
+                        cols[c].add(r)
+                    else:
+                        cols[c].discard(r)
+                nnz += len(new) - len(rows[r])
+                if new:
+                    rows[r] = new
+                else:
+                    del rows[r]
+            for r in (i, k):
+                for c, v in rows.get(r, {}).items():
+                    if v in (1, -1):
+                        heappush(queue, ((len(rows[r]) - 1) * (len(cols[c]) - 1), r, c))
+            a = g
+
     def eliminate(i: int, j: int):
         """Clear row i and column j around the unit pivot (i, j)."""
         nonlocal nnz
@@ -340,18 +449,21 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
             scale *= g
             rebuild_queue()
             continue
-        # stuck: no unit and content 1; finish over coprime moduli
+        # stuck: no unit and content 1
         if modulus:
-            parts, left = _coprime_split(rows, modulus), count - len(factors)
+            parts, left = [(m, 1) for m in _coprime_split(rows, modulus)], count - len(factors)
         else:
+            anchor = _bezout_anchor(rows, cols)
+            if anchor is not None:
+                bezout(*anchor)
+                continue
             left, R = _bareiss_rank_modulus(rows)
             if left < 1:
                 raise InternalError("the unit-free core of a nonzero matrix has rank 0")
-            parts = (R,)
+            parts = _prime_powers(R)
         finish = [scale] * left
-        for k, part in enumerate(parts):
-            rest = rows if k == len(parts) - 1 else {i: dict(ri) for i, ri in rows.items()}
-            finish = [x * y for x, y in zip(finish, _invariant_factors(rest, part, left))]
+        for p, e in parts:
+            finish = [x * y for x, y in zip(finish, _local_factors(rows, p, e, left))]
         factors += finish
         break
     # content divided out moves from the modulus into the scale, so the
@@ -369,14 +481,18 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
     The matrix is validated, and its nonzeros go to the one sparse engine
     (``_invariant_factors``), tuned for the mostly-empty matrices of
     boundary graphs: unit pivots from a Markowitz-cost priority queue,
-    content extraction when no unit is left, and a finish over coprime
-    moduli, in which every entry coprime to the modulus is a unit pivot.
+    content extraction when no unit is left, a Bezout step that writes a
+    unit when a column's entries have gcd 1, and otherwise a finish one
+    prime at a time, mod p^k at a doubling precision, in which every entry
+    coprime to p is a unit pivot.
 
     The naive minimum-entry Euclidean strategy is catastrophic here: on
     the raw boundary graph of ten generic lines it manufactures pivots
-    with hundreds of digits.  The unit phase plus the modular finish keep
-    the whole computation in word-sized integers unless the input really
-    has giant invariant factors.
+    with hundreds of digits.  Here unit pivots do most of the work, a
+    Bezout step only turns a core's missing unit into one, and a finish
+    mod p^k works on residues below p^k; only the sweep's minors and a
+    core that many Bezout steps have filled hold integers of hundreds of
+    digits.
     """
     nrows, ncols, rows = _sparse_rows(M)
     return SmithForm(nrows, ncols, tuple(_invariant_factors(rows)))

@@ -310,6 +310,7 @@ def test_edits_reject_what_a_rebuild_rejects():
         with pytest.raises(type(rebuild.value)):
             edit()
     for edit in (lambda: g.edit(put=[Vertex("zz")]), lambda: g.edit(drop=["zz"]),
+                 lambda: g.edit(drop=[["n0"]]), lambda: g.edit(drop=["n0", ["n0"]]),
                  lambda: g.edit(put=[_bumped(g, "zz", 1)])):
         with pytest.raises(UnknownVertex):
             edit()
@@ -357,6 +358,8 @@ def test_a_graph_keys_its_edges_from_zero_whatever_was_built_before():
     [Edge("n0", "zz", -1)],      # an unknown end
     [Edge("zz", "n0", -1)],
     [Edge("n0", "n1", -1)] * 2,  # one stored copy only
+    [Edge("n0", ["n1"], -1)],    # an end that is not even hashable
+    [Edge(["n0"], "n1", -1)],
 ])
 def test_removing_an_edge_not_in_the_graph_is_invalid_input(remove):
     with pytest.raises(InvalidInput, match="no edge"):

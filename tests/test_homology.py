@@ -233,16 +233,29 @@ def test_bareiss_modulus_is_a_multiple_of_the_last_factor():
 
 @pytest.fixture
 def stuck_cores(monkeypatch):
-    """Copies of the cores the engine hands the sweep, in call order."""
-    seen = []
-    sweep = homology._bareiss_rank_modulus
+    """Copies of the cores of the engine's calls, each taken when its call
+    first gets stuck over Z (no unit, content 1), before any Bezout step:
+    the cores a finish with no Bezout step would sweep.  In call order."""
+    seen, engines = [], []
+    anchor = homology._bezout_anchor
 
-    def recording(rows):
-        seen.append({i: dict(row) for i, row in rows.items()})
-        return sweep(rows)
+    def recording(rows, cols):
+        # a call keeps one rows dict, so a dict not met before is a new call
+        if not any(rows is other for other in engines):
+            engines.append(rows)
+            seen.append({i: dict(row) for i, row in rows.items()})
+        return anchor(rows, cols)
 
-    monkeypatch.setattr(homology, "_bareiss_rank_modulus", recording)
+    monkeypatch.setattr(homology, "_bezout_anchor", recording)
     return seen
+
+
+def finish_mod_sweep(core):
+    """A stuck core's invariant factors the way a finish with no Bezout
+    step and no prime split gets them: the engine over Z/R, R the sweep's
+    multiple of the last factor, splitting R where it is stuck."""
+    rank, R = _bareiss_rank_modulus(core)
+    return homology._invariant_factors({i: dict(row) for i, row in core.items()}, R, rank)
 
 
 def uncontracted_factors(g):
@@ -406,17 +419,23 @@ def prime_product_matrix(rng):
     return [[entry() for _ in range(m)] for _ in range(n)]
 
 
-def test_snf_coprime_split_matches_oracle(splits):
+def test_snf_coprime_split_matches_oracle(stuck_cores, splits):
+    # the engine's cores, finished modulo the sweep's R, split R and then
+    # its parts; R's primes are above 1000, so the engine itself finishes
+    # the cores it cannot unstick by Bezout steps modulo that cofactor
     rng = random.Random(1013)
-    split_matrices = 0
+    split_matrices = nested = 0
     for _ in range(400):
         M = prime_product_matrix(rng)
-        before = len(splits)
+        stuck_cores.clear()
         got = smith_normal_form(M).factors
         assert got == minor_gcd_smith(M), (M, got)
-        split_matrices += len(splits) > before
-    # every split after a matrix's first runs on a part of an earlier one
-    nested = len(splits) - split_matrices
+        splits.clear()
+        for core in stuck_cores:
+            assert tuple(finish_mod_sweep(core)) == minor_gcd_smith(dense(core)), core
+        split_matrices += bool(splits)
+        # every split after a matrix's first runs on a part of an earlier one
+        nested += max(len(splits) - 1, 0)
     assert split_matrices >= 50 and nested >= 10, (split_matrices, nested)
 
 
@@ -425,17 +444,96 @@ def test_snf_coprime_split_matches_oracle(splits):
     (2, AbelianGroup(38, (5, 5) + (10,) * 17)),
     (3, AbelianGroup(43, (5, 5) + (10,) * 22)),
 ])
-def test_non_generic_boundaries_split_the_modulus(splits, seed, group):
+def test_non_generic_boundaries_split_the_modulus(stuck_cores, splits, seed, group):
     # random arrangements of 10 lines whose raw incidence rows, with no
-    # chain contracted, leave a core with no unit and content 1 modulo R;
-    # the groups are literals recorded from an engine that finished such
-    # cores by Euclid steps instead
+    # chain contracted, leave a core with no unit and content 1 modulo R,
+    # once finished modulo the sweep's R with no Bezout step; the groups
+    # are literals recorded from an engine that finished such cores by
+    # Euclid steps instead
     inc = incidence_from_lines(random_rational_lines(10, random.Random(seed)))
     raw = boundary_graph(inc)
     assert homology_of_graph(raw) == group
     assert tuple(d for d in uncontracted_factors(raw) if d >= 2) == group.torsion
+    cores = list(stuck_cores)
+    wants = [homology._invariant_factors({i: dict(r) for i, r in c.items()}) for c in cores]
+    splits.clear()
+    for core, want in zip(cores, wants):
+        assert finish_mod_sweep(core) == want
     assert splits
     assert homology_of_graph(boundary_graph(inc, reduce=True)) == group
+
+
+@pytest.fixture
+def moduli(monkeypatch):
+    """The moduli of the engine's calls over Z/m, in call order."""
+    seen = []
+    engine = homology._invariant_factors
+
+    def recording(rows, modulus=0, count=0):
+        if modulus:
+            seen.append(modulus)
+        return engine(rows, modulus, count)
+
+    monkeypatch.setattr(homology, "_invariant_factors", recording)
+    return seen
+
+
+P7, Q7 = 1000003, 1000033  # primes of seven digits
+
+
+@pytest.mark.parametrize("M, want, runs", [
+    # no unit and content 1; column 0 holds 2 and 3, whose gcd 1 one Bezout
+    # step writes in the anchor row, and no modular run is needed
+    pytest.param([[2, 3], [3, 2]], (1, 5), [], id="bezout"),
+    # the column gcds are 3 and 2, so no Bezout step: the sweep's R is 114 = 2 * 3 * 19,
+    # finished mod each prime, none of which divides a factor twice
+    pytest.param([[6, 10], [15, 6]], (1, 114), [2, 3, 19], id="sweep"),
+    # v_2(R) = 40: mod 2^k for k = 1, 2, 4, ..., 32 the factor is 2^k, so
+    # the precision doubles up to the cap 2^40
+    pytest.param([[2 ** 40, 0], [0, 3]], (1, 3 * 2 ** 40),
+                 [2 ** k for k in (1, 2, 4, 8, 16, 32, 40)] + [3], id="precision"),
+    # R = P7 * Q7 has no prime below 1000: one finish mod the cofactor,
+    # which is stuck there and splits into its two primes
+    pytest.param([[P7, 0], [0, Q7]], (1, P7 * Q7), [P7 * Q7, P7, Q7], id="cofactor"),
+])
+def test_the_stuck_branches_by_hand(moduli, splits, M, want, runs):
+    assert minor_gcd_smith(M) == want
+    assert smith_normal_form(M).factors == want
+    assert moduli == runs
+    assert splits == ([P7 * Q7] if P7 in runs else [])
+
+
+def valuation_matrix(rng):
+    """A small matrix with no +-1 entry whose entries are +-products of
+    powers of 2, 3 and 5, some of them large."""
+    def entry():
+        if rng.random() < 0.25:
+            return 0
+        v = 2 ** rng.choice((0, 1, 3, rng.randint(20, 45))) * 3 ** rng.randint(0, 3)
+        return rng.choice((1, -1)) * v * 5 ** (v == 1 or rng.random() < 0.3)
+
+    n, m = rng.randint(2, 4), rng.randint(2, 4)
+    return [[entry() for _ in range(m)] for _ in range(n)]
+
+
+def test_snf_large_valuations_match_oracle(stuck_cores, moduli):
+    # cores with factors up to 2^135 take the Bezout step, or the per-prime
+    # finish at a doubling precision; the plain finish mod R agrees
+    rng = random.Random(4096)
+    seen = {"bezout": 0, "sweep": 0, "precision": 0}
+    for _ in range(300):
+        M = valuation_matrix(rng)
+        stuck_cores.clear()
+        moduli.clear()
+        want = minor_gcd_smith(M)
+        assert smith_normal_form(M).factors == want, M
+        runs = list(moduli)
+        for core in stuck_cores:
+            assert tuple(finish_mod_sweep(core)) == minor_gcd_smith(dense(core)), core
+        seen["bezout"] += bool(stuck_cores) and not runs
+        seen["sweep"] += bool(runs)
+        seen["precision"] += any(q > 2 ** 16 and q & (q - 1) == 0 for q in runs)
+    assert min(seen.values()) >= 10, seen
 
 
 # -- incidence_matrix --------------------------------------------------------
@@ -847,6 +945,11 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_homology.py::test_snf_matches_minor_gcd_oracle_seeded",
         "tests/test_homology.py::test_snf_unit_free_matrices_match_oracle",
         "tests/test_homology.py::test_snf_coprime_split_matches_oracle",
+        "tests/test_homology.py::test_the_stuck_branches_by_hand[bezout]",
+        "tests/test_homology.py::test_the_stuck_branches_by_hand[sweep]",
+        "tests/test_homology.py::test_the_stuck_branches_by_hand[precision]",
+        "tests/test_homology.py::test_the_stuck_branches_by_hand[cofactor]",
+        "tests/test_homology.py::test_snf_large_valuations_match_oracle",
         "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
         "tests/test_homology.py::test_the_sweep_matches_the_plain_sweep",
         "tests/test_homology.py::test_contracted_chains_match_minor_gcd_oracle",

@@ -72,6 +72,28 @@ def float_arithmetic(path):
     return sorted(found)
 
 
+def import_time_work(path):
+    """(line, what) of every loop, comprehension and call the module body
+    runs when it is imported, a call of ``re.compile`` excepted.  The body is
+    the module's top-level statements outside function and class
+    definitions, which only define names, and outside the
+    ``if __name__ == "__main__"`` block, which a script run alone reaches."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'":
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+                                 ast.DictComp, ast.GeneratorExp)):
+                found.append((node.lineno, type(node).__name__))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) != "re.compile":
+                found.append((node.lineno, ast.unparse(node.func)))
+    return found
+
+
 def test_the_package_is_found():
     assert {"graph_core.py", "homology.py", "calculus.py"} <= {p.name for p in MODULES}
 
@@ -90,6 +112,30 @@ def test_no_float_arithmetic(path):
     # come out even is written //
     found = float_arithmetic(path)
     assert not found, "; ".join(f"{path.name}:{line}: {what}" for line, what in found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_bodies_do_no_work_at_import(path):
+    # every CLI start and every caller's import runs the module bodies, and
+    # with no bytecode cache nothing of that is kept between runs: a table
+    # built at import is paid by every start, used or not
+    found = import_time_work(path)
+    assert not found, "; ".join(f"{path.name}:{line}: {what}" for line, what in found)
+
+
+def test_import_time_work_sees_loops_comprehensions_and_calls(tmp_path):
+    path = tmp_path / "body.py"
+    path.write_text("import re\n"
+                    "PATTERN = re.compile('x')\n"
+                    "PRIMES = [p for p in range(2, 9)]\n"
+                    "for k in ():\n"
+                    "    pass\n"
+                    "TABLE = dict(a=1)\n"
+                    "def f():\n"
+                    "    return [k for k in range(3)]\n"
+                    "if __name__ == '__main__':\n"
+                    "    f()\n")
+    assert import_time_work(path) == [(3, "ListComp"), (3, "range"), (4, "For"), (6, "dict")]
 
 
 @pytest.mark.parametrize("path", OUTSIDE_ARRANGEMENT, ids=lambda p: p.name)
