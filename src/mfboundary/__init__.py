@@ -46,4 +46,5 @@ from .pipeline import (
     solve_euler,
     strip_arrowheads,
 )
+from .record import Record, replace
 from .strings import StringGraph, build_string, hj_continued_fraction, solve_lambda

@@ -15,11 +15,10 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import IdenticalLines, InvalidIncidence, InvalidInput, InvalidSize
+from .record import Record
 
 Triple = tuple[int, int, int]
 
@@ -36,27 +35,29 @@ def _primitive(ints: Sequence[int]) -> Triple:
     return (a // g, b // g, c // g)
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(value) -> Fraction:
-    # accepts ints, Fractions and "p" or "p/q" strings of decimal digits;
-    # floats and exponents are rejected on purpose: exactness is the whole
-    # point, and "1e600000" would expand to a 600001-digit integer
-    if isinstance(value, bool):
+def _parse_rational(value) -> tuple[int, int]:
+    """(p, q), q > 0, for an int, a Fraction (any non-bool value with int
+    numerator and denominator) or a "p" or "p/q" string of decimal digits.
+    No floats or exponents: "1e600000" would be a 600001-digit integer."""
+    num, den = getattr(value, "numerator", None), getattr(value, "denominator", None)
+    if type(num) is int and type(den) is int and den > 0 and not isinstance(value, bool):
+        return num, den
+    m = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if m is None:
         raise InvalidInput(f"not a rational coefficient: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"cannot parse rational {value!r}") from exc
-    raise InvalidInput(f"not a rational coefficient: {value!r}")
+    try:  # int() refuses more than 4300 digits
+        num, den = int(m[1]), int(m[2] or 1)
+        if den:
+            return num, den
+    except ValueError:
+        pass
+    raise InvalidInput(f"cannot parse rational {value!r}")
 
 
-@dataclass(frozen=True)
-class ProjLine:
+class ProjLine(Record):
     """A projective line a*x + b*y + c*z = 0 with a 0-based label."""
 
     coeffs: Triple
@@ -64,11 +65,13 @@ class ProjLine:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, label: int = 0) -> "ProjLine":
+        if not isinstance(coeffs, (list, tuple)):
+            raise InvalidInput(f"a line is a list of three coefficients, got {coeffs!r}")
         if len(coeffs) != 3:  # before parsing, which a long row makes slow
             raise InvalidInput(f"expected 3 coordinates, got {len(coeffs)}")
-        fracs = [_parse_rational(c) for c in coeffs]
-        denom = math.lcm(*(f.denominator for f in fracs))
-        return cls(_primitive([f.numerator * (denom // f.denominator) for f in fracs]), label)
+        pairs = [_parse_rational(c) for c in coeffs]
+        denom = math.lcm(*(q for _, q in pairs))
+        return cls(_primitive([p * (denom // q) for p, q in pairs]), label)
 
 
 def intersect_lines(l1: ProjLine, l2: ProjLine) -> Triple:
@@ -104,8 +107,7 @@ class MultiPoint(tuple):
         return len(self)
 
 
-@dataclass(frozen=True, slots=True)
-class IncidenceData:
+class IncidenceData(Record):
     """Incidence combinatorics of an arrangement of n projective lines.
 
     Invariants checked at construction:
@@ -116,11 +118,12 @@ class IncidenceData:
     downstream deterministic.
     """
 
+    __slots__ = ("n", "points")
     n: int
     points: tuple[MultiPoint, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+    def __init__(self, n: int, points: Iterable[MultiPoint]):
+        super().__init__(n, tuple(sorted(points)))
         self._validate()
 
     def _validate(self):

@@ -31,7 +31,6 @@ Moves:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import (
@@ -44,6 +43,7 @@ from .errors import (
 )
 from .graph_core import Edge, PlumbingGraph, Vertex, first_betti_of_graph
 from .homology import homology_of_graph
+from .record import Record, replace
 
 
 def _bumped(g: PlumbingGraph, vid: str, delta: int) -> Vertex:
@@ -203,20 +203,21 @@ MOVES = {
 _OPTIONAL = ("keep", "flip", "companion")
 
 
-@dataclass(frozen=True)
-class MoveSpec:
+class MoveSpec(Record):
+    __slots__ = ("kind", "target", "keep", "flip", "companion")  # a script holds many
     kind: str
     target: str
-    keep: Optional[str] = None
-    flip: Optional[str] = None
-    companion: Optional[str] = None
+    keep: Optional[str]
+    flip: Optional[str]
+    companion: Optional[str]
 
-    def __post_init__(self):
-        if self.kind not in MOVES:
-            raise InvalidInput(f"unknown move kind {self.kind!r}")
-        for key in _OPTIONAL:
-            if getattr(self, key) is not None and key != MOVES[self.kind][1]:
-                raise InvalidInput(f'move {self.kind} does not read "{key}"')
+    def __init__(self, kind, target, keep=None, flip=None, companion=None):
+        if kind not in MOVES:
+            raise InvalidInput(f"unknown move kind {kind!r}")
+        for key, value in zip(_OPTIONAL, (keep, flip, companion)):
+            if value is not None and key != MOVES[kind][1]:
+                raise InvalidInput(f'move {kind} does not read "{key}"')
+        super().__init__(kind, target, keep, flip, companion)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "target": self.target}

@@ -19,20 +19,17 @@ computation reads a graph in its own vertex order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .errors import InvalidInput, UnknownVertex
+from .record import Record, replace
 
 KINDS = ("line", "point", "string", "arrowhead", "plain")
 
 
-@dataclass(frozen=True, init=False)
-class Vertex:
+class Vertex(Record):
     """The constructor checks the fields, then writes them straight into the
-    instance dict, without the frozen dataclass's per-field setattr;
-    ``dataclasses.replace``, equality, hashing, repr and frozenness still
-    come from the dataclass."""
+    instance dict, past the record's refusing setattr."""
 
     id: str
     genus: int = 0
@@ -75,8 +72,7 @@ class Vertex:
         d["dec"] = dec
 
 
-@dataclass(frozen=True, init=False)
-class Edge:
+class Edge(Record):
     """Built as a Vertex is: the fields are checked, then written straight
     into the instance dict."""
 
@@ -152,8 +148,7 @@ def _check_edge(e: Edge, index: dict) -> None:
         raise InvalidInput(f"edge {e.a}--{e.b} touches an arrowhead but is not an arrow")
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Record):
     """Vertices and edges in a fixed order, with three indexes: ``_index``
     maps an id to its vertex, in vertex order; ``_store`` maps an edge key
     to its edge, in edge order; and ``_adj`` maps an id to the keys of the
@@ -163,14 +158,12 @@ class PlumbingGraph:
     ``edit`` on empty indexes, adding all its vertices and edges, so it
     checks and indexes everything in one O(V + E) pass."""
 
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_store")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
-    _adj: dict = field(init=False, repr=False, compare=False, default=None)
-    _store: dict = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        self._build({}, {}, {}, add_vertices=self.vertices, add_edges=self.edges)
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
+        self._build({}, {}, {}, add_vertices=vertices, add_edges=edges)
 
     def edit(self, *, add_vertices: Iterable[Vertex] = (),
              remove: Iterable[Edge] = (), drop: Iterable[str] = (),

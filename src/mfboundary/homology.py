@@ -40,18 +40,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
 from .graph_core import PlumbingGraph, first_betti_of_graph
+from .record import Record
 
 
 # -- Smith normal form -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Outcome of a Smith normal form computation.
 
     ``factors`` are the positive diagonal entries d_1 | d_2 | ... | d_r in
@@ -62,6 +61,12 @@ class SmithForm:
     cols: int
     factors: tuple[int, ...]
 
+    def __init__(self, rows: int, cols: int, factors: tuple[int, ...]):
+        for a, b in zip(factors, factors[1:]):
+            if b % a != 0:
+                raise InvalidInput(f"invariant factors out of order: {factors}")
+        super().__init__(rows, cols, factors)
+
     @property
     def rank(self) -> int:
         return len(self.factors)
@@ -69,11 +74,6 @@ class SmithForm:
     @property
     def corank(self) -> int:
         return self.cols - self.rank
-
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
-            if b % a != 0:
-                raise InvalidInput(f"invariant factors out of order: {self.factors}")
 
 
 def _sparse_rows(M: Sequence[Sequence[int]]) -> tuple[int, int, dict[int, dict[int, int]]]:
@@ -500,25 +500,28 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
 
 # -- finitely generated abelian groups ---------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Z^free_rank plus cyclic factors in invariant-factor form (each at
     least 2, each dividing the next).  Equality is isomorphism."""
 
+    __slots__ = ("free_rank", "torsion")
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        # type(x) is int: a bool is not a rank
-        if type(self.free_rank) is not int or self.free_rank < 0:
-            raise InvalidInput(f"free rank must be a non-negative integer, got {self.free_rank!r}")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for d in self.torsion:
-            if not isinstance(d, int) or d < 2:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        # type(x) is int: a bool is not a rank or an order
+        if type(free_rank) is not int or free_rank < 0:
+            raise InvalidInput(f"free rank must be a non-negative integer, got {free_rank!r}")
+        if not isinstance(torsion, (tuple, list)):
+            raise InvalidInput(f"torsion must be a tuple or list of orders, got {torsion!r}")
+        torsion = tuple(torsion)
+        for d in torsion:
+            if type(d) is not int or d < 2:
                 raise InvalidInput(f"torsion orders must be >= 2, got {d}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise InvalidInput(f"torsion not in invariant-factor form: {self.torsion}")
+                raise InvalidInput(f"torsion not in invariant-factor form: {torsion}")
+        super().__init__(free_rank, torsion)
 
     @classmethod
     def cyclic_powers(cls, free_rank: int, n: int, k: int) -> "AbelianGroup":

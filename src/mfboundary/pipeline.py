@@ -22,13 +22,13 @@ with projective_complement_euler, for its torsion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .arrangement import IncidenceData, is_near_pencil, is_pencil
 from .errors import InternalError, InvalidInput, InvalidSize, NonIntegralEuler, UnsupportedLoop
 from .graph_core import Edge, PlumbingGraph, Vertex
 from .homology import AbelianGroup, homology_of_graph
+from .record import Record, replace
 from .reduction import reduce_double_chains
 from .strings import build_string
 
@@ -201,8 +201,7 @@ def projective_complement_euler(inc: IncidenceData) -> int:
     return 3 - 2 * inc.n + sum(p.multiplicity - 1 for p in inc.points)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     """Evidence for the three torsion predictions on one arrangement.
 
     flat_hypothesis     every point has (m-2)(gcd(m,n)-1) = 0, i.e. no
@@ -234,7 +233,7 @@ class ConjectureReport:
         return all(checks)
 
     def to_json(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "group"}
+        out = {name: getattr(self, name) for name in self._fields if name != "group"}
         out.update(h1=str(self.group), rank=self.group.free_rank,
                    torsion=list(self.group.torsion), all_hold=self.all_hold())
         return out

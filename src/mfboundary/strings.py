@@ -16,9 +16,9 @@ recurrence seeded by m1 and a/(a,c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInput, InvalidSize, NoSolution
+from .record import Record
 
 # longest continued fraction expanded: the pipeline needs at most n - 1
 # terms, and Str(3, 5; 10^20) would need about 6.7e18
@@ -70,8 +70,7 @@ def hj_continued_fraction(p: int, q: int) -> list[int]:
     return terms
 
 
-@dataclass(frozen=True)
-class StringGraph:
+class StringGraph(Record):
     """One computed chain.
 
     cf_terms        negative continued fraction of c/(a,c) over lambda,

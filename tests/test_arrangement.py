@@ -62,6 +62,29 @@ def test_line_rejects_garbage():
         ProjLine.from_coeffs([1, 2])
 
 
+@pytest.mark.parametrize("row, outcome", [
+    (["1/0", 1, 2], "cannot parse rational '1/0'"),
+    (["+3/06", 1, 2], (1, 2, 4)),
+    (["-0/5", 1, 2], (0, 1, 2)),
+    ([Fraction(1, 3), 1, 2], (1, 3, 6)),
+    ([Fraction(-4, 6), "10/4", 2], (4, -15, -12)),
+    ([3.0, 1, 2], "not a rational coefficient: 3.0"),
+    ([True, 1, 2], "not a rational coefficient: True"),
+    (["\u0663", 1, 2], "not a rational coefficient: '\u0663'"),
+    (["1" * 5000, 1, 2], "cannot parse rational '" + "1" * 5000 + "'"),
+    ([0, 0, 0], "zero vector does not define a projective object"),
+    (5, "a line is a list of three coefficients, got 5"),
+    ("123", "a line is a list of three coefficients, got '123'"),
+])
+def test_line_coefficient_parser_table(row, outcome):
+    if isinstance(outcome, tuple):
+        assert ProjLine.from_coeffs(row).coeffs == outcome
+    else:
+        with pytest.raises(InvalidInput) as info:
+            ProjLine.from_coeffs(row)
+        assert str(info.value) == outcome
+
+
 def test_a_long_row_is_rejected_before_it_is_parsed():
     obj = {"lines": [["1/3"] * 10**6, [0, 1, 0]]}
     start = time.perf_counter()

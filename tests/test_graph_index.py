@@ -193,13 +193,13 @@ def test_reduction_runs_no_full_validation_per_move(monkeypatch):
     g = boundary_graph(inc)
     moves = len(generic_reduction_script(g, inc))
     calls = []
-    full_check = PlumbingGraph.__post_init__
+    full_check = PlumbingGraph.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         calls.append(self)
-        full_check(self)
+        full_check(self, *args, **kwargs)
 
-    monkeypatch.setattr(PlumbingGraph, "__post_init__", counted)
+    monkeypatch.setattr(PlumbingGraph, "__init__", counted)
     reduce_double_chains(g, inc)
     assert moves > 300
     assert len(calls) <= 2, f"{len(calls)} full validations for {moves} moves"

@@ -4,6 +4,7 @@ theorem, checked against a slow minor-gcd oracle and hand-computed cases."""
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -75,6 +76,13 @@ def test_abelian_group_validation():
         AbelianGroup(0, (1,))
     with pytest.raises(InvalidInput):
         AbelianGroup(0, (4, 2))
+
+
+@pytest.mark.parametrize("torsion", [5, "23", None, 2.0, {2: 0}, range(2, 3), iter([2])])
+def test_abelian_group_torsion_is_a_tuple_or_list(torsion):
+    with pytest.raises(InvalidInput, match="^torsion must be a tuple or list of orders, got " +
+                       re.escape(repr(torsion)) + "$"):
+        AbelianGroup(1, torsion)
 
 
 @pytest.mark.parametrize("rank", [True, False, 1.5, 2.0, "2", None, -1, [1]])
@@ -1053,6 +1061,10 @@ def test_probe_triangle_counts_as_near_pencil():
 def test_probe_report_json_shape():
     rep = probe_conjecture(generate_family("generic", 4))
     d = rep.to_json()
+    assert list(d) == ["n", "betti_matches", "flat_hypothesis", "complement_euler",
+                       "flat_prediction_ok", "orders_divide_n", "torsion_free", "pencil_like",
+                       "near_pencil_like", "torsion_free_iff", "h1", "rank", "torsion",
+                       "all_hold"]
     assert d["h1"] == "Z^6 (+) Z_4"
     assert d["torsion"] == [4]
     assert d["all_hold"] is True

@@ -21,7 +21,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
     ("+7", Fraction(7)), ("-0/5", Fraction(0)), ("10/4", Fraction(5, 2)),
 ])
 def test_rational_strings_in_the_contract_parse(text, value):
-    assert _parse_rational(text) == value
+    assert Fraction(*_parse_rational(text)) == value
 
 
 @pytest.mark.parametrize("text", [

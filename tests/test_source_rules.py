@@ -1,7 +1,10 @@
 """Rules every module of the package keeps, checked on its syntax tree."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +24,10 @@ LABELS = {"dec", "edge_type"}
 INTEGER_MATH = {"gcd", "lcm", "prod", "isqrt", "comb"}
 
 OUTSIDE_GRAPH_CORE = [p for p in MODULES if p.name != "graph_core.py"]
-OUTSIDE_ARRANGEMENT = [p for p in MODULES if p.name != "arrangement.py"]
+
+# what the package never imports: a CLI start pays for every module it
+# loads, and these load inspect, ast, dis, tokenize and decimal with them
+SLOW_IMPORTS = ("dataclasses", "fractions")
 
 # a package's __init__ imports its public names for its users
 NOT_INIT = [p for p in MODULES if p.name != "__init__.py"]
@@ -138,13 +144,27 @@ def test_import_time_work_sees_loops_comprehensions_and_calls(tmp_path):
     assert import_time_work(path) == [(3, "ListComp"), (3, "range"), (4, "For"), (6, "dict")]
 
 
-@pytest.mark.parametrize("path", OUTSIDE_ARRANGEMENT, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_arrangement_imports_fractions(path):
-    # the parser reads rationals; every later stage, the Smith form engine
-    # included, works in plain integers
-    found = [line for line, module, _, name in imports(path)
-             if "fractions" in (module, name)]
+    # no module imports fractions or dataclasses, the parser's included
+    # (the name is older than the rule): the parser reads a "p/q" string as
+    # two ints, every later stage works in plain integers, and the value
+    # types are records (record.py)
+    found = [(line, module or name) for line, module, _, name in imports(path)
+             if {module, name.split(".")[0]} & set(SLOW_IMPORTS)]
     assert found == []
+
+
+def test_the_cli_imports_no_slow_module():
+    # the modules the CLI's own imports load, beyond what the interpreter
+    # and site had loaded before
+    code = ("import sys; before = set(sys.modules); import mfboundary.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "mfboundary.cli" in out
+    assert set(out) & {"dataclasses", "inspect", "fractions", "decimal"} == set()
 
 
 @pytest.mark.parametrize("path", OUTSIDE_GRAPH_CORE, ids=lambda p: p.name)
