@@ -31,7 +31,7 @@ Moves:
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import (
     InvalidInput,
@@ -248,21 +248,20 @@ def apply_move(g: PlumbingGraph, spec: MoveSpec) -> PlumbingGraph:
     return fn(g, spec.target, getattr(spec, field))
 
 
-def run_script(g: PlumbingGraph, script: list[MoveSpec]):
+def run_script(g: PlumbingGraph, script: Iterable[MoveSpec]):
     """Yield the graph after each move, in order."""
     for spec in script:
         g = apply_move(g, spec)
         yield g
 
 
-def apply_script(g: PlumbingGraph, script: list[MoveSpec],
+def apply_script(g: PlumbingGraph, script: Iterable[MoveSpec],
                  check_h1: bool = False) -> PlumbingGraph:
     """Apply the moves in order.  With check_h1, compare the first homology
     of every closed simple intermediate graph against the start."""
     reference = None
-    if check_h1 and g.is_closed() and g.is_simple():
-        reference = homology_of_graph(g)
-    for step, g in enumerate(run_script(g, script)):
+    # the start graph is step -1, the graph after move k is step k
+    for step, g in enumerate(itertools.chain([g], run_script(g, script)), -1):
         if check_h1 and g.is_closed() and g.is_simple():
             h = homology_of_graph(g)
             if reference is None:

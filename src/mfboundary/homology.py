@@ -16,16 +16,16 @@ Invariant factors come from one exact Smith normal form engine on one
 sparse form, row -> {column: nonzero}, in two steps: a unit pivot, taken
 from a priority queue ordered by Markowitz cost, and a content division
 when no unit is left.  A core where both are stuck over Z takes a Bezout
-step when a column's entries have gcd 1: pairs of rows are replaced by
-combinations of determinant 1 until an entry of that column is 1, and the
-unit pivots go on.  With no such column, a fraction-free sweep over the
-core's own rows gives its rank r and a multiple R of its last invariant
-factor, and the core is finished one prime of R at a time: mod p^k for
-k = 1, 2, 4, ... up to v_p(R), stopping at the first k where every factor
-is below p^k.  The primes are those below 1000, found by trial division;
-the cofactor of R that has none of them is finished mod itself, where
-every entry coprime to it is a unit, split into coprime moduli where that
-is stuck too.
+step when a column's entries have gcd 1: Euclid steps through ``row_op``,
+the one routine that changes a row, until an entry of that column is 1,
+and the unit pivots go on.  With no such column, a fraction-free sweep
+over the core's own rows gives its rank r and a multiple R of its last
+invariant factor, and the core is finished one prime of R at a time: mod
+p^k for k = 1, 2, 4, ... up to v_p(R), stopping at the first k where
+every factor is below p^k.  The primes are those below 1000, found by
+trial division; the cofactor of R that has none of them is finished mod
+itself, where every entry coprime to it is a unit, split into coprime
+moduli where that is stuck too.
 A step of the sweep visits only the rows its pivot column meets: a row
 written at step s keeps its values v, which at step t stand for
 v * P[t] / P[s], P being the pivots by step (P[0] = 1), and is brought
@@ -273,21 +273,21 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
         unit-pivot matrix.
 
     Stuck on both over Z (no unit, content 1), the engine takes a Bezout
-    step when some column's entries have gcd 1 (``_bezout_anchor``): rows
-    are combined in pairs by matrices of determinant 1 until the anchor
-    entry is +-1, and the loop goes on.  Each step buys at least one unit
-    pivot, so this ends.  With no such column, a Bareiss sweep gives the
-    rank r of the rest and a multiple R of its last invariant factor d_r,
-    and the rest is finished over coprime moduli, each run on a copy, the
-    returned lists multiplied elementwise (Chinese remainders): for each
-    prime p < 1000 of R, Z/p^k at a doubling precision k up to v_p(R)
-    (``_local_factors``), and Z/c for the cofactor c of R with no such
-    prime.  Over Z/q the first r factors are gcd(d_i, q), and every prime
-    of every d_i divides d_r, hence R.  Stuck over Z/m, the engine
-    finishes over a split of m from ``_coprime_split``; over Z/p^k no unit
-    means content >= p, so no split is needed there.  Over Z/m the rows
-    are reduced into (-m/2, m/2] at entry and stay there, and exactly
-    ``count`` factors come back, padded with m for rows that vanish mod m.
+    step when some column's entries have gcd 1 (``_bezout_anchor``): Euclid
+    steps through ``row_op`` until the anchor entry is +-1, and the loop
+    goes on.  Each step buys at least one unit pivot, so this ends.  With
+    no such column, a Bareiss sweep gives the rank r of the rest and a
+    multiple R of its last invariant factor d_r, and the rest is finished
+    over coprime moduli, each run on a copy, the returned lists multiplied
+    elementwise (Chinese remainders): for each prime p < 1000 of R, Z/p^k
+    at a doubling precision k up to v_p(R) (``_local_factors``), and Z/c
+    for the cofactor c of R with no such prime.  Over Z/q the first r
+    factors are gcd(d_i, q), and every prime of every d_i divides d_r,
+    hence R.  Stuck over Z/m, the engine finishes over a split of m from
+    ``_coprime_split``; over Z/p^k no unit means content >= p, so no split
+    is needed there.  Over Z/m the rows are reduced into (-m/2, m/2] at
+    entry and stay there, and exactly ``count`` factors come back, padded
+    with m for rows that vanish mod m.
 
     Entries are unbounded Python integers throughout; nothing is floated.
     """
@@ -380,43 +380,19 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
         return g
 
     def bezout(i: int, j: int):
-        """Make the anchor (i, j) of a matrix stuck over Z a unit by row
-        steps of determinant 1: with a the anchor, b the entry of another
-        row k of column j and g = gcd(a, b) = x*a + y*b, rows i and k become
-        x*r_i + y*r_k and -(b/g)*r_i + (a/g)*r_k.  Each step takes the row
-        whose b leaves the least g, then the shortest row; the column keeps
-        its gcd 1, so the anchor gets to 1."""
-        nonlocal nnz
-        a = rows[i][j]
-        while abs(a) != 1:
+        """Make the anchor (i, j) of a matrix stuck over Z a unit by Euclid
+        steps through ``row_op``: row i loses the multiple of a partner row
+        k that leaves its column-j entry nearest 0, the two swap roles, and
+        so on until one of the two entries is 0; the other row is the
+        anchor.  Each partner is the row whose entry leaves the least gcd
+        with the anchor's, then the shortest row; the column keeps its gcd
+        1, so the anchor gets to 1."""
+        while abs(a := rows[i][j]) != 1:
             k = min(cols[j] - {i}, key=lambda r: (gcd(a, rows[r][j]), len(rows[r]), r))
-            ri, rk = rows[i], rows[k]
-            b = rk[j]
-            g = gcd(a, b)
-            m = abs(b // g)
-            x = pow(a // g, -1, m)  # 0 when m = 1
-            if 2 * x > m:
-                x -= m
-            y = (g - x * a) // b
-            for r, (s, t) in ((i, (x, y)), (k, (-b // g, a // g))):
-                new = {}
-                for c in [*ri, *(c for c in rk if c not in ri)]:
-                    v = s * ri.get(c, 0) + t * rk.get(c, 0)
-                    if v:
-                        new[c] = v
-                        cols[c].add(r)
-                    else:
-                        cols[c].discard(r)
-                nnz += len(new) - len(rows[r])
-                if new:
-                    rows[r] = new
-                else:
-                    del rows[r]
-            for r in (i, k):
-                for c, v in rows.get(r, {}).items():
-                    if v in (1, -1):
-                        heappush(queue, ((len(rows[r]) - 1) * (len(cols[c]) - 1), r, c))
-            a = g
+            while j in rows.get(k, ()):
+                b = rows[k][j]
+                row_op(i, rows[k], (2 * rows[i][j] + b) // (2 * b))  # nearest quotient
+                i, k = k, i
 
     def eliminate(i: int, j: int):
         """Clear row i and column j around the unit pivot (i, j)."""
@@ -481,10 +457,10 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
     The matrix is validated, and its nonzeros go to the one sparse engine
     (``_invariant_factors``), tuned for the mostly-empty matrices of
     boundary graphs: unit pivots from a Markowitz-cost priority queue,
-    content extraction when no unit is left, a Bezout step that writes a
-    unit when a column's entries have gcd 1, and otherwise a finish one
-    prime at a time, mod p^k at a doubling precision, in which every entry
-    coprime to p is a unit pivot.
+    content extraction when no unit is left, a Bezout step of Euclid steps
+    through ``row_op`` that writes a unit when a column's entries have gcd
+    1, and otherwise a finish one prime at a time, mod p^k at a doubling
+    precision, in which every entry coprime to p is a unit pivot.
 
     The naive minimum-entry Euclidean strategy is catastrophic here: on
     the raw boundary graph of ten generic lines it manufactures pivots

@@ -18,6 +18,8 @@ normal form.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .arrangement import IncidenceData, is_generic, is_near_pencil, is_pencil
 from .calculus import MoveSpec, apply_script
 from .errors import InvalidInput
@@ -56,20 +58,19 @@ def chain_survivor(inc: IncidenceData, j: int) -> str:
     return f"w{j}" if inc.n == 2 else f"s{i1}_{j}#0"
 
 
-def _double_chains_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSpec]:
+def _double_chains_script(g: PlumbingGraph, inc: IncidenceData) -> Iterator[MoveSpec]:
     """The double_chain_scripts of all double points in point order, each
-    built from g: no chain's moves touch what another chain's script reads."""
-    script: list[MoveSpec] = []
+    built from g when the moves reach it: no chain's moves touch what
+    another chain's script reads, and only one chain's moves are alive."""
     for j, pt in enumerate(inc.points):
         if pt.multiplicity == 2:
-            script += double_chain_script(g, inc, j)
-    return script
+            yield from double_chain_script(g, inc, j)
 
 
 def generic_reduction_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSpec]:
     if not is_generic(inc):
         raise InvalidInput("generic reduction needs an arrangement with only double points")
-    return _double_chains_script(g, inc)
+    return list(_double_chains_script(g, inc))
 
 
 def reduce_double_chains(g: PlumbingGraph, inc: IncidenceData) -> PlumbingGraph:

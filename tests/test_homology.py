@@ -511,6 +511,29 @@ def test_the_stuck_branches_by_hand(moduli, splits, M, want, runs):
     assert splits == ([P7 * Q7] if P7 in runs else [])
 
 
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_long_euclid_chains(moduli):
+    # consecutive Fibonacci numbers give Euclid's longest chain for their
+    # size, about k/2 steps with nearest quotients; 2^300 +- 1 give a short
+    # chain of 300-bit rows.  Each matrix has no +-1 entry, content 1 and a
+    # column of gcd 1, so the Bezout step alone finishes it
+    cases = [[[fibonacci(k), 2 * fibonacci(k + 1)], [fibonacci(k + 1), 2 * fibonacci(k)]]
+             for k in (50, 200, 1000, 3000)]
+    cases.append([[2 ** 300 + 1, 6], [2 ** 300 - 1, 10]])
+    for M in cases:
+        (a, b), (c, d) = M
+        assert 1 not in {abs(v) for v in (a, b, c, d)}
+        assert math.gcd(a, b, c, d) == 1 and math.gcd(a, c) == 1
+        assert smith_normal_form(M).factors == (1, abs(a * d - b * c))
+    assert moduli == []
+
+
 def valuation_matrix(rng):
     """A small matrix with no +-1 entry whose entries are +-products of
     powers of 2, 3 and 5, some of them large."""
@@ -958,6 +981,7 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_homology.py::test_the_stuck_branches_by_hand[precision]",
         "tests/test_homology.py::test_the_stuck_branches_by_hand[cofactor]",
         "tests/test_homology.py::test_snf_large_valuations_match_oracle",
+        "tests/test_homology.py::test_long_euclid_chains",
         "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
         "tests/test_homology.py::test_the_sweep_matches_the_plain_sweep",
         "tests/test_homology.py::test_contracted_chains_match_minor_gcd_oracle",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfboundary import calculus, reduction
 from mfboundary.arrangement import generate_family, incidence_from_lines
 from mfboundary.arrangement import is_generic, is_near_pencil, is_pencil, random_rational_lines
 from mfboundary.calculus import apply_script
@@ -114,6 +115,34 @@ def test_reduce_double_chains_random_arrangements():
         if doubles:
             assert len(red.vertices) < len(g.vertices)
         done += 1
+
+
+def test_double_chain_scripts_are_built_as_the_moves_reach_them(monkeypatch):
+    # a chain's script is built when the moves reach its double point, so
+    # only that chain's moves are alive at a time; each is still read from
+    # the unmoved graph
+    inc = generate_family("generic", 5)
+    g = boundary_graph(inc)
+    calls = []
+    move = calculus.apply_move
+
+    def logged_script(graph, inc, j):
+        calls.append(("script", j))
+        assert graph is g
+        return double_chain_script(graph, inc, j)
+
+    def logged_move(graph, spec):
+        calls.append(("move", spec.target))
+        return move(graph, spec)
+
+    monkeypatch.setattr(reduction, "double_chain_script", logged_script)
+    monkeypatch.setattr(calculus, "apply_move", logged_move)
+    red = reduce_double_chains(g, inc)
+    scripts = [k for k, (kind, _) in enumerate(calls) if kind == "script"]
+    assert len(scripts) == 10 and scripts[0] == 0
+    # each later script is built after the previous chain's moves have run
+    assert all(calls[k - 1][0] == "move" for k in scripts[1:])
+    assert red == apply_script(g, generic_reduction_script(g, inc))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

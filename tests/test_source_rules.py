@@ -144,6 +144,68 @@ def test_import_time_work_sees_loops_comprehensions_and_calls(tmp_path):
     assert import_time_work(path) == [(3, "ListComp"), (3, "range"), (4, "For"), (6, "dict")]
 
 
+def direct_writes(func):
+    """(line, what) of every write the function's body makes by itself, not
+    through a call it hands its data to: an assignment to a subscript, a
+    ``del``, a ``nonlocal`` and a call of a method ``add`` or ``discard``."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+            while targets:
+                t = targets.pop()
+                if isinstance(t, (ast.Tuple, ast.List)):
+                    targets += t.elts
+                elif isinstance(t, ast.Starred):
+                    targets.append(t.value)
+                elif isinstance(t, ast.Subscript):
+                    found.append((t.lineno, "subscript"))
+        elif isinstance(node, ast.Delete):
+            found.append((node.lineno, "del"))
+        elif isinstance(node, ast.Nonlocal):
+            found.append((node.lineno, "nonlocal"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("add", "discard")):
+            found.append((node.lineno, "." + node.func.attr))
+    return sorted(found)
+
+
+def nested_function(path, outer, inner):
+    """The definition of function ``inner`` nested in function ``outer``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(node for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name == outer
+                for node in ast.walk(top)
+                if isinstance(node, ast.FunctionDef) and node.name == inner)
+
+
+def test_the_bezout_step_changes_rows_only_through_row_op():
+    # the engine keeps its column index, its nonzero count and its unit
+    # heap in step in row_op; a step that wrote rows itself would have to
+    # keep all three by hand
+    bezout = nested_function(SRC / "homology.py", "_invariant_factors", "bezout")
+    assert direct_writes(bezout) == []
+
+
+def test_direct_writes_sees_subscripts_del_nonlocal_and_set_calls(tmp_path):
+    path = tmp_path / "writes.py"
+    path.write_text("def outer(rows, cols):\n"
+                    "    n = 0\n"
+                    "    def inner(r, c):\n"
+                    "        nonlocal n\n"
+                    "        rows[r] = {}\n"
+                    "        rows[r][c] += 1\n"
+                    "        a, rows[c] = 1, {}\n"
+                    "        del rows[r]\n"
+                    "        cols[c].add(r)\n"
+                    "        cols[c].discard(r)\n"
+                    "        i, r = r, i\n"
+                    "        return rows.get(r)\n")
+    assert direct_writes(nested_function(path, "outer", "inner")) == [
+        (4, "nonlocal"), (5, "subscript"), (6, "subscript"), (7, "subscript"), (8, "del"),
+        (9, ".add"), (10, ".discard")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_arrangement_imports_fractions(path):
     # no module imports fractions or dataclasses, the parser's included
