@@ -1,9 +1,13 @@
 """Plumbing calculus: local moves that change a closed plumbing graph
 without changing the 3-manifold it describes.
 
-Every move validates its precondition and returns a new graph; nothing is
-mutated.  Multiplicities are input-stage data and are carried along
-unchanged; the moves maintain Euler numbers, genus and signs only.
+Every move validates its precondition and reads what it needs of the graph
+before it edits it, then returns the edited graph.  On an ordinary graph an
+edit copies and no graph a caller holds changes; ``apply_script`` runs the
+moves on one open copy, where each edit is made in place and supersedes the
+graph it edits.
+Multiplicities are input-stage data and are carried along unchanged; the
+moves maintain Euler numbers, genus and signs only.
 
 Moves:
   sign_reversal      flip the sign of every non-loop edge at a vertex;
@@ -164,8 +168,9 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
         if not candidates:
             raise NotSplittable(f"{vid}: no Euler-0 leaf companion")
         companion = candidates[0]
+    b1 = first_betti_of_graph(g)  # before the edit, which may supersede g
     rest = g.edit(drop=[vid, companion])
-    extras = 2 * v.genus + first_betti_of_graph(g) - first_betti_of_graph(rest)
+    extras = 2 * v.genus + b1 - first_betti_of_graph(rest)
     free = (f"z{k}" for k in itertools.count() if not rest.has_vertex(f"z{k}"))
     return rest.edit(add_vertices=[
         Vertex(id=next(free), genus=0, euler=0, kind="plain") for _ in range(extras)
@@ -249,7 +254,9 @@ def apply_move(g: PlumbingGraph, spec: MoveSpec) -> PlumbingGraph:
 
 
 def run_script(g: PlumbingGraph, script: Iterable[MoveSpec]):
-    """Yield the graph after each move, in order."""
+    """Yield the graph after each move, in order.  Each is a new graph, and
+    g is unchanged, unless g is open: then each move is made in place and
+    supersedes the graph yielded before it."""
     for spec in script:
         g = apply_move(g, spec)
         yield g
@@ -257,9 +264,13 @@ def run_script(g: PlumbingGraph, script: Iterable[MoveSpec]):
 
 def apply_script(g: PlumbingGraph, script: Iterable[MoveSpec],
                  check_h1: bool = False) -> PlumbingGraph:
-    """Apply the moves in order.  With check_h1, compare the first homology
-    of every closed simple intermediate graph against the start."""
+    """Apply the moves in order to one open copy of g, made in O(V + E), so
+    that each move costs the degree of the vertices it touches; g itself
+    never changes, even when a move raises.  With check_h1, compare the
+    first homology of every closed simple intermediate graph against the
+    start."""
     reference = None
+    g = g.opened()
     # the start graph is step -1, the graph after move k is step k
     for step, g in enumerate(itertools.chain([g], run_script(g, script)), -1):
         if check_h1 and g.is_closed() and g.is_simple():
@@ -268,4 +279,4 @@ def apply_script(g: PlumbingGraph, script: Iterable[MoveSpec],
                 reference = h
             elif h != reference:
                 raise MFBoundaryError(f"H1 changed after move {step}: {reference} -> {h}")
-    return g
+    return g.closed()

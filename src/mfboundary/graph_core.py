@@ -4,7 +4,11 @@ A vertex carries genus, Euler number, multiplicity, a kind tag and, during
 the curve-configuration stage only, a decoration triple (m; n, nu).  Edges
 are unordered, signed +1/-1, may be parallel, may be loops, and may be
 arrows (edges into an arrowhead vertex).  Graphs are immutable: every
-operation returns a new graph.
+operation returns a new graph, and ``edit`` copies the old graph's indexes.
+The one exception is an open graph, a private copy that ``opened`` makes:
+its edits are made in place on its indexes, which pass to the graph the
+edit returns, so an edit costs only the degree of the vertices it touches.
+The superseded graph raises ``InternalError`` when it is read again.
 
 Vertex ids double as ordering keys.  The pipeline assigns structured ids
  ("v3" line 3, "w5" point 5, "s1_4#0" first string vertex on the edge from
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from .errors import InvalidInput, UnknownVertex
+from .errors import InternalError, InvalidInput, UnknownVertex
 from .record import Record, replace
 
 KINDS = ("line", "point", "string", "arrowhead", "plain")
@@ -111,6 +115,17 @@ class Edge(Record):
         return self.a == self.b
 
 
+class _Superseded:
+    """What a graph superseded by an in-place edit holds for its indexes
+    and its open flag: any use of them raises, and every read or edit of
+    the graph uses them."""
+
+    def __getattr__(self, *args):
+        raise InternalError("read of a graph superseded by an in-place edit")
+
+    __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = __getattr__
+
+
 _ID_NUM = re.compile(r"(\d+)$")
 _ID_S = re.compile(r"s(\d+)_(\d+)#(\d+)$")
 _ID_SLOT = {"v": 0, "w": 1, "a": 2}  # prefix -> slot of a "<prefix><digits>" id
@@ -152,18 +167,47 @@ class PlumbingGraph(Record):
     """Vertices and edges in a fixed order, with three indexes: ``_index``
     maps an id to its vertex, in vertex order; ``_store`` maps an edge key
     to its edge, in edge order; and ``_adj`` maps an id to the keys of the
-    edges at the vertex, ascending (a loop once).
+    edges at the vertex, ascending (a loop once).  ``vertices`` and
+    ``edges`` are read off ``_index`` and ``_store``.
 
     Every graph is an edit: the constructor runs the routine behind
     ``edit`` on empty indexes, adding all its vertices and edges, so it
     checks and indexes everything in one O(V + E) pass."""
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_store")
+    __slots__ = ("_index", "_adj", "_store", "_open")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
-        self._build({}, {}, {}, add_vertices=vertices, add_edges=edges)
+        self._build(False, {}, {}, {}, add_vertices=vertices, add_edges=edges)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(self._index.values())
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(self._store.values())
+
+    def opened(self) -> "PlumbingGraph":
+        """An open copy of this graph: its indexes are copied once, and
+        every edit of the copy, and of the graphs its edits return, is made
+        in place on them, superseding the graph it edits."""
+        return _made(True, dict(self._index), dict(self._adj), dict(self._store))
+
+    def closed(self) -> "PlumbingGraph":
+        """This graph as an ordinary one, whose edits copy.  An open graph
+        hands its indexes to the closed one and is superseded."""
+        return _made(False, *self._released()) if self._open else self
+
+    def _released(self) -> tuple[dict, dict, dict]:
+        """The indexes of this open graph, which it gives up: from now on
+        it holds a ``_Superseded`` in every slot."""
+        indexes = self._index, self._adj, self._store
+        superseded = _Superseded()
+        for name in self.__slots__:
+            object.__setattr__(self, name, superseded)
+        return indexes
 
     def edit(self, *, add_vertices: Iterable[Vertex] = (),
              remove: Iterable[Edge] = (), drop: Iterable[str] = (),
@@ -179,19 +223,21 @@ class PlumbingGraph(Record):
 
         Vertex and edge order come out as a rebuild from the edited lists
         would give them: a kept edge keeps its key and an added one takes a
-        fresh key, so a key only ever joins an adjacency at its end.  The
-        indexes are copied from this graph's and only the vertices and edges
-        the edit touches are edited and checked, raising what the
-        constructor would raise."""
-        out = object.__new__(PlumbingGraph)
-        out._build(dict(self._index), dict(self._adj), dict(self._store),
-                   add_vertices, remove, drop, add_edges, put)
-        return out
+        fresh key, so a key only ever joins an adjacency at its end.  Only
+        the vertices and edges the edit touches are edited and checked,
+        raising what the constructor would raise.  The indexes are copied
+        from this graph's, in O(V + E), unless this graph is open: then
+        they are taken from it, the edit is made in place, and the graph
+        returned is open."""
+        if self._open:
+            return _made(True, *self._released(), add_vertices, remove, drop, add_edges, put)
+        return _made(False, dict(self._index), dict(self._adj), dict(self._store),
+                     add_vertices, remove, drop, add_edges, put)
 
-    def _build(self, index: dict, adj: dict, store: dict, add_vertices=(),
+    def _build(self, open_: bool, index: dict, adj: dict, store: dict, add_vertices=(),
                remove=(), drop=(), add_edges=(), put=()) -> None:
         """Make the edit of ``edit`` on the given indexes, which this graph
-        then keeps."""
+        then keeps, open or not."""
         touched = []  # ids where an arrowhead's degree may have changed
         for v in add_vertices:
             if v.id in index:
@@ -247,8 +293,7 @@ class PlumbingGraph(Record):
             if (old.kind == "arrowhead") != (v.kind == "arrowhead"):
                 raise InvalidInput(f"put cannot turn {v.id!r} into or out of an arrowhead")
             index[v.id] = v
-        object.__setattr__(self, "vertices", tuple(index.values()))
-        object.__setattr__(self, "edges", tuple(store.values()))
+        object.__setattr__(self, "_open", open_)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_store", store)
@@ -321,6 +366,13 @@ class PlumbingGraph(Record):
         edges.sort(key=lambda e: (_order_key(e.a), _order_key(e.b), -e.sign,
                                   e.arrow, e.edge_type or 0))
         return PlumbingGraph(verts, tuple(edges))
+
+
+def _made(open_: bool, *build_args) -> PlumbingGraph:
+    """The graph that ``_build`` makes of these arguments."""
+    out = object.__new__(PlumbingGraph)
+    out._build(open_, *build_args)
+    return out
 
 
 def first_betti_of_graph(g: PlumbingGraph) -> int:

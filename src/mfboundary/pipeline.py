@@ -188,7 +188,7 @@ def betti_formula(inc: IncidenceData) -> int:
     """First Betti number of the boundary straight from the incidence data:
     sum over intersection points of 1 + (m - 2) * gcd(m, n)."""
     if inc.n < 2:
-        raise InvalidInput("Betti formula needs n >= 2")
+        raise InvalidSize(f"need at least two lines, got n={inc.n}")
     return sum(
         1 + (p.multiplicity - 2) * math.gcd(p.multiplicity, inc.n)
         for p in inc.points

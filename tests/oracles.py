@@ -162,6 +162,24 @@ def random_plumbing(rng: random.Random, max_vertices: int = 7) -> PlumbingGraph:
     return PlumbingGraph(vertices=tuple(verts), edges=tuple(edges))
 
 
+def random_split_case(rng: random.Random) -> PlumbingGraph:
+    """A plumbing with a center c, its Euler-0 leaf companion and 1-8 other
+    vertices; edges at c may run in parallel and reach several components."""
+    k = rng.randint(1, 8)
+    others = [f"n{i}" for i in range(k)]
+    vs = [("c", rng.randint(-3, 3), rng.randint(0, 2)), ("comp", 0, 0)]
+    vs += [(u, rng.randint(-3, 3), rng.randint(0, 2)) for u in others]
+    es = [("c", "comp", rng.choice([1, -1]))]
+    for _ in range(rng.randint(0, 6)):
+        es.append(("c", rng.choice(others), rng.choice([1, -1])))
+    for _ in range(rng.randint(0, k)):
+        a, b = rng.sample(others, 2) if k > 1 else (others[0], others[0])
+        if a != b:
+            es.append((a, b, rng.choice([1, -1])))
+    return PlumbingGraph(tuple(Vertex(id=i, euler=e, genus=g) for i, e, g in vs),
+                         tuple(Edge(a=a, b=b, sign=s) for a, b, s in es))
+
+
 def plain_bareiss(rows):
     """(rank, R) of the sparse rows (row -> {column: nonzero}) by the plain
     fraction-free sweep: each step pivots on the first least |entry| of the

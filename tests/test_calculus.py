@@ -29,7 +29,7 @@ from mfboundary.errors import (
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
 from mfboundary.homology import homology_of_graph
 
-from oracles import random_plumbing
+from oracles import random_plumbing, random_split_case
 
 
 def graph(vs, es):
@@ -190,23 +190,6 @@ def test_split_star():
     assert all(out.vertex(z).euler == 0 and out.degree(z) == 0 for z in zs)
     assert {"p", "q", "r"} <= set(survivors)
     assert len(out.plain_edges()) == 1  # only q -- r survives
-
-
-def random_split_case(rng):
-    """A plumbing with a center c, its Euler-0 leaf companion and 1-8 other
-    vertices; edges at c may run in parallel and reach several components."""
-    k = rng.randint(1, 8)
-    others = [f"n{i}" for i in range(k)]
-    vs = [("c", rng.randint(-3, 3), rng.randint(0, 2)), ("comp", 0, 0)]
-    vs += [(u, rng.randint(-3, 3), rng.randint(0, 2)) for u in others]
-    es = [("c", "comp", rng.choice([1, -1]))]
-    for _ in range(rng.randint(0, 6)):
-        es.append(("c", rng.choice(others), rng.choice([1, -1])))
-    for _ in range(rng.randint(0, k)):
-        a, b = rng.sample(others, 2) if k > 1 else (others[0], others[0])
-        if a != b:
-            es.append((a, b, rng.choice([1, -1])))
-    return graph(vs, es)
 
 
 def test_split_frees_2g_plus_the_extra_edges_into_each_component():

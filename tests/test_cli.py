@@ -96,6 +96,18 @@ def test_betti_command(tmp_path, capsys):
     assert out.strip() == "9"
 
 
+@pytest.mark.parametrize("command", ["betti", "homology", "plumbing", "gamma-c",
+                                     "probe-conjecture"])
+@pytest.mark.parametrize("arrangement", [{"lines": [[1, 0, 0]]}, {"n": 1, "points": []}],
+                         ids=["lines", "points"])
+def test_one_line_is_the_same_size_error_for_every_command(tmp_path, capsys, command,
+                                                           arrangement):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(arrangement))
+    payload = assert_one_json_error(*run_cli(capsys, command, str(path)))
+    assert payload == {"error": "InvalidSize", "message": "need at least two lines, got n=1"}
+
+
 def test_string_json_and_text(capsys):
     code, out, err = run_cli(capsys, "string", "1", "2", "7", "--json")
     assert code == 0

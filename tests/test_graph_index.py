@@ -23,10 +23,11 @@ from mfboundary.calculus import (
     MoveSpec,
     _bumped,
     apply_move,
+    apply_script,
     blow_down_b,
     run_script,
 )
-from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
+from mfboundary.errors import InternalError, InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, _order_key
 from mfboundary.pipeline import boundary_graph
 from mfboundary.reduction import (
@@ -37,7 +38,7 @@ from mfboundary.reduction import (
     reduce_double_chains,
 )
 
-from oracles import random_plumbing
+from oracles import random_plumbing, random_split_case
 
 
 def assert_indexed(g):
@@ -186,6 +187,116 @@ def test_random_edits_on_random_plumbings_keep_the_index():
     assert applied > 1500
 
 
+def specs_at(g, vid):
+    """A spec of every kind in MOVES at the vertex: its optional field
+    unset, then set to each neighbor."""
+    out = []
+    for kind, (_, field) in MOVES.items():
+        out.append(MoveSpec(kind, vid))
+        if field is not None:
+            out += [MoveSpec(kind, vid, **{field: u}) for u in g.neighbors(vid)]
+    return out
+
+
+def outcome(call):
+    """The graph the call returns, or the class and message it raises."""
+    try:
+        return call()
+    except MFBoundaryError as exc:
+        return type(exc), str(exc)
+
+
+def script_is_move(g, spec):
+    """apply_move(g, spec), once apply_script(g, [spec]) has given the same
+    graph, orders included, or raised the same error, and g is as it was
+    after both and after a script whose last move raises."""
+    before = PlumbingGraph(g.vertices, g.edges)
+    indexes = dict(g._index), dict(g._adj), dict(g._store)
+    moved = outcome(lambda: apply_move(g, spec))
+    scripted = outcome(lambda: apply_script(g, [spec]))
+    assert scripted == moved, (spec, g)
+    if isinstance(scripted, PlumbingGraph):
+        assert_indexed(scripted)
+    with pytest.raises(MFBoundaryError):
+        apply_script(g, [spec, MoveSpec("blow_down_a", "no such vertex")])
+    assert g == before
+    assert (g._index, g._adj, g._store) == indexes
+    return moved
+
+
+def test_a_move_in_a_script_is_the_move_on_a_persistent_graph():
+    # apply_script edits one open copy in place; each move must give what
+    # it gives on a graph whose edits copy, and the caller's graph must
+    # never change
+    rng = random.Random(20261020)
+    applied = dict.fromkeys(MOVES, 0)
+
+    def check_all(g, vids):
+        for vid in vids:
+            for spec in specs_at(g, vid):
+                applied[spec.kind] += isinstance(script_is_move(g, spec), PlumbingGraph)
+
+    for _ in range(200):
+        check_all(random_split_case(rng), ["c", "comp", "n0"])
+    for _ in range(60):
+        g = random_plumbing(rng)
+        host = rng.choice(g.ids)  # a handle at it, for handle_absorb
+        g = g.edit(add_vertices=[Vertex("h", euler=0)],
+                   add_edges=[Edge("h", host, 1), Edge(host, "h", -1)])
+        for _ in range(8):
+            check_all(g, sorted({"h", *rng.sample(g.ids, min(2, len(g.ids)))} & set(g.ids)))
+            try:
+                g, _ = random_edit(rng, g)
+            except MFBoundaryError:
+                continue
+            if g is None or not g.vertices:
+                break
+    scripts = [(kind, n, script) for kind, ns, script in (
+        ("generic", range(3, 7), generic_reduction_script),
+        ("near_pencil", range(3, 7), near_pencil_reduction_script),
+        ("pencil", range(2, 6), pencil_reduction_script),
+    ) for n in ns]
+    for kind, n, script in scripts:
+        inc = generate_family(kind, n)
+        g = boundary_graph(inc)
+        for spec in script(g, inc):
+            g = script_is_move(g, spec)
+            assert isinstance(g, PlumbingGraph), (kind, n, spec, g)
+            applied[spec.kind] += 1
+    assert min(applied.values()) >= 50, applied
+
+
+def test_a_graph_superseded_by_an_in_place_edit_raises_when_read(monkeypatch):
+    g = chain(5)
+    opened = g.opened()
+    out = blow_down_b(opened, "c2")
+    reads = [lambda: opened.vertices, lambda: opened.edges, lambda: opened.vertex("c0"),
+             lambda: opened.edges_at("c0"), lambda: opened == out, lambda: opened.edit(),
+             lambda: opened.closed()]
+    for read in reads:
+        with pytest.raises(InternalError, match="superseded by an in-place edit"):
+            read()
+    closed = out.closed()
+    with pytest.raises(InternalError):
+        out.edges
+    assert closed == blow_down_b(g, "c2") == apply_script(g, [MoveSpec("blow_down_b", "c2")])
+    assert closed.edit(drop=["c0"]) != closed == blow_down_b(g, "c2")  # closed edits copy
+    assert g == chain(5)
+
+    def late_read(g, vid):
+        """A move that reads its graph after editing it."""
+        out = g.edit(drop=[vid])
+        g.vertex(vid)
+        return out
+
+    monkeypatch.setitem(MOVES, "blow_down_a", (late_read, None))
+    spec = MoveSpec("blow_down_a", "c0")
+    assert apply_move(g, spec) == g.edit(drop=["c0"])
+    with pytest.raises(InternalError):
+        apply_script(g, [spec])
+    assert g == chain(5)
+
+
 def test_reduction_runs_no_full_validation_per_move(monkeypatch):
     # every move derives its graph from the previous one; a full
     # constructor check per move would make reduction quadratic again
@@ -258,6 +369,18 @@ def test_the_constructor_stays_linear():
     ratio = (min(timeit.repeat(lambda: PlumbingGraph(*large), number=1, repeat=5))
              / min(timeit.repeat(lambda: PlumbingGraph(*small), number=1, repeat=5)))
     assert ratio < 40, ratio
+
+
+def test_the_reduction_stays_linear():
+    # raw generic 20 has 8.7x the vertices and about 9x the moves of raw
+    # generic 10; a move that copies the whole graph makes it about 30x
+    seconds = []
+    for n in (10, 20):
+        inc = generate_family("generic", n)
+        g = boundary_graph(inc)
+        seconds.append(min(timeit.repeat(lambda: reduce_double_chains(g, inc), number=1,
+                                         repeat=3)))
+    assert seconds[1] / seconds[0] < 15, seconds
 
 
 def arrow_graph():

@@ -19,6 +19,7 @@ from mfboundary import homology
 from mfboundary.errors import (
     InternalError,
     InvalidInput,
+    InvalidSize,
     MFBoundaryError,
     MissingEuler,
     NonSimpleGraph,
@@ -963,9 +964,10 @@ def test_first_betti_is_the_component_count():
 
 def test_snf_oracle_tests_pass_under_python_O():
     # python -O strips assert statements; the engine's invariant checks,
-    # the graph checks of incremental edits and of the constructors, and
-    # the homology front end's checks are explicit raises and must still
-    # hold in an optimised run
+    # the graph checks of incremental edits and of the constructors, the
+    # guard on graphs superseded by in-place edits, and the homology front
+    # end's checks are explicit raises and must still hold in an optimised
+    # run
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.dirname(here)
     env = dict(os.environ)
@@ -987,6 +989,8 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_homology.py::test_contracted_chains_match_minor_gcd_oracle",
         "tests/test_acceptance.py::test_criterion_11_snf_oracle",
         "tests/test_graph_index.py::test_edits_reject_what_a_rebuild_rejects",
+        "tests/test_graph_index.py::test_a_move_in_a_script_is_the_move_on_a_persistent_graph",
+        "tests/test_graph_index.py::test_a_graph_superseded_by_an_in_place_edit_raises_when_read",
         "tests/test_graph_core.py::test_graph_validation",
         "tests/test_graph_core.py::test_arrowhead_degree_one",
         "tests/test_graph_core.py::test_constructors_raise_or_build_what_the_full_checks_give[Vertex]",
@@ -1024,7 +1028,8 @@ def test_betti_formula_families():
 def test_betti_formula_rejects_tiny():
     from mfboundary.arrangement import IncidenceData
 
-    with pytest.raises(InvalidInput):
+    # the error every other command gives for one line
+    with pytest.raises(InvalidSize, match=r"^need at least two lines, got n=1$"):
         betti_formula(IncidenceData(n=1, points=[]))
 
 
