@@ -289,9 +289,17 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
 
       {"lines": [[a,b,c], ...]}        coefficients as ints or "p/q" strings
       {"n": 5, "points": [[0,1,2], ...]}
+
+    Any other key, or keys of both forms, raise: either would drop part of
+    the arrangement without a word.
     """
     if not isinstance(obj, dict):
         raise InvalidInput("arrangement JSON must be an object")
+    unknown = [key for key in obj if key not in ("lines", "n", "points")]
+    if unknown:
+        raise InvalidInput(f"unknown arrangement keys {unknown}")
+    if "lines" in obj and len(obj) > 1:
+        raise InvalidInput('arrangement JSON gives "lines" and "n"/"points": give one form')
     if "lines" in obj:
         rows = obj["lines"]
         if not isinstance(rows, list) or not rows:

@@ -277,7 +277,12 @@ class PlumbingGraph(Record):
         # new keys count on from the last stored one; stored keys ascend,
         # so key order stays edge order
         for k, e in enumerate(add_edges, next(reversed(store), -1) + 1):
-            _check_edge(e, index)
+            try:  # the arrowhead ends, one exactly when an arrow
+                heads = (index[e.a].kind == "arrowhead") + (index[e.b].kind == "arrowhead")
+            except (KeyError, TypeError):  # TypeError: an unhashable end
+                heads = -1
+            if heads != e.arrow:
+                _check_edge(e, index)  # raises, naming the fault
             store[k] = e
             fresh.setdefault(e.a, []).append(k)
             if e.b != e.a:
@@ -427,8 +432,18 @@ def graph_to_json(g: PlumbingGraph) -> dict:
     }
 
 
-def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...]) -> list[dict]:
-    """The rows under obj[key], each an object with the required fields."""
+def _unknown_keys(obj: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise naming the keys of obj outside ``known``: a misspelt key would
+    otherwise be read as a missing one."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise InvalidInput(f"unknown {what} keys {unknown}")
+
+
+def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...],
+               known: tuple[str, ...]) -> list[dict]:
+    """The rows under obj[key], each an object with the required fields
+    and no key outside the known ones."""
     rows = obj[key]
     if not isinstance(rows, list):
         raise InvalidInput(f'graph JSON "{key}" must be a list')
@@ -438,14 +453,19 @@ def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...]) -> lis
         for name in required:
             if name not in row:
                 raise InvalidInput(f'{what} row needs "{name}": {row!r}')
+        _unknown_keys(row, known, what)
     return rows
 
 
 def graph_from_json(obj: dict) -> PlumbingGraph:
+    """The graph of the JSON that ``graph_to_json`` writes; a key outside
+    that shape raises."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInput('graph JSON needs "vertices" and "edges"')
+    _unknown_keys(obj, ("vertices", "edges"), "graph JSON")
     verts = []
-    for row in _json_rows(obj, "vertices", "vertex", ("id",)):
+    for row in _json_rows(obj, "vertices", "vertex", ("id",),
+                          ("id", "genus", "euler", "mult", "kind", "dec")):
         dec = row.get("dec")
         if dec is not None and not isinstance(dec, list):
             raise InvalidInput(f"vertex {row['id']!r}: dec must be a list of three integers")
@@ -460,7 +480,7 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
             )
         )
     edges = []
-    for row in _json_rows(obj, "edges", "edge", ("a", "b")):
+    for row in _json_rows(obj, "edges", "edge", ("a", "b"), ("a", "b", "sign", "type", "arrow")):
         if not isinstance(row["a"], str) or not isinstance(row["b"], str):
             raise InvalidInput(f"edge ends must be vertex ids: {row['a']!r}--{row['b']!r}")
         sign = row.get("sign", "+")

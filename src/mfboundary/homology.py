@@ -8,10 +8,13 @@ incidence matrix A (Euler numbers on the diagonal, edge signs off it); then
 
 the torsion being the invariant factors of A that exceed 1.  A graph is
 mostly strings, chains of vertices of degree 2, and a string acts on the
-rest only through its continuants: before the engine runs, every chain
-that leaves a node is contracted in closed form, k-1 of its k rows being
-unit pivots solved by 2 x 2 transfer matrices, so the engine sees one
-relation row per chain and node-to-node entries instead of whole chains.
+rest only through its continuants: the graph is read once, and before
+the engine runs every chain that leaves a node is contracted in closed
+form, k-1 of its k rows being unit pivots solved by 2 x 2 transfer
+matrices, so the engine sees one relation row per chain and node-to-node
+entries instead of whole chains.  Where two unimodular steps can, a chain
+between two nodes is then made compact: one vertex coupled by units to
+both ends, as the calculus leaves a double point.
 Invariant factors come from one exact Smith normal form engine on one
 sparse form, row -> {column: nonzero}, in two steps: a unit pivot, taken
 from a priority queue ordered by Markowitz cost, and a content division
@@ -44,7 +47,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
-from .graph_core import PlumbingGraph, first_betti_of_graph
+from .graph_core import PlumbingGraph
 from .record import Record
 
 
@@ -520,45 +523,72 @@ class AbelianGroup(Record):
 
 # -- graph homology ----------------------------------------------------------
 
-def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:
-    """Size and nonzeros by row of the weighted incidence matrix of a closed
-    simple plumbing graph, rows and columns in vertex order, row k being
-    ``g.vertices[k]``: each row's diagonal entry first, then its edges in
-    edge order.
+def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], int]:
+    """A closed simple plumbing graph in one pass over its vertices and one
+    over its edges: the Euler numbers and the neighbours of each vertex,
+    vertex k being ``g.vertices[k]`` and its neighbours {position: edge
+    sign} in edge order, and 2 * genus + b_1, the free summands of H_1 that
+    the incidence matrix does not see.
 
     The vertex pass checks that the graph is closed: an arrowhead has no
     Euler number, so the first vertex without one decides between the
     arrowhead and the missing-Euler error.  The edge pass checks that it is
-    simple while writing the rows: a loop, or a second edge between two
-    vertices finding its entry already there, raises."""
-    pos = {vid: k for k, vid in enumerate(g.ids)}
-    rows: dict[int, dict[int, int]] = {}
-    for k, v in enumerate(g.vertices):
+    simple, a loop or a second edge between two vertices raising, and
+    counts b_1 by union-find: the edges whose ends are already joined."""
+    vertices = g.vertices
+    pos: dict[str, int] = {}
+    euler: list[int] = []
+    genus = 0
+    for k, v in enumerate(vertices):
         e = v.euler
         if e is None:
-            if any(u.kind == "arrowhead" for u in g.vertices):
+            if any(u.kind == "arrowhead" for u in vertices):
                 raise InvalidInput("graph still has arrowheads; strip them first")
             raise MissingEuler(f"vertex {v.id} has no Euler number")
-        if e:
-            rows[k] = {k: e}
+        pos[v.id] = k
+        euler.append(e)
+        genus += v.genus
+    nbrs: list[dict[int, int]] = [{} for _ in euler]
+    parent = list(range(len(euler)))
+    b1 = 0
     for e in g.edges:
         a, b = pos[e.a], pos[e.b]
-        row = rows.setdefault(a, {})
-        if a == b or b in row:
+        around = nbrs[a]
+        if a == b or b in around:
             raise NonSimpleGraph(
                 "graph has loops or parallel edges; absorb them first "
                 "(a +- double edge is a handle_absorb target, an Euler-0 "
                 "degree-2 vertex a zero_chain_absorb target)"
             )
-        row[b] = e.sign
-        rows.setdefault(b, {})[a] = e.sign
-    return len(pos), rows
+        around[b] = nbrs[b][a] = e.sign
+        while parent[a] != a:  # find, halving the path
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            b1 += 1
+        else:
+            parent[a] = b
+    return euler, nbrs, 2 * genus + b1
 
 
-def _contract_chains(rows: dict[int, dict[int, int]]) -> int:
-    """Contract, in place, every string chain of the incidence rows of a
-    closed simple graph, and return the number of unit invariant factors
-    that went with the rows removed.
+def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:
+    """Size and nonzeros by row of the weighted incidence matrix of a closed
+    simple plumbing graph, rows and columns in vertex order, row k being
+    ``g.vertices[k]``: each row's diagonal entry first, then its edges in
+    edge order.  ``_read_graph`` checks the graph."""
+    euler, nbrs, _ = _read_graph(g)
+    return len(euler), {k: {k: e, **around} if e else dict(around)
+                        for k, (e, around) in enumerate(zip(euler, nbrs)) if e or around}
+
+
+def _contract_chains(euler: list[int], nbrs: list[dict[int, int]]
+                     ) -> tuple[int, dict[int, dict[int, int]]]:
+    """The incidence rows of a closed simple graph, given as ``_read_graph``
+    reads it, with every string chain contracted, and the number of unit
+    invariant factors that went with the rows contracted away.
 
     A chain is a maximal path v_1..v_k of vertices of degree 1 or 2 that
     leaves a node u (degree >= 3) and ends at a node w (possibly u) or at
@@ -566,63 +596,93 @@ def _contract_chains(rows: dict[int, dict[int, int]]) -> int:
     x_0 = u and edge signs s = +-1, so rows v_1..v_{k-1} solve for x_2..x_k
     in turn, x_{i+1} = -s_i (s_{i-1} x_{i-1} + e_i x_i), each one a unit
     pivot: every x_i is a pair (a_i, b_i) of continuants, x_i = a_i u + b_i
-    y with y = x_1.  Those k-1 rows and the columns v_2..v_k go; row v_k
-    becomes its relation in u, y (and w), and in w's row the entry s_k at
-    column v_k becomes s_k (a_k u + b_k y).  Entries add up where columns
-    meet, and zeros are dropped.  Each step is a unit pivot of the Smith
-    form, so the rank drops by the count returned and every other
-    invariant factor is kept.  Components with no node, and vertices of
-    degree 0, are left as they are."""
-    nbrs = {i: [c for c in row if c != i] for i, row in rows.items()}
-    done: set[int] = set()
-    removed = 0
-    for u, around in nbrs.items():
+    y with y = x_1.  Those k-1 rows, which are never written, and the
+    columns v_2..v_k go; row v_k becomes its relation R = A u + B y (+ s_k
+    w), and w's row W holds s_k (a_k u + b_k y) where it held s_k at v_k.
+    Entries add up where columns meet, and zeros are dropped.
+
+    A chain between two distinct nodes is then made compact when |B| > 1
+    and W's entry c_y at y is +-1 mod B, by two unimodular steps: the row
+    step W += t R, t = (+-1 - c_y) / B, makes W's y entry +-1, and the
+    column step col_u += sigma col_y, over the three rows that hold column
+    y (u's row, R and W), with sigma = -(W's u entry) * (W's y entry),
+    clears W's u entry.  On the Euler -2 strings of a double point t =
+    sigma = 1, and the chain becomes one vertex x_u + B y +- x_w coupled
+    by units to both ends, as in the compact graph of the calculus.
+
+    Each contraction step is a unit pivot of the Smith form and each
+    compact step is unimodular, so the rank drops by the count returned
+    and every other invariant factor is kept.  Components with no node,
+    and vertices of degree 0, keep their rows as they are."""
+    walked = []  # (u, y, last, w, s_k, A, B, a_k, b_k) per chain of two or more
+    gone: set[int] = set()  # rows v_1..v_{k-1}, never written
+    ends: set[int] = set()  # each chain's v_k, where its other end starts
+    for u, around in enumerate(nbrs):
         if len(around) < 3:
             continue
-        for y in around:
-            if y in done or len(nbrs[y]) > 2:
-                continue
-            chain, prev, w = [y], u, None
-            while len(nbrs[chain[-1]]) == 2:
-                a, b = nbrs[chain[-1]]
-                nxt = b if a == prev else a
-                if len(nbrs[nxt]) > 2:
-                    w = nxt
-                    break
-                prev = chain[-1]
-                chain.append(nxt)
-            done.update(chain)
-            if len(chain) < 2:
+        for y, s0 in around.items():
+            if y in ends or len(nbrs[y]) != 2:
                 continue
             # (a0, b0) and (a1, b1) are x_{i-1} and x_i, s0 is s_{i-1}
-            (a0, b0), (a1, b1), s0 = (1, 0), (0, 1), rows[y][u]
-            for vi, nxt in zip(chain, chain[1:]):
-                e, s = rows[vi].get(vi, 0), rows[vi][nxt]
+            (a0, b0), (a1, b1) = (1, 0), (0, 1)
+            prev, vi, w, sk = u, y, None, 0
+            while True:
+                near = nbrs[vi]
+                if len(near) != 2:
+                    break
+                (p, sp), (q, sq) = near.items()
+                nxt, s = (q, sq) if p == prev else (p, sp)
+                if len(nbrs[nxt]) > 2:
+                    w, sk = nxt, s
+                    break
+                e = euler[vi]
                 (a0, b0), (a1, b1), s0 = (a1, b1), (-s * (s0 * a0 + e * a1),
                                                     -s * (s0 * b0 + e * b1)), s
-            last = chain[-1]
-            e = rows[last].get(last, 0)
-            relation = {u: s0 * a0 + e * a1, y: s0 * b0 + e * b1}
-            if w is not None:
-                sk = rows[last][w]
-                relation[w] = relation.get(w, 0) + sk
-                wrow = rows[w]
-                del wrow[last]
-                for c, x in ((u, sk * a1), (y, sk * b1)):
-                    x += wrow.get(c, 0)
-                    if x:
-                        wrow[c] = x
-                    else:
-                        wrow.pop(c, None)
-            for vi in chain[:-1]:
-                del rows[vi]
-            row = rows[last]  # rewritten in place, to keep its place in row order
-            row.clear()
-            row.update((c, x) for c, x in relation.items() if x)
-            if not row:
-                del rows[last]
-            removed += len(chain) - 1
-    return removed
+                gone.add(vi)
+                prev, vi = vi, nxt
+            if vi != y:
+                e = euler[vi]
+                ends.add(vi)
+                walked.append((u, y, vi, w, sk, s0 * a0 + e * a1, s0 * b0 + e * b1, a1, b1))
+    rows = {k: {k: e, **around} if e else dict(around)
+            for k, (e, around) in enumerate(zip(euler, nbrs)) if (e or around) and k not in gone}
+    for u, y, last, w, sk, A, B, a1, b1 in walked:
+        relation = {u: A, y: B}
+        if w is not None:
+            relation[w] = relation.get(w, 0) + sk
+        row = rows[last]  # rewritten in place, to keep its place in row order
+        row.clear()
+        row.update((c, x) for c, x in relation.items() if x)
+        if not row:
+            del rows[last]
+        if w is None:
+            continue
+        wrow = rows[w]
+        del wrow[last]
+        _add(wrow, {u: sk * a1, y: sk * b1}, 1)
+        if w == u or -1 <= B <= 1:
+            continue
+        for unit in (1, -1):
+            t, r = divmod(unit - wrow.get(y, 0), B)
+            if not r:
+                _add(wrow, row, t)
+                sigma = -wrow.get(u, 0) * unit
+                if sigma:
+                    for meets in (rows[u], row, wrow):
+                        _add(meets, {u: sigma * meets[y]}, 1)
+                break
+    return len(gone), rows
+
+
+def _add(row: dict[int, int], other: dict[int, int], t: int) -> None:
+    """row += t * other, in place, dropping the zeros."""
+    if t:
+        for c, x in other.items():
+            x = row.get(c, 0) + t * x
+            if x:
+                row[c] = x
+            else:
+                row.pop(c, None)
 
 
 def incidence_matrix(g: PlumbingGraph) -> list[list[int]]:
@@ -642,13 +702,12 @@ def homology_of_graph(g: PlumbingGraph) -> AbelianGroup:
     graph: corank of the incidence matrix plus 2*genus plus b_1 of the
     graph free summands, invariant factors >= 2 as torsion.
 
-    The Smith form engine gets the matrix's nonzeros straight from the
-    graph, with every string chain contracted first; the dense V x V
-    matrix is never built."""
-    size, rows = _incidence_rows(g)
-    units = _contract_chains(rows)
+    The graph is read once (``_read_graph``), and the Smith form engine
+    gets the nonzeros of its incidence matrix with every string chain
+    contracted and, between two nodes, made compact where it can be
+    (``_contract_chains``); the dense V x V matrix is never built."""
+    euler, nbrs, extra = _read_graph(g)
+    units, rows = _contract_chains(euler, nbrs)
     factors = _invariant_factors(rows)
-    corank = size - units - len(factors)
-    free = corank + 2 * sum(v.genus for v in g.vertices) + first_betti_of_graph(g)
+    free = len(euler) - units - len(factors) + extra
     return AbelianGroup(free, tuple(d for d in factors if d >= 2))
-

@@ -292,6 +292,51 @@ def test_malformed_json_is_one_json_error(tmp_path, capsys, payload):
     assert assert_one_json_error(*result)["error"] == "InvalidInput"
 
 
+def triangle(sign_key):
+    """Three Euler -2 vertices in a cycle, "-" on the edge c-a under
+    ``sign_key``: Z (+) Z_4, or Z^2 (+) Z_3 with a + there."""
+    return {"vertices": [{"id": x, "euler": -2} for x in "abc"],
+            "edges": [{"a": "a", "b": "b"}, {"a": "b", "b": "c"},
+                      {"a": "c", "b": "a", sign_key: "-"}]}
+
+
+# a payload with a key outside the shapes graph_to_json and incidence_to_json
+# write, the message naming it, and the same payload as it was meant, with
+# its group: read past the key, each would give another group
+MISREAD = {
+    "vertex key": ({"vertices": [{"id": "a", "euler": -2, "genuss": 1}], "edges": []},
+                   "unknown vertex keys ['genuss']",
+                   {"vertices": [{"id": "a", "euler": -2, "genus": 1}], "edges": []},
+                   "Z^2 (+) Z_2"),
+    "edge key": (triangle("sing"), "unknown edge keys ['sing']", triangle("sign"), "Z (+) Z_4"),
+    "graph key": ({"vertices": [{"id": "a", "euler": -2}], "edges": [], "genus": 1},
+                  "unknown graph JSON keys ['genus']",
+                  {"vertices": [{"id": "a", "euler": -2, "genus": 1}], "edges": []},
+                  "Z^2 (+) Z_2"),
+    "arrangement key": ({"n": 4, "point": [[0, 1, 2, 3]], "points": []},
+                        "unknown arrangement keys ['point']",
+                        {"n": 4, "points": [[0, 1, 2, 3]]},
+                        "Z^9"),
+    "both forms": ({"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "n": 4,
+                    "points": [[0, 1, 2, 3]]},
+                   'gives "lines" and "n"/"points"',
+                   {"n": 4, "points": [[0, 1, 2, 3]]},
+                   "Z^9"),
+}
+
+
+@pytest.mark.parametrize("case", MISREAD)
+def test_a_key_outside_the_written_shapes_is_one_json_error(tmp_path, capsys, case):
+    payload, message, meant, h1 = MISREAD[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    error = assert_one_json_error(*run_cli(capsys, "homology", str(path), "--json"))
+    assert error["error"] == "InvalidInput" and message in error["message"], error
+    path.write_text(json.dumps(meant))
+    code, out, err = run_cli(capsys, "homology", str(path), "--json")
+    assert code == 0 and json.loads(out)["h1"] == h1
+
+
 _json_leaf = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
               | st.text("xyvwa0+-/", max_size=3))
 _json = st.recursive(
