@@ -2,9 +2,10 @@
 
 The pipeline: incidence combinatorics of a projective line arrangement ->
 closed plumbing graph, string chains and Euler data written in one pass ->
-first homology via Smith normal form.  The curve-configuration graph and
-its staged resolution, a plumbing calculus engine and the closed-form
-generic-arrangement algebra ride along for cross-checking.
+first homology via Smith normal form.  The pipeline's check route (the
+curve-configuration graph and its staged resolution), a plumbing calculus
+engine and the closed-form generic-arrangement algebra ride along for
+cross-checking.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +21,6 @@ from .arrangement import (
     load_arrangement,
 )
 from .calculus import MoveSpec, apply_move, apply_script
-from .curve_config import build_gamma_c
 from .graph_core import (
     Edge,
     PlumbingGraph,
@@ -40,6 +40,7 @@ from .generic_algebra import (
 from .pipeline import (
     betti_formula,
     boundary_graph,
+    build_gamma_c,
     decorate_and_insert,
     probe_conjecture,
     projective_complement_euler,

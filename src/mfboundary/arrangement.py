@@ -17,7 +17,8 @@ import random
 import re
 from typing import Iterable, Sequence
 
-from .errors import IdenticalLines, InvalidIncidence, InvalidInput, InvalidSize
+from .errors import (IdenticalLines, InvalidIncidence, InvalidInput, InvalidSize,
+                     reject_unknown_keys)
 from .record import Record
 
 Triple = tuple[int, int, int]
@@ -295,9 +296,7 @@ def arrangement_from_json(obj: dict) -> IncidenceData:
     """
     if not isinstance(obj, dict):
         raise InvalidInput("arrangement JSON must be an object")
-    unknown = [key for key in obj if key not in ("lines", "n", "points")]
-    if unknown:
-        raise InvalidInput(f"unknown arrangement keys {unknown}")
+    reject_unknown_keys(obj, ("lines", "n", "points"), "arrangement")
     if "lines" in obj and len(obj) > 1:
         raise InvalidInput('arrangement JSON gives "lines" and "n"/"points": give one form')
     if "lines" in obj:

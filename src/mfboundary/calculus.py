@@ -44,6 +44,7 @@ from .errors import (
     NotApplicable,
     NotBlowdownable,
     NotSplittable,
+    reject_unknown_keys,
 )
 from .graph_core import Edge, PlumbingGraph, Vertex, first_betti_of_graph
 from .homology import homology_of_graph
@@ -235,9 +236,7 @@ class MoveSpec(Record):
     def from_json(cls, obj: dict) -> "MoveSpec":
         if not isinstance(obj, dict):
             raise InvalidInput("a move spec is a JSON object")
-        unknown = [key for key in obj if key not in ("kind", "target") + _OPTIONAL]
-        if unknown:
-            raise InvalidInput(f"unknown move spec keys {unknown}")
+        reject_unknown_keys(obj, ("kind", "target") + _OPTIONAL, "move spec")
         spec = {key: obj.get(key) for key in ("kind", "target") + _OPTIONAL}
         for key, value in spec.items():  # kind and target required, the rest optional
             if not isinstance(value, str) and (value is not None or key in ("kind", "target")):

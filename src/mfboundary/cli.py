@@ -26,7 +26,6 @@ from .arrangement import (
     random_rational_lines,
 )
 from .calculus import MoveSpec, apply_script
-from .curve_config import build_gamma_c
 from .errors import InvalidInput, InvalidSize, MFBoundaryError
 from .generic_algebra import (
     build_An,
@@ -42,7 +41,7 @@ from .graph_core import (
     to_dot,
 )
 from .homology import homology_of_graph, smith_normal_form
-from .pipeline import betti_formula, boundary_graph, probe_conjecture
+from .pipeline import betti_formula, boundary_graph, build_gamma_c, probe_conjecture
 from .strings import build_string
 
 

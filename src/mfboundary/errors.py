@@ -2,7 +2,9 @@
 
 Every error raised on bad user input or an unmet precondition derives from
 MFBoundaryError, so callers (and the CLI) can catch one base class.  The
-``kind`` attribute is a stable machine-readable name.
+``kind`` attribute is a stable machine-readable name.  Beside the types,
+reject_unknown_keys is the one rule every JSON reader applies to the keys
+of an object it reads.
 """
 
 
@@ -35,6 +37,14 @@ class NoSolution(MFBoundaryError):
 # -- generic input problems -------------------------------------------------
 
 class InvalidInput(MFBoundaryError): pass
+
+
+def reject_unknown_keys(obj: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise naming the keys of obj outside ``known``: a misspelt key would
+    otherwise be read as a missing one."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise InvalidInput(f"unknown {what} keys {unknown}")
 
 
 # -- pipeline ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from .errors import InternalError, InvalidInput, UnknownVertex
+from .errors import InternalError, InvalidInput, UnknownVertex, reject_unknown_keys
 from .record import Record, replace
 
 KINDS = ("line", "point", "string", "arrowhead", "plain")
@@ -380,16 +380,12 @@ def _made(open_: bool, *build_args) -> PlumbingGraph:
     return out
 
 
-def first_betti_of_graph(g: PlumbingGraph) -> int:
-    """b_1 of the underlying topological graph, arrowheads and arrows
-    excluded: the number of edges whose ends union-find, over the vertices'
-    positions, has already joined.  An arrow ends at an arrowhead of degree
-    1, so it never closes a cycle and needs no exclusion."""
-    pos = {vid: k for k, vid in enumerate(g._index)}
-    parent = list(range(len(pos)))
+def cycle_count(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """b_1 of the graph on vertices 0..n-1 with an edge for each (a, b) of
+    pairs: the number of pairs whose ends union-find has already joined."""
+    parent = list(range(n))
     b1 = 0
-    for e in g.edges:
-        a, b = pos[e.a], pos[e.b]
+    for a, b in pairs:
         while parent[a] != a:  # find, halving the path
             parent[a] = parent[parent[a]]
             a = parent[a]
@@ -401,6 +397,15 @@ def first_betti_of_graph(g: PlumbingGraph) -> int:
         else:
             parent[a] = b
     return b1
+
+
+def first_betti_of_graph(g: PlumbingGraph) -> int:
+    """b_1 of the underlying topological graph, arrowheads and arrows
+    excluded: ``cycle_count`` over the vertices' positions and the edges.
+    An arrow ends at an arrowhead of degree 1, so it never closes a cycle
+    and needs no exclusion."""
+    pos = {vid: k for k, vid in enumerate(g._index)}
+    return cycle_count(len(pos), ((pos[e.a], pos[e.b]) for e in g.edges))
 
 
 # -- serialization ----------------------------------------------------------
@@ -432,14 +437,6 @@ def graph_to_json(g: PlumbingGraph) -> dict:
     }
 
 
-def _unknown_keys(obj: dict, known: tuple[str, ...], what: str) -> None:
-    """Raise naming the keys of obj outside ``known``: a misspelt key would
-    otherwise be read as a missing one."""
-    unknown = [key for key in obj if key not in known]
-    if unknown:
-        raise InvalidInput(f"unknown {what} keys {unknown}")
-
-
 def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...],
                known: tuple[str, ...]) -> list[dict]:
     """The rows under obj[key], each an object with the required fields
@@ -453,7 +450,7 @@ def _json_rows(obj: dict, key: str, what: str, required: tuple[str, ...],
         for name in required:
             if name not in row:
                 raise InvalidInput(f'{what} row needs "{name}": {row!r}')
-        _unknown_keys(row, known, what)
+        reject_unknown_keys(row, known, what)
     return rows
 
 
@@ -462,7 +459,7 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
     that shape raises."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInput('graph JSON needs "vertices" and "edges"')
-    _unknown_keys(obj, ("vertices", "edges"), "graph JSON")
+    reject_unknown_keys(obj, ("vertices", "edges"), "graph JSON")
     verts = []
     for row in _json_rows(obj, "vertices", "vertex", ("id",),
                           ("id", "genus", "euler", "mult", "kind", "dec")):

@@ -47,7 +47,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import InternalError, InvalidInput, MissingEuler, NonSimpleGraph
-from .graph_core import PlumbingGraph
+from .graph_core import PlumbingGraph, cycle_count
 from .record import Record
 
 
@@ -242,13 +242,14 @@ def _prime_powers(R: int) -> list[tuple[int, int]]:
 def _local_factors(rows: dict[int, dict[int, int]], p: int, e: int, count: int) -> list[int]:
     """gcd(d_i, p^e) for the first ``count`` invariant factors d_i of
     ``rows``, which it leaves as they are, for a prime p with v_p(d_i) <= e:
-    the engine runs on a copy over Z/p^k for k = 1, 2, 4, ... up to e, and
-    stops at the first k where every factor is below p^k, since then every
-    v_p(d_i) < k.  With e = 1 it is one run mod p, for any modulus p."""
+    the engine runs over Z/p^k, where it writes every row anew, on a shallow
+    copy for k = 1, 2, 4, ... up to e, and stops at the first k where every
+    factor is below p^k, since then every v_p(d_i) < k.  With e = 1 it is
+    one run mod p, for any modulus p."""
     k = 1
     while True:
         q = p ** min(k, e)
-        local = _invariant_factors({i: dict(ri) for i, ri in rows.items()}, q, count)
+        local = _invariant_factors(dict(rows), q, count)
         if k >= e or local[-1] < q:
             return local
         k *= 2
@@ -289,8 +290,9 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
     hence R.  Stuck over Z/m, the engine finishes over a split of m from
     ``_coprime_split``; over Z/p^k no unit means content >= p, so no split
     is needed there.  Over Z/m the rows are reduced into (-m/2, m/2] at
-    entry and stay there, and exactly ``count`` factors come back, padded
-    with m for rows that vanish mod m.
+    entry, each into a new dict, so the row dicts it was given are never
+    written, and exactly ``count`` factors come back, padded with m for
+    rows that vanish mod m.
 
     Entries are unbounded Python integers throughout; nothing is floated.
     """
@@ -534,7 +536,7 @@ def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], int]
     Euler number, so the first vertex without one decides between the
     arrowhead and the missing-Euler error.  The edge pass checks that it is
     simple, a loop or a second edge between two vertices raising, and
-    counts b_1 by union-find: the edges whose ends are already joined."""
+    collects the edges as position pairs, whose ``cycle_count`` is b_1."""
     vertices = g.vertices
     pos: dict[str, int] = {}
     euler: list[int] = []
@@ -549,8 +551,7 @@ def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], int]
         euler.append(e)
         genus += v.genus
     nbrs: list[dict[int, int]] = [{} for _ in euler]
-    parent = list(range(len(euler)))
-    b1 = 0
+    pairs = []
     for e in g.edges:
         a, b = pos[e.a], pos[e.b]
         around = nbrs[a]
@@ -561,17 +562,8 @@ def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], int]
                 "degree-2 vertex a zero_chain_absorb target)"
             )
         around[b] = nbrs[b][a] = e.sign
-        while parent[a] != a:  # find, halving the path
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            b1 += 1
-        else:
-            parent[a] = b
-    return euler, nbrs, 2 * genus + b1
+        pairs.append((a, b))
+    return euler, nbrs, 2 * genus + cycle_count(len(euler), pairs)
 
 
 def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:

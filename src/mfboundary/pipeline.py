@@ -6,13 +6,24 @@ chain Str(1, m; n) into every line-point incidence, all edges signed -.
 A chain vertex's Euler number is its Hirzebruch-Jung term; a line's and a
 point's come from the local formula e_v * m_v + sum of signed neighbor
 multiplicities = 0, each line's arrow folded in.  reduce=True then runs the
-chain reduction recipes.  Three stages, kept as the check route, give the
+chain reduction recipes.  Four stages, kept as the check route, give the
 same graph with every step inspectable:
-  1. decorate_and_insert   the curve-configuration graph (arrows included)
-                           decorated with genus and multiplicity, a string
-                           chain in every line-point edge, arrows signed +;
+  0. build_gamma_c         the curve-configuration graph Gamma_C: a vertex
+                           per line and per point, a type-2 edge for every
+                           incidence and a type-1 arrow per line;
+  1. decorate_and_insert   Gamma_C decorated with genus and multiplicity, a
+                           string chain in every line-point edge, arrows
+                           signed +;
   2. solve_euler           every Euler number from the local formula;
   3. strip_arrowheads      drop the arrows, leaving the closed graph.
+
+Gamma_C's vertex ids are "v{i}" for line i, "w{j}" for point j (points in
+the canonical sorted order of their line tuples) and "a{i}" for the
+arrowhead of line i; boundary_graph names lines and points the same.  Its
+vertices carry the paper's decoration (m; n, nu): the local multiplicity,
+the degree of the defining form and the number of local branches (always
+1 here).  These labels are written for export and display, as are its
+edge types and its + signs; decorate_and_insert reads none of them.
 
 probe_conjecture then checks the graph's H1 against the closed forms of
 the arrangement: betti_formula for its rank, and the torsion predictions,
@@ -49,6 +60,27 @@ def _chain(line: str, point: str, i: int, j: int, k: int) -> tuple[list[str], li
     ids = [f"s{i}_{j}#{pos}" for pos in range(k)]
     path = [line, *ids, point]
     return ids, [Edge(a=a, b=b, sign=-1) for a, b in zip(path, path[1:])]
+
+
+def _line_count(inc: IncidenceData) -> int:
+    """The arrangement's number of lines n, which must be at least two."""
+    if inc.n < 2:
+        raise InvalidSize(f"need at least two lines, got n={inc.n}")
+    return inc.n
+
+
+def build_gamma_c(inc: IncidenceData) -> PlumbingGraph:
+    """Curve-configuration graph: line and point vertices joined by a type-2
+    edge for every incidence, plus one type-1 arrow per line."""
+    n = _line_count(inc)
+    vertices = [Vertex(id=f"v{i}", kind="line", dec=(1, n, 1)) for i in range(n)]
+    vertices += [Vertex(id=f"w{j}", kind="point", dec=(p.multiplicity, n, 1))
+                 for j, p in enumerate(inc.points)]
+    vertices += [Vertex(id=f"a{i}", kind="arrowhead", dec=(1, 0, 1)) for i in range(n)]
+    edges = [Edge(a=f"v{i}", b=f"w{j}", sign=1, edge_type=2)
+             for j, p in enumerate(inc.points) for i in p.lines]
+    edges += [Edge(a=f"v{i}", b=f"a{i}", sign=1, edge_type=1, arrow=True) for i in range(n)]
+    return PlumbingGraph(tuple(vertices), tuple(edges))
 
 
 def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
@@ -157,9 +189,7 @@ def boundary_graph(inc: IncidenceData, reduce: bool = False) -> PlumbingGraph:
     With reduce=True the double-point chains are compacted by the calculus
     recipes (one middle vertex per chain); for a generic arrangement this is
     exactly the compact model with intersection matrix A_n."""
-    n = inc.n
-    if n < 2:
-        raise InvalidSize(f"need at least two lines, got n={n}")
+    n = _line_count(inc)
     strings = {m: build_string(1, m, n) for m in {p.multiplicity for p in inc.points}}
     line_euler = [-1] * n
     points, chains, edges = [], [], []
@@ -187,12 +217,8 @@ def boundary_graph(inc: IncidenceData, reduce: bool = False) -> PlumbingGraph:
 def betti_formula(inc: IncidenceData) -> int:
     """First Betti number of the boundary straight from the incidence data:
     sum over intersection points of 1 + (m - 2) * gcd(m, n)."""
-    if inc.n < 2:
-        raise InvalidSize(f"need at least two lines, got n={inc.n}")
-    return sum(
-        1 + (p.multiplicity - 2) * math.gcd(p.multiplicity, inc.n)
-        for p in inc.points
-    )
+    n = _line_count(inc)
+    return sum(1 + (p.multiplicity - 2) * math.gcd(p.multiplicity, n) for p in inc.points)
 
 
 def projective_complement_euler(inc: IncidenceData) -> int:

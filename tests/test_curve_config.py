@@ -3,7 +3,7 @@
 import pytest
 
 from mfboundary.arrangement import IncidenceData, generate_family
-from mfboundary.curve_config import build_gamma_c
+from mfboundary.pipeline import build_gamma_c
 from mfboundary.errors import InvalidSize, MFBoundaryError
 
 

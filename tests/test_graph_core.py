@@ -7,7 +7,6 @@ import pytest
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
 from mfboundary.calculus import _bumped
-from mfboundary.curve_config import build_gamma_c
 from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import (
     KINDS,
@@ -20,7 +19,7 @@ from mfboundary.graph_core import (
     graph_to_json,
     to_dot,
 )
-from mfboundary.pipeline import boundary_graph, decorate_and_insert
+from mfboundary.pipeline import boundary_graph, build_gamma_c, decorate_and_insert
 from mfboundary.record import replace
 from oracles import edge_outcome, regex_chain_order_key, vertex_outcome
 

@@ -514,6 +514,22 @@ def test_the_stuck_branches_by_hand(moduli, splits, M, want, runs):
     assert splits == ([P7 * Q7] if P7 in runs else [])
 
 
+def test_a_modular_run_leaves_the_row_dicts_it_was_given():
+    # _local_factors hands each run a shallow copy of its core, so a run
+    # over Z/q must write every row anew and never into the dicts it got
+    cases = [
+        ([[6, 10], [15, 6]], 114),          # a run mod each prime of 114
+        ([[2 ** 40, 0], [0, 3]], 2 ** 40),  # the first row vanishes mod q
+        ([[P7, 0], [0, Q7]], P7 * Q7),      # stuck mod q: split into P7 and Q7
+    ] + [(M, q) for M in sweep_matrices()[:40] for q in (2, 8, 12, 30)]
+    for M, q in cases:
+        rows = nonzero_rows(M)
+        given = list(rows.values())
+        before = [dict(row) for row in given]
+        homology._invariant_factors(rows, q, len(rows))
+        assert given == before, (M, q)
+
+
 def fibonacci(k):
     a, b = 0, 1
     for _ in range(k):
@@ -1053,6 +1069,7 @@ def test_snf_oracle_tests_pass_under_python_O():
         "tests/test_homology.py::test_the_stuck_branches_by_hand[precision]",
         "tests/test_homology.py::test_the_stuck_branches_by_hand[cofactor]",
         "tests/test_homology.py::test_snf_large_valuations_match_oracle",
+        "tests/test_homology.py::test_a_modular_run_leaves_the_row_dicts_it_was_given",
         "tests/test_homology.py::test_long_euclid_chains",
         "tests/test_homology.py::test_bareiss_modulus_is_a_multiple_of_the_last_factor",
         "tests/test_homology.py::test_the_sweep_matches_the_plain_sweep",

@@ -14,7 +14,6 @@ from mfboundary.arrangement import (
     random_rational_lines,
 )
 from mfboundary.arrangement import ProjLine
-from mfboundary.curve_config import build_gamma_c
 from mfboundary.errors import (
     InvalidInput,
     InvalidSize,
@@ -26,6 +25,7 @@ from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
 from mfboundary.homology import homology_of_graph
 from mfboundary.pipeline import (
     boundary_graph,
+    build_gamma_c,
     decorate_and_insert,
     point_genus,
     probe_conjecture,

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -31,6 +32,9 @@ SLOW_IMPORTS = ("dataclasses", "fractions")
 
 # a package's __init__ imports its public names for its users
 NOT_INIT = [p for p in MODULES if p.name != "__init__.py"]
+
+# the shortest run of code lines that counts as written twice
+DUPLICATE_RUN = 5
 
 
 def imports(path):
@@ -304,3 +308,83 @@ def test_module_imports_form_no_cycle():
     # a cycle forces an import into a function, or makes import order matter
     cycle = import_cycle()
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def code_lines(path):
+    """(line, text) of every line of the file that holds code, its tokens
+    joined by single spaces: comments (found by tokenize, since a string
+    may hold a #), docstrings, blank lines and import statements left out."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    skip = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        first = body[0] if isinstance(body, list) and body else None
+        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)):
+            skip.update(range(first.lineno, first.end_lineno + 1))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+    text = {}
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER):
+                continue
+            if tok.start[0] not in skip:
+                text.setdefault(tok.start[0], []).append(tok.string)
+    return [(line, " ".join(parts)) for line, parts in sorted(text.items())]
+
+
+def duplicated_runs(paths, size=DUPLICATE_RUN):
+    """The places where a run of ``size`` consecutive code lines appears
+    more than once in the files, one tuple of "file:line" per run: a run
+    one code line on, at places that each continue a run, is the same run
+    extended."""
+    where = {}
+    for path in paths:
+        lines = code_lines(path)
+        for k in range(len(lines) - size + 1):
+            key = tuple(text for _, text in lines[k:k + size])
+            where.setdefault(key, []).append((path.name, k, lines[k][0]))
+    runs = [places for places in where.values() if len(places) > 1]
+    starts = {(name, k) for places in runs for name, k, _ in places}
+    return [tuple(f"{name}:{line}" for name, _, line in places) for places in runs
+            if not all((name, k - 1) in starts for name, k, _ in places)]
+
+
+def test_no_code_is_written_twice():
+    # a fact written twice can be changed in one place and not the other
+    assert duplicated_runs(MODULES) == []
+
+
+def test_duplicated_runs_sees_code_but_no_comment_docstring_or_import(tmp_path):
+    one, two = tmp_path / "one.py", tmp_path / "two.py"
+    one.write_text('import os\n'
+                   'def f(rows):\n'
+                   '    """Five lines, twice."""\n'
+                   '    ids = ["s1_4#0"]  # a comment\n'
+                   '    for r in rows:\n'
+                   '        ids.append(r)\n'
+                   '\n'
+                   '    ids.sort()\n'
+                   '    return ids\n')
+    two.write_text('import sys\n'
+                   'def f(rows):\n'
+                   '    """A docstring of its own."""\n'
+                   '    ids = [ "s1_4#0" ]\n'
+                   '    # no comment counts\n'
+                   '    for r in rows:\n'
+                   '        ids.append(r)\n'
+                   '    ids.sort()\n'
+                   '    return ids\n'
+                   'def g(rows):\n'
+                   '    for r in rows:\n'
+                   '        ids.append(r)\n'
+                   '    ids.sort()\n'
+                   '    return rows\n')
+    assert code_lines(one) == [(2, "def f ( rows ) :"), (4, 'ids = [ "s1_4#0" ]'),
+                               (5, "for r in rows :"), (6, "ids . append ( r )"),
+                               (8, "ids . sort ( )"), (9, "return ids")]
+    assert duplicated_runs([one, two]) == [("one.py:2", "two.py:2")]
+    assert duplicated_runs([one, two], size=3) == [("one.py:2", "two.py:2"),
+                                                    ("one.py:5", "two.py:6", "two.py:11")]
