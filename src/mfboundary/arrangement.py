@@ -204,6 +204,9 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
 # Python 3.11).
 MAX_FAMILY_LINES = 200
 
+# the kinds generate_family knows
+FAMILIES = ("generic", "pencil", "near_pencil")
+
 
 def generate_family(kind: str, n: int) -> IncidenceData:
     """Combinatorial models of the three named families.

@@ -17,6 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .arrangement import (
+    FAMILIES,
     IncidenceData,
     arrangement_from_json,
     generate_family,
@@ -26,7 +27,7 @@ from .arrangement import (
     random_rational_lines,
 )
 from .calculus import MoveSpec, apply_script
-from .errors import InvalidInput, InvalidSize, MFBoundaryError
+from .errors import InvalidInput, InvalidSize, MFBoundaryError, file_error
 from .generic_algebra import (
     build_An,
     check_lemma_identities,
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("generate", _cmd_generate, "emit an arrangement JSON for a named family")
-    sp.add_argument("kind", choices=["generic", "pencil", "near_pencil", "random"])
+    sp.add_argument("kind", choices=[*FAMILIES, "random"])
     sp.add_argument("n", type=int)
     sp.add_argument("--seed", type=int, default=0, help="rng seed for kind=random")
 
@@ -317,12 +318,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         return args.run(args)
     except MFBoundaryError as exc:
-        sys.stderr.write(json.dumps(exc.payload()) + "\n")
-        return 1
+        error = exc
     except OSError as exc:  # a path that cannot be read or written
-        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else "FileError"
-        sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
-        return 1
+        error = file_error(exc)
+    sys.stderr.write(json.dumps(error.payload()) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

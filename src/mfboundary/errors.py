@@ -4,7 +4,8 @@ Every error raised on bad user input or an unmet precondition derives from
 MFBoundaryError, so callers (and the CLI) can catch one base class.  The
 ``kind`` attribute is a stable machine-readable name.  Beside the types,
 reject_unknown_keys is the one rule every JSON reader applies to the keys
-of an object it reads.
+of an object it reads, and file_error turns an OSError met on a path into
+one of the package's errors.
 """
 
 
@@ -45,6 +46,17 @@ def reject_unknown_keys(obj: dict, known: tuple[str, ...], what: str) -> None:
     unknown = [key for key in obj if key not in known]
     if unknown:
         raise InvalidInput(f"unknown {what} keys {unknown}")
+
+
+# -- files ------------------------------------------------------------------
+
+class FileError(MFBoundaryError): pass  # a path that cannot be read or written
+class FileNotFound(FileError): pass
+
+
+def file_error(exc: OSError) -> FileError:
+    """The package's error for an OSError met on a path, its message kept."""
+    return (FileNotFound if isinstance(exc, FileNotFoundError) else FileError)(str(exc))
 
 
 # -- pipeline ---------------------------------------------------------------

@@ -10,12 +10,15 @@ its edits are made in place on its indexes, which pass to the graph the
 edit returns, so an edit costs only the degree of the vertices it touches.
 The superseded graph raises ``InternalError`` when it is read again.
 
-Vertex ids double as ordering keys.  The pipeline assigns structured ids
- ("v3" line 3, "w5" point 5, "s1_4#0" first string vertex on the edge from
-line 1 toward point 4, "a2" arrowhead of line 2), and the canonical order
-of ``PlumbingGraph.canonical`` sorts line vertices first by line index,
-then point and string vertices by host point (strings after their point,
-by host line and position), then arrowheads, then everything else by id.
+Vertex ids double as ordering keys.  This module both writes and parses
+the structured ids, from one table of prefixes: the pipeline and the
+reduction recipes name vertices through line_id, point_id, arrowhead_id,
+chain_id and chain_ids ("v3" line 3, "w5" point 5, "s1_4#0" first string
+vertex on the edge from line 1 toward point 4, "a2" arrowhead of line 2),
+and the canonical order of ``PlumbingGraph.canonical`` sorts line
+vertices first by line index, then point and string vertices by host
+point (strings after their point, by host line and position), then
+arrowheads, then everything else by id.
 That order is an output format (JSON, DOT, structural equality); every
 computation reads a graph in its own vertex order.
 """
@@ -126,9 +129,38 @@ class _Superseded:
     __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = __getattr__
 
 
+# the id prefixes of line, point, arrowhead and string vertices: the id
+# helpers below write them and _order_key parses them
+_LINE, _POINT, _ARROWHEAD, _STRING = "v", "w", "a", "s"
 _ID_NUM = re.compile(r"(\d+)$")
-_ID_S = re.compile(r"s(\d+)_(\d+)#(\d+)$")
-_ID_SLOT = {"v": 0, "w": 1, "a": 2}  # prefix -> slot of a "<prefix><digits>" id
+_ID_S = re.compile(_STRING + r"(\d+)_(\d+)#(\d+)$")
+_ID_SLOT = {_LINE: 0, _POINT: 1, _ARROWHEAD: 2}  # prefix -> slot of a "<prefix><digits>" id
+
+
+def line_id(i: int) -> str:
+    """Id of the vertex of line i."""
+    return f"{_LINE}{i}"
+
+
+def point_id(j: int) -> str:
+    """Id of the vertex of intersection point j."""
+    return f"{_POINT}{j}"
+
+
+def arrowhead_id(i: int) -> str:
+    """Id of the arrowhead of line i's arrow."""
+    return f"{_ARROWHEAD}{i}"
+
+
+def chain_id(i: int, j: int, pos: int) -> str:
+    """Id of the string vertex at pos on the chain from line i toward
+    point j, pos counted from the line end."""
+    return f"{_STRING}{i}_{j}#{pos}"
+
+
+def chain_ids(i: int, j: int, k: int) -> list[str]:
+    """chain_id(i, j, pos) for pos = 0..k-1, the whole chain of k vertices."""
+    return [chain_id(i, j, pos) for pos in range(k)]
 
 
 def _order_key(vid: str):
@@ -136,7 +168,7 @@ def _order_key(vid: str):
     runs at most one regex.  An id may end in one newline, and its digits
     may be any Unicode decimal digits, which ``int`` reads."""
     first = vid[:1]
-    if first == "s":
+    if first == _STRING:
         m = _ID_S.match(vid)
         if m:
             line, point, pos = m.groups()

@@ -17,13 +17,14 @@ same graph with every step inspectable:
   2. solve_euler           every Euler number from the local formula;
   3. strip_arrowheads      drop the arrows, leaving the closed graph.
 
-Gamma_C's vertex ids are "v{i}" for line i, "w{j}" for point j (points in
-the canonical sorted order of their line tuples) and "a{i}" for the
-arrowhead of line i; boundary_graph names lines and points the same.  Its
-vertices carry the paper's decoration (m; n, nu): the local multiplicity,
-the degree of the defining form and the number of local branches (always
-1 here).  These labels are written for export and display, as are its
-edge types and its + signs; decorate_and_insert reads none of them.
+Gamma_C's vertex ids, written by graph_core's id helpers, are "v{i}" for
+line i, "w{j}" for point j (points in the canonical sorted order of their
+line tuples) and "a{i}" for the arrowhead of line i; boundary_graph names
+lines and points the same.  Its vertices carry the paper's decoration
+(m; n, nu): the local multiplicity, the degree of the defining form and
+the number of local branches (always 1 here).  These labels are written
+for export and display, as are its edge types and its + signs;
+decorate_and_insert reads none of them.
 
 probe_conjecture then checks the graph's H1 against the closed forms of
 the arrangement: betti_formula for its rank, and the torsion predictions,
@@ -37,7 +38,7 @@ from typing import Optional
 
 from .arrangement import IncidenceData, is_near_pencil, is_pencil
 from .errors import InternalError, InvalidInput, InvalidSize, NonIntegralEuler, UnsupportedLoop
-from .graph_core import Edge, PlumbingGraph, Vertex
+from .graph_core import Edge, PlumbingGraph, Vertex, arrowhead_id, chain_ids, line_id, point_id
 from .homology import AbelianGroup, homology_of_graph
 from .record import Record, replace
 from .reduction import reduce_double_chains
@@ -55,9 +56,9 @@ def point_genus(m: int, n: int) -> int:
 
 
 def _chain(line: str, point: str, i: int, j: int, k: int) -> tuple[list[str], list[Edge]]:
-    """Ids s{i}_{j}#{pos} of the k vertices of the chain from line i to
-    point j, pos counted from the line end, and the chain's - edges."""
-    ids = [f"s{i}_{j}#{pos}" for pos in range(k)]
+    """The chain_ids of the k vertices of the chain from line i to point j
+    and the chain's - edges."""
+    ids = chain_ids(i, j, k)
     path = [line, *ids, point]
     return ids, [Edge(a=a, b=b, sign=-1) for a, b in zip(path, path[1:])]
 
@@ -73,13 +74,16 @@ def build_gamma_c(inc: IncidenceData) -> PlumbingGraph:
     """Curve-configuration graph: line and point vertices joined by a type-2
     edge for every incidence, plus one type-1 arrow per line."""
     n = _line_count(inc)
-    vertices = [Vertex(id=f"v{i}", kind="line", dec=(1, n, 1)) for i in range(n)]
-    vertices += [Vertex(id=f"w{j}", kind="point", dec=(p.multiplicity, n, 1))
-                 for j, p in enumerate(inc.points)]
-    vertices += [Vertex(id=f"a{i}", kind="arrowhead", dec=(1, 0, 1)) for i in range(n)]
-    edges = [Edge(a=f"v{i}", b=f"w{j}", sign=1, edge_type=2)
-             for j, p in enumerate(inc.points) for i in p.lines]
-    edges += [Edge(a=f"v{i}", b=f"a{i}", sign=1, edge_type=1, arrow=True) for i in range(n)]
+    lines = [line_id(i) for i in range(n)]
+    points = [point_id(j) for j in range(len(inc.points))]
+    heads = [arrowhead_id(i) for i in range(n)]
+    vertices = [Vertex(id=v, kind="line", dec=(1, n, 1)) for v in lines]
+    vertices += [Vertex(id=w, kind="point", dec=(p.multiplicity, n, 1))
+                 for w, p in zip(points, inc.points)]
+    vertices += [Vertex(id=a, kind="arrowhead", dec=(1, 0, 1)) for a in heads]
+    edges = [Edge(a=lines[i], b=w, sign=1, edge_type=2)
+             for w, p in zip(points, inc.points) for i in p.lines]
+    edges += [Edge(a=v, b=a, sign=1, edge_type=1, arrow=True) for v, a in zip(lines, heads)]
     return PlumbingGraph(tuple(vertices), tuple(edges))
 
 
@@ -191,21 +195,23 @@ def boundary_graph(inc: IncidenceData, reduce: bool = False) -> PlumbingGraph:
     exactly the compact model with intersection matrix A_n."""
     n = _line_count(inc)
     strings = {m: build_string(1, m, n) for m in {p.multiplicity for p in inc.points}}
+    line_ids = [line_id(i) for i in range(n)]
     line_euler = [-1] * n
     points, chains, edges = [], [], []
     for j, p in enumerate(inc.points):
         m, d = p.multiplicity, math.gcd(p.multiplicity, n)
         ks, ms = strings[m].cf_terms, strings[m].interior_mults
         first, last = (ms[0], ms[-1]) if ms else (m // d, 1)
-        points.append(Vertex(id=f"w{j}", genus=point_genus(m, n), euler=d * last,
+        w = point_id(j)
+        points.append(Vertex(id=w, genus=point_genus(m, n), euler=d * last,
                              mult=m // d, kind="point"))
         for i in p.lines:
             line_euler[i] += first
-            ids, chain = _chain(f"v{i}", f"w{j}", i, j, len(ms))
+            ids, chain = _chain(line_ids[i], w, i, j, len(ms))
             chains += [Vertex(id=vid, euler=k, mult=mk, kind="string")
                        for vid, k, mk in zip(ids, ks, ms)]
             edges += chain
-    lines = [Vertex(id=f"v{i}", euler=e, mult=1, kind="line") for i, e in enumerate(line_euler)]
+    lines = [Vertex(id=v, euler=e, mult=1, kind="line") for v, e in zip(line_ids, line_euler)]
     g = PlumbingGraph(tuple(lines + points + chains), tuple(edges))
     if reduce:
         g = reduce_double_chains(g, inc)

@@ -23,7 +23,7 @@ from typing import Iterator
 from .arrangement import IncidenceData, is_generic, is_near_pencil, is_pencil
 from .calculus import MoveSpec, apply_script
 from .errors import InvalidInput
-from .graph_core import PlumbingGraph
+from .graph_core import PlumbingGraph, chain_id, chain_ids, line_id, point_id
 
 
 def double_chain_script(g: PlumbingGraph, inc: IncidenceData, j: int) -> list[MoveSpec]:
@@ -34,19 +34,17 @@ def double_chain_script(g: PlumbingGraph, inc: IncidenceData, j: int) -> list[Mo
     if pt.multiplicity != 2:
         raise InvalidInput(f"point {j} has multiplicity {pt.multiplicity}, not 2")
     i1, i2 = pt.lines
-    wid = f"w{j}"
+    wid = point_id(j)
     t = 0
-    while g.has_vertex(f"s{i1}_{j}#{t}"):
+    while g.has_vertex(chain_id(i1, j, t)):
         t += 1
-    left = [f"s{i1}_{j}#{p}" for p in range(t)]
-    right = [f"s{i2}_{j}#{p}" for p in reversed(range(t))]
-    chain = left + [wid] + right
+    chain = chain_ids(i1, j, t) + [wid] + chain_ids(i2, j, t)[::-1]
     script: list[MoveSpec] = []
     if g.vertex(wid).euler == 1:
         script.append(MoveSpec("blow_down_b", wid))
         chain.remove(wid)
     first, rest = chain[0], chain[1:]
-    flip = rest[0] if rest else f"v{i2}"
+    flip = rest[0] if rest else line_id(i2)
     script.append(MoveSpec("two_alteration", first, flip=flip))
     script += [MoveSpec("blow_down_b", c) for c in rest]
     return script
@@ -55,7 +53,7 @@ def double_chain_script(g: PlumbingGraph, inc: IncidenceData, j: int) -> list[Mo
 def chain_survivor(inc: IncidenceData, j: int) -> str:
     """Id of the middle vertex left by double_chain_script."""
     i1, _ = inc.points[j].lines
-    return f"w{j}" if inc.n == 2 else f"s{i1}_{j}#0"
+    return point_id(j) if inc.n == 2 else chain_id(i1, j, 0)
 
 
 def _double_chains_script(g: PlumbingGraph, inc: IncidenceData) -> Iterator[MoveSpec]:
@@ -83,7 +81,7 @@ def pencil_reduction_script(g: PlumbingGraph, inc: IncidenceData) -> list[MoveSp
     """One splitting at the central point, companion line 0."""
     if not is_pencil(inc):
         raise InvalidInput("pencil reduction needs all lines through one point")
-    return [MoveSpec("split", "w0", companion="v0")]
+    return [MoveSpec("split", point_id(0), companion=line_id(0))]
 
 
 def near_pencil_roles(inc: IncidenceData) -> tuple[int, int, list[int]]:
@@ -115,8 +113,8 @@ def near_pencil_reduction_script(g: PlumbingGraph, inc: IncidenceData) -> list[M
         survivors[j] = chain_survivor(inc, j)
     for j in doubles:
         pline = next(i for i in inc.points[j].lines if i != gline)
-        script.append(MoveSpec("zero_chain_absorb", f"v{pline}", keep=survivors[j]))
+        script.append(MoveSpec("zero_chain_absorb", line_id(pline), keep=survivors[j]))
     first, rest = doubles[0], doubles[1:]
-    script.append(MoveSpec("zero_chain_absorb", survivors[first], keep=f"v{gline}"))
+    script.append(MoveSpec("zero_chain_absorb", survivors[first], keep=line_id(gline)))
     script += [MoveSpec("handle_absorb", survivors[j]) for j in rest]
     return script

@@ -38,13 +38,30 @@ def test_generic_reduction_matches_block_matrix(n):
     assert incidence_matrix(red) == build_An(n)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_generic_middle_signs(n):
-    inc = generate_family("generic", n)
+# generic arrangements keep their plain ids; random ones are
+# random_rational_lines(n, Random(seed))
+MIDDLE_INPUTS = (
+    [pytest.param("generic", n, None, id=str(n)) for n in range(2, 13)]
+    + [pytest.param("near_pencil", n, None, id=f"near_pencil-{n}") for n in range(3, 31)]
+    + [pytest.param("random", n, seed, id=f"random-{n}-{seed}")
+       for n in range(5, 15) for seed in range(12)]
+)
+
+
+@pytest.mark.parametrize("kind, n, seed", MIDDLE_INPUTS)
+def test_generic_middle_signs(kind, n, seed):
+    # every double point's chain leaves one middle vertex of Euler number
+    # -n, joined to its smaller line by a - edge and to the larger by a +
+    if kind == "random":
+        inc = incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+    else:
+        inc = generate_family(kind, n)
     red = reduce_double_chains(boundary_graph(inc), inc)
-    for j, p in enumerate(inc.points):
-        i1, i2 = p.lines
+    doubles = [j for j, p in enumerate(inc.points) if p.multiplicity == 2]
+    for j in doubles:
+        i1, i2 = inc.points[j].lines
         mid = chain_survivor(inc, j)
+        assert i1 < i2 and red.vertex(mid).euler == -inc.n
         edges = {e.other(mid): e.sign for e in red.edges_at(mid)}
         assert edges == {f"v{i1}": -1, f"v{i2}": 1}
 

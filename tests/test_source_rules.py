@@ -36,6 +36,10 @@ NOT_INIT = [p for p in MODULES if p.name != "__init__.py"]
 # the shortest run of code lines that counts as written twice
 DUPLICATE_RUN = 5
 
+# the prefixes of the structured vertex ids: line "v3", point "w5",
+# arrowhead "a2" and string vertex "s1_4#0"
+ID_PREFIXES = {"v", "w", "a", "s"}
+
 
 def imports(path):
     """(line, module, bound name, imported name) of every name the file
@@ -146,6 +150,37 @@ def test_import_time_work_sees_loops_comprehensions_and_calls(tmp_path):
                     "if __name__ == '__main__':\n"
                     "    f()\n")
     assert import_time_work(path) == [(3, "ListComp"), (3, "range"), (4, "For"), (6, "dict")]
+
+
+def structured_ids(path):
+    """(line, text) of every f-string in the file that formats a structured
+    vertex id: its literal head is one of the id prefixes, and a formatted
+    value follows it, as in f"w{j}" or f"s{i}_{j}#{pos}"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.JoinedStr) and len(node.values) > 1
+                  and isinstance(node.values[0], ast.Constant)
+                  and node.values[0].value in ID_PREFIXES
+                  and isinstance(node.values[1], ast.FormattedValue))
+
+
+@pytest.mark.parametrize("path", OUTSIDE_GRAPH_CORE, ids=lambda p: p.name)
+def test_only_graph_core_writes_the_vertex_ids(path):
+    # graph_core's id helpers write each prefix once, beside the parser of
+    # the canonical order; an id formatted elsewhere could drift from both.
+    # calculus.split's "z{k}" ids are not of the scheme and sort last.
+    found = structured_ids(path)
+    assert not found, "; ".join(f"{path.name}:{line}: {text}" for line, text in found)
+
+
+def test_structured_ids_sees_the_id_scheme_only(tmp_path):
+    path = tmp_path / "ids.py"
+    path.write_text('def f(i, j, k):\n'
+                    '    a = [f"w{j}", f"s{i}_{j}#{k}", f"a{i!r}"]\n'
+                    '    b = f"v{i}" if k else "v0"\n'
+                    '    return f"z{k}", f"vertex {i}", f"{i}v", f"ab{i}", f"s", a, b\n')
+    assert structured_ids(path) == [(2, "f'a{i!r}'"), (2, "f's{i}_{j}#{k}'"), (2, "f'w{j}'"),
+                                    (3, "f'v{i}'")]
 
 
 def direct_writes(func):
