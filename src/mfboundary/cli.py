@@ -34,14 +34,8 @@ from .generic_algebra import (
     expected_An_factors,
     generic_h1_closed_form,
 )
-from .graph_core import (
-    PlumbingGraph,
-    first_betti_of_graph,
-    graph_from_json,
-    graph_to_json,
-    to_dot,
-)
-from .homology import homology_of_graph, smith_normal_form
+from .graph_core import PlumbingGraph, graph_from_json, graph_to_json, to_dot
+from .homology import homology_with_stats, smith_normal_form
 from .pipeline import betti_formula, boundary_graph, build_gamma_c, probe_conjecture
 from .strings import build_string
 
@@ -153,26 +147,17 @@ def _cmd_calculus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _graph_stats(g: PlumbingGraph) -> dict:
-    return {
-        "vertices": len(g.vertices),
-        "edges": len(g.edges),
-        "genus_total": sum(v.genus for v in g.vertices),
-        "first_betti": first_betti_of_graph(g),
-    }
-
-
 def _cmd_homology(args: argparse.Namespace) -> int:
     inc, g = _load_graph(args)
     betti = betti_formula(inc) if inc is not None else None
-    group = homology_of_graph(g)
+    group, stats = homology_with_stats(g)
     if args.json:
         payload = {
             "h1": str(group),
             "rank": group.free_rank,
             "factors": list(group.torsion),
             "betti_formula": betti,
-            "graph_stats": _graph_stats(g),
+            "graph_stats": stats,
         }
         _emit(_dump(payload), args.output)
     else:

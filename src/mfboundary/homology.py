@@ -35,7 +35,9 @@ v * P[t] / P[s], P being the pivots by step (P[0] = 1), and is brought
 up to date when read.
 `smith_normal_form` hands the engine the nonzeros of a dense matrix;
 `homology_of_graph` hands it the nonzeros straight from the graph, so no
-V x V matrix is built.
+V x V matrix is built.  Its one read of the graph also counts the
+vertices, edges, genus and b_1, and `homology_with_stats` returns those
+counts with the group; `incidence_matrix` is written from the same read.
 Everything runs over unbounded Python integers; no floating point anywhere.
 """
 
@@ -65,9 +67,8 @@ class SmithForm(Record):
     factors: tuple[int, ...]
 
     def __init__(self, rows: int, cols: int, factors: tuple[int, ...]):
-        for a, b in zip(factors, factors[1:]):
-            if b % a != 0:
-                raise InvalidInput(f"invariant factors out of order: {factors}")
+        if _out_of_order(factors):
+            raise InvalidInput(f"invariant factors out of order: {factors}")
         super().__init__(rows, cols, factors)
 
     @property
@@ -77,6 +78,20 @@ class SmithForm(Record):
     @property
     def corank(self) -> int:
         return self.cols - self.rank
+
+
+def _out_of_order(factors: Sequence[int]) -> bool:
+    """Whether d_1 | d_2 | ... fails: some factor does not divide the next."""
+    return any(b % a for a, b in zip(factors, factors[1:]))
+
+
+def _column_index(rows: dict[int, dict[int, int]]) -> dict[int, set[int]]:
+    """The rows each column of the sparse rows meets: column -> {row}."""
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+    return cols
 
 
 def _sparse_rows(M: Sequence[Sequence[int]]) -> tuple[int, int, dict[int, dict[int, int]]]:
@@ -135,10 +150,7 @@ def _bareiss_rank_modulus(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
     live = dict(rows)
     stamp = dict.fromkeys(rows, 0)
     least = {i: min(map(abs, row.values())) for i, row in rows.items()}
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(i)
+    cols = _column_index(rows)
     P, size = [1], [1]  # the pivots and their absolute values, by step
     R = 0
     while live:
@@ -304,10 +316,7 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
                 rows[i] = reduced
             else:
                 del rows[i]
-    cols: dict[int, set[int]] = {}
-    for i, ri in rows.items():
-        for c in ri:
-            cols.setdefault(c, set()).add(i)
+    cols = _column_index(rows)
     nnz = sum(map(len, rows.values()))
     gcd = math.gcd
     heappush = heapq.heappush
@@ -450,9 +459,8 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
     # content divided out moves from the modulus into the scale, so the
     # padding scale * modulus is the entry modulus (and nothing over Z)
     factors += [scale * modulus] * (count - len(factors))
-    for a, b in zip(factors, factors[1:]):
-        if b % a:
-            raise InternalError(f"invariant factors out of divisibility order: {factors}")
+    if _out_of_order(factors):
+        raise InternalError(f"invariant factors out of divisibility order: {factors}")
     return factors
 
 
@@ -499,9 +507,8 @@ class AbelianGroup(Record):
         for d in torsion:
             if type(d) is not int or d < 2:
                 raise InvalidInput(f"torsion orders must be >= 2, got {d}")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a != 0:
-                raise InvalidInput(f"torsion not in invariant-factor form: {torsion}")
+        if _out_of_order(torsion):
+            raise InvalidInput(f"torsion not in invariant-factor form: {torsion}")
         super().__init__(free_rank, torsion)
 
     @classmethod
@@ -525,12 +532,13 @@ class AbelianGroup(Record):
 
 # -- graph homology ----------------------------------------------------------
 
-def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], int]:
+def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], dict[str, int]]:
     """A closed simple plumbing graph in one pass over its vertices and one
     over its edges: the Euler numbers and the neighbours of each vertex,
     vertex k being ``g.vertices[k]`` and its neighbours {position: edge
-    sign} in edge order, and 2 * genus + b_1, the free summands of H_1 that
-    the incidence matrix does not see.
+    sign} in edge order, and the graph's counts: its vertices, its edges,
+    its total genus and its b_1, the last two giving the free summands
+    2 * genus + b_1 of H_1 that the incidence matrix does not see.
 
     The vertex pass checks that the graph is closed: an arrowhead has no
     Euler number, so the first vertex without one decides between the
@@ -563,17 +571,8 @@ def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], int]
             )
         around[b] = nbrs[b][a] = e.sign
         pairs.append((a, b))
-    return euler, nbrs, 2 * genus + cycle_count(len(euler), pairs)
-
-
-def _incidence_rows(g: PlumbingGraph) -> tuple[int, dict[int, dict[int, int]]]:
-    """Size and nonzeros by row of the weighted incidence matrix of a closed
-    simple plumbing graph, rows and columns in vertex order, row k being
-    ``g.vertices[k]``: each row's diagonal entry first, then its edges in
-    edge order.  ``_read_graph`` checks the graph."""
-    euler, nbrs, _ = _read_graph(g)
-    return len(euler), {k: {k: e, **around} if e else dict(around)
-                        for k, (e, around) in enumerate(zip(euler, nbrs)) if e or around}
+    return euler, nbrs, {"vertices": len(euler), "edges": len(pairs), "genus_total": genus,
+                         "first_betti": cycle_count(len(euler), pairs)}
 
 
 def _contract_chains(euler: list[int], nbrs: list[dict[int, int]]
@@ -680,13 +679,25 @@ def _add(row: dict[int, int], other: dict[int, int], t: int) -> None:
 def incidence_matrix(g: PlumbingGraph) -> list[list[int]]:
     """Weighted incidence matrix of a closed simple plumbing graph, row and
     column k being ``g.vertices[k]``: Euler numbers on the diagonal, the
-    sign of the unique i-j edge elsewhere."""
-    size, rows = _incidence_rows(g)
-    A = [[0] * size for _ in range(size)]
-    for a, row in rows.items():
-        for b, v in row.items():
-            A[a][b] = v
+    sign of the unique i-j edge elsewhere.  ``_read_graph`` checks the
+    graph."""
+    euler, nbrs, _ = _read_graph(g)
+    A = [[0] * len(euler) for _ in euler]
+    for k, row in enumerate(A):
+        row[k] = euler[k]
+        for b, sign in nbrs[k].items():
+            row[b] = sign
     return A
+
+
+def homology_with_stats(g: PlumbingGraph) -> tuple[AbelianGroup, dict[str, int]]:
+    """``homology_of_graph(g)`` and the counts its one read of g makes:
+    {"vertices", "edges", "genus_total", "first_betti"}."""
+    euler, nbrs, stats = _read_graph(g)
+    units, rows = _contract_chains(euler, nbrs)
+    factors = _invariant_factors(rows)
+    free = len(euler) - units - len(factors) + 2 * stats["genus_total"] + stats["first_betti"]
+    return AbelianGroup(free, tuple(d for d in factors if d >= 2)), stats
 
 
 def homology_of_graph(g: PlumbingGraph) -> AbelianGroup:
@@ -698,8 +709,4 @@ def homology_of_graph(g: PlumbingGraph) -> AbelianGroup:
     gets the nonzeros of its incidence matrix with every string chain
     contracted and, between two nodes, made compact where it can be
     (``_contract_chains``); the dense V x V matrix is never built."""
-    euler, nbrs, extra = _read_graph(g)
-    units, rows = _contract_chains(euler, nbrs)
-    factors = _invariant_factors(rows)
-    free = len(euler) - units - len(factors) + extra
-    return AbelianGroup(free, tuple(d for d in factors if d >= 2))
+    return homology_with_stats(g)[0]

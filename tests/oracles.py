@@ -16,6 +16,8 @@ from itertools import combinations
 
 from mfboundary.errors import InvalidInput, InvalidSize, MissingEuler, NonSimpleGraph
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex
+from mfboundary.record import replace
+from mfboundary.reduction import chain_survivor
 
 
 def det_cofactor(M, rows, cols):
@@ -316,6 +318,38 @@ def component_count_betti(g):
         if ra != rb:
             parent[ra] = rb
     return len(edges) - len(verts) + len({find(v) for v in verts})
+
+
+# -- the compact boundary graph written directly, as the calculus moves
+# leave it: the certificate a direct compact build must meet ------------------
+
+def compact_boundary_graph(raw, inc):
+    """The raw boundary graph ``raw`` of ``inc`` with each double point's
+    chain and point vertex replaced by the one vertex ``chain_survivor``
+    names: Euler -n, mult 1, kind "string" ("point" when n = 2), with a -
+    edge to the smaller line and a + edge to the larger.  Each line's Euler
+    number drops by one per double point on it.  Vertices are told apart
+    by matching their ids, not by the package's id helpers."""
+    doubles = {j for j, p in enumerate(inc.points) if p.multiplicity == 2}
+    lowered = {}
+    for j in doubles:
+        for i in inc.points[j].lines:
+            lowered[f"v{i}"] = lowered.get(f"v{i}", 0) + 1
+
+    def dropped(vid):
+        m = re.fullmatch(r"w(\d+)|s\d+_(\d+)#\d+", vid)
+        return m is not None and int(m.group(1) or m.group(2)) in doubles
+
+    verts = [replace(v, euler=v.euler - lowered.get(v.id, 0))
+             for v in raw.vertices if not dropped(v.id)]
+    edges = [e for e in raw.edges if not dropped(e.a) and not dropped(e.b)]
+    for j in sorted(doubles):
+        i1, i2 = sorted(inc.points[j].lines)
+        mid = chain_survivor(inc, j)
+        verts.append(Vertex(id=mid, euler=-inc.n, mult=1,
+                            kind="point" if inc.n == 2 else "string"))
+        edges += [Edge(a=mid, b=f"v{i1}", sign=-1), Edge(a=mid, b=f"v{i2}", sign=1)]
+    return PlumbingGraph(tuple(verts), tuple(edges))
 
 
 # -- the generic-arrangement matrices on dense nested lists: X_n by its

@@ -139,6 +139,18 @@ def test_criterion_01_generic_closed_form():
     _ok(1, f"generic n=2..12 pipeline H1 matches closed form in {elapsed:.1f}s")
 
 
+def test_generic_60_raw_matches_closed_form_within_budget():
+    # the raw route at V = 104490, well past the criterion 1 sizes; about
+    # 1 s for build and H1 on a 2-core VM, so the budget is ten times that
+    start = time.monotonic()
+    g = boundary_graph(generate_family("generic", 60))
+    got = homology_of_graph(g)
+    elapsed = time.monotonic() - start
+    assert len(g.vertices) == 104490
+    assert got == generic_h1_closed_form(60)
+    assert elapsed < 10.0, f"raw generic 60 took {elapsed:.1f}s, budget 10s"
+
+
 def test_criterion_02_An_smith_form():
     for n in range(2, 13):
         factors, corank = expected_An_factors(n)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
 from mfboundary.cli import main
+from mfboundary.graph_core import PlumbingGraph, graph_from_json
+from mfboundary.pipeline import boundary_graph
+from oracles import component_count_betti
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +79,74 @@ def test_homology_of_graph_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["h1"] == "Z_5"
     assert payload["betti_formula"] is None
+
+
+def expected_stats(g):
+    return {"vertices": len(g.vertices), "edges": len(g.edges),
+            "genus_total": sum(v.genus for v in g.vertices),
+            "first_betti": component_count_betti(g)}
+
+
+STATS_INPUTS = (
+    [("generic", n, None) for n in range(2, 9)]
+    + [("pencil", n, None) for n in range(2, 9)]
+    + [("near_pencil", n, None) for n in range(3, 9)]
+    + [("random", n, seed) for n in range(5, 8) for seed in range(3)]
+)
+
+
+@pytest.mark.parametrize("reduce", [False, True], ids=["raw", "reduce"])
+@pytest.mark.parametrize("kind, n, seed", STATS_INPUTS,
+                         ids=[f"{k}-{n}" + (f"-{s}" if s is not None else "")
+                              for k, n, s in STATS_INPUTS])
+def test_homology_json_graph_stats_count_the_graph(tmp_path, capsys, kind, n, seed, reduce):
+    arr = tmp_path / "arr.json"
+    if kind == "random":
+        run_cli(capsys, "generate", "random", str(n), "--seed", str(seed), "-o", str(arr))
+        inc = incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+    else:
+        run_cli(capsys, "generate", kind, str(n), "-o", str(arr))
+        inc = generate_family(kind, n)
+    code, out, err = run_cli(capsys, "homology", str(arr), "--json", *["--reduce"] * reduce)
+    assert code == 0 and err == ""
+    assert json.loads(out)["graph_stats"] == expected_stats(boundary_graph(inc, reduce=reduce))
+
+
+def test_homology_json_graph_stats_of_a_graph_file(tmp_path, capsys):
+    # two components, one with a cycle, and genus on two vertices
+    graph = {
+        "vertices": [{"id": "a", "euler": -3, "genus": 1}, {"id": "b", "euler": -2},
+                     {"id": "c", "euler": -2}, {"id": "d", "euler": 1, "genus": 2},
+                     {"id": "e", "euler": -1}],
+        "edges": [{"a": "a", "b": "b"}, {"a": "b", "b": "c", "sign": -1},
+                  {"a": "c", "b": "a"}, {"a": "d", "b": "e"}],
+    }
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, "homology", str(gfile), "--json")
+    assert code == 0
+    stats = json.loads(out)["graph_stats"]
+    assert stats == expected_stats(graph_from_json(graph))
+    assert stats == {"vertices": 5, "edges": 4, "genus_total": 3, "first_betti": 1}
+
+
+@pytest.mark.parametrize("reduce", [[], ["--reduce"]], ids=["raw", "reduce"])
+def test_homology_json_reads_the_edges_once(tmp_path, capsys, monkeypatch, reduce):
+    # H1 and graph_stats come from one read of the graph
+    arr = tmp_path / "arr.json"
+    run_cli(capsys, "generate", "near_pencil", "5", "-o", str(arr))
+    reads = 0
+    edges = PlumbingGraph.edges
+
+    def counted(g):
+        nonlocal reads
+        reads += 1
+        return edges.fget(g)
+
+    monkeypatch.setattr(PlumbingGraph, "edges", property(counted))
+    code, out, err = run_cli(capsys, "homology", str(arr), "--json", *reduce)
+    assert code == 0 and json.loads(out)["graph_stats"]["edges"] > 0
+    assert reads == 1
 
 
 @pytest.mark.parametrize("command", [["homology", "--json"], ["export-dot"]])

@@ -273,7 +273,7 @@ def uncontracted_factors(g):
     """The engine's invariant factors of g's incidence rows as they are,
     with no chain contracted: the cores these leave are the sweep's and
     the coprime finish's test data."""
-    return homology._invariant_factors(homology._incidence_rows(g)[1])
+    return homology._invariant_factors(nonzero_rows(incidence_matrix(g)))
 
 
 def test_the_sweep_matches_the_plain_sweep(stuck_cores):
@@ -811,7 +811,7 @@ def test_contracted_chains_match_minor_gcd_oracle():
             )
             units, rows = contracted_rows(g)
             if shape == NODE_FREE:
-                assert rows == homology._incidence_rows(g)[1]
+                assert rows == nonzero_rows(incidence_matrix(g))
             want = minor_gcd_smith(incidence_matrix(g))
             assert (1,) * units + minor_gcd_smith(dense(rows)) == want, (shape, g)
             assert (1,) * units + tuple(homology._invariant_factors(rows)) == want, (shape, g)

@@ -24,6 +24,8 @@ from mfboundary.reduction import (
     reduce_double_chains,
 )
 
+from oracles import compact_boundary_graph
+
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_generic_reduction_matches_block_matrix(n):
@@ -48,14 +50,17 @@ MIDDLE_INPUTS = (
 )
 
 
+def arrangement(kind, n, seed):
+    if kind == "random":
+        return incidence_from_lines(random_rational_lines(n, random.Random(seed)))
+    return generate_family(kind, n)
+
+
 @pytest.mark.parametrize("kind, n, seed", MIDDLE_INPUTS)
 def test_generic_middle_signs(kind, n, seed):
     # every double point's chain leaves one middle vertex of Euler number
     # -n, joined to its smaller line by a - edge and to the larger by a +
-    if kind == "random":
-        inc = incidence_from_lines(random_rational_lines(n, random.Random(seed)))
-    else:
-        inc = generate_family(kind, n)
+    inc = arrangement(kind, n, seed)
     red = reduce_double_chains(boundary_graph(inc), inc)
     doubles = [j for j, p in enumerate(inc.points) if p.multiplicity == 2]
     for j in doubles:
@@ -64,6 +69,17 @@ def test_generic_middle_signs(kind, n, seed):
         assert i1 < i2 and red.vertex(mid).euler == -inc.n
         edges = {e.other(mid): e.sign for e in red.edges_at(mid)}
         assert edges == {f"v{i1}": -1, f"v{i2}": 1}
+
+
+@pytest.mark.parametrize("kind, n, seed", MIDDLE_INPUTS + [
+    pytest.param("pencil", n, None, id=f"pencil-{n}") for n in range(2, 41)])
+def test_the_moves_leave_the_directly_written_compact_graph(kind, n, seed):
+    # the certificate a direct compact build must meet: the double-chain
+    # moves give the graph written with one survivor per double point
+    inc = arrangement(kind, n, seed)
+    raw = boundary_graph(inc)
+    want = compact_boundary_graph(raw, inc).canonical()
+    assert reduce_double_chains(raw, inc).canonical() == want
 
 
 @pytest.mark.parametrize("n", range(2, 11))
