@@ -2,7 +2,10 @@
 without changing the 3-manifold it describes.
 
 Every move validates its precondition and reads what it needs of the graph
-before it edits it, then returns the edited graph.  On an ordinary graph an
+before it edits it, then returns the edited graph.  A move reads what it
+needs through ``_at_vertex``, which hands back the vertex, its edges and
+the neighbors it checked, so each vertex is looked up once and a changed
+neighbor is built from the record already read.  On an ordinary graph an
 edit copies and no graph a caller holds changes; ``apply_script`` runs the
 moves on one open copy, where each edit is made in place and supersedes the
 graph it edits.
@@ -51,20 +54,12 @@ from .homology import homology_of_graph
 from .record import Record, replace
 
 
-def _bumped(g: PlumbingGraph, vid: str, delta: int) -> Vertex:
-    """The vertex with delta added to its Euler number."""
-    v = g.vertex(vid)
-    if v.euler is None:
-        raise InvalidInput(f"vertex {vid} has no Euler number to adjust")
-    return replace(v, euler=v.euler + delta)
-
-
 def _at_vertex(g: PlumbingGraph, vid: str, move: str, err, eulers: tuple[int, ...],
-               edges: int) -> tuple[Vertex, list[Edge], list[str]]:
-    """The vertex, its edges and the far end of each, once the vertex is
-    not an arrowhead, has genus 0 and an Euler number in eulers, carries
-    exactly ``edges`` edges and no loop, and every neighbor has an Euler
-    number; err otherwise."""
+               edges: int) -> tuple[Vertex, list[Edge], list[Vertex]]:
+    """The vertex, its edges and the vertex at the far end of each, once
+    the vertex is not an arrowhead, has genus 0 and an Euler number in
+    eulers, carries exactly ``edges`` edges and no loop, and every neighbor
+    has an Euler number; err otherwise."""
     v = g.vertex(vid)
     if v.kind == "arrowhead":
         raise err(f"{move}: {vid} is an arrowhead")
@@ -75,10 +70,11 @@ def _at_vertex(g: PlumbingGraph, vid: str, move: str, err, eulers: tuple[int, ..
     others = [e.other(vid) for e in incident]
     if len(incident) != edges or vid in others:
         raise err(f"{move}: {vid} needs {edges} edges and no loop")
-    for u in others:
-        if g.vertex(u).euler is None:  # arrowheads have none
-            raise err(f"{move}: neighbor {u} of {vid} has no Euler number")
-    return v, incident, others
+    neighbors = [g.vertex(u) for u in others]
+    for u in neighbors:
+        if u.euler is None:  # arrowheads have none
+            raise err(f"{move}: neighbor {u.id} of {vid} has no Euler number")
+    return v, incident, neighbors
 
 
 def sign_reversal(g: PlumbingGraph, vid: str) -> PlumbingGraph:
@@ -90,16 +86,16 @@ def sign_reversal(g: PlumbingGraph, vid: str) -> PlumbingGraph:
 
 def blow_down_a(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     v, _, (u,) = _at_vertex(g, vid, "blow_down_a", NotBlowdownable, (1, -1), 1)
-    return g.edit(drop=[vid], put=[_bumped(g, u, -v.euler)])
+    return g.edit(drop=[vid], put=[replace(u, euler=u.euler - v.euler)])
 
 
 def blow_down_b(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     v, (e1, e2), (i, j) = _at_vertex(g, vid, "blow_down_b", NotBlowdownable, (1, -1), 2)
-    if i == j:
-        raise NotBlowdownable(f"{vid}: both edges go to {i}")
+    if i.id == j.id:
+        raise NotBlowdownable(f"{vid}: both edges go to {i.id}")
     sign0 = -v.euler * e1.sign * e2.sign
-    return g.edit(drop=[vid], add_edges=[Edge(a=i, b=j, sign=sign0)],
-                  put=[_bumped(g, i, -v.euler), _bumped(g, j, -v.euler)])
+    return g.edit(drop=[vid], add_edges=[Edge(a=i.id, b=j.id, sign=sign0)],
+                  put=[replace(i, euler=i.euler - v.euler), replace(j, euler=j.euler - v.euler)])
 
 
 def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) -> PlumbingGraph:
@@ -108,17 +104,15 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
     neighbor); genus and Euler numbers add.  Edges formerly at the other
     neighbor are re-signed by -e*ebar unless they are loops."""
     _, (e1, e2), (n1, n2) = _at_vertex(g, vid, "zero_chain_absorb", NotAbsorbable, (0,), 2)
-    if n1 == n2:
-        raise NotAbsorbable(f"{vid}: both edges go to {n1}, use handle_absorb")
+    if n1.id == n2.id:
+        raise NotAbsorbable(f"{vid}: both edges go to {n1.id}, use handle_absorb")
     if keep is None:
         keep = g.neighbors(vid)[0]
-    if keep not in (n1, n2):
+    if keep not in (n1.id, n2.id):
         raise NotAbsorbable(f"{vid}: keep={keep!r} is not a neighbor")
-    kid = keep
-    jid = n2 if kid == n1 else n1
-    eps, eps_bar = (e1.sign, e2.sign) if kid == n1 else (e2.sign, e1.sign)
-    ki, kj = g.vertex(kid), g.vertex(jid)
-    factor = -eps * eps_bar
+    ki, kj = (n1, n2) if keep == n1.id else (n2, n1)
+    kid, jid = ki.id, kj.id
+    factor = -e1.sign * e2.sign
     merged = replace(ki, euler=ki.euler + kj.euler, genus=ki.genus + kj.genus)
     moved = []
     for e in g.edges_at(jid):
@@ -134,12 +128,11 @@ def zero_chain_absorb(g: PlumbingGraph, vid: str, keep: Optional[str] = None) ->
 
 def handle_absorb(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     _, (e1, e2), (i, j) = _at_vertex(g, vid, "handle_absorb", NotAbsorbable, (0,), 2)
-    if i != j:
+    if i.id != j.id:
         raise NotAbsorbable(f"{vid}: need a double edge to a single other vertex")
     if {e1.sign, e2.sign} != {1, -1}:
         raise NotAbsorbable(f"{vid}: the double edge must carry one + and one -")
-    host = g.vertex(i)
-    return g.edit(drop=[vid], put=[replace(host, genus=host.genus + 1)])
+    return g.edit(drop=[vid], put=[replace(i, genus=i.genus + 1)])
 
 
 def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> PlumbingGraph:
@@ -154,14 +147,9 @@ def split(g: PlumbingGraph, vid: str, companion: Optional[str] = None) -> Plumbi
         raise NotSplittable(f"split: {vid} is an arrowhead")
     if any(e.is_loop() for e in g.edges_at(vid)):
         raise NotSplittable(f"{vid}: loops at the split vertex are not supported")
-    candidates = [
-        u
-        for u in g.neighbors(vid)
-        if g.degree(u) == 1
-        and g.vertex(u).euler == 0
-        and g.vertex(u).genus == 0
-        and g.vertex(u).kind != "arrowhead"
-    ]
+    leaves = (g.vertex(u) for u in g.neighbors(vid) if g.degree(u) == 1)
+    # an arrowhead carries no Euler number, so an Euler-0 leaf is never one
+    candidates = [u.id for u in leaves if u.euler == 0 and u.genus == 0]
     if companion is not None:
         if companion not in candidates:
             raise NotSplittable(f"{vid}: {companion!r} is not an Euler-0 leaf neighbor")
@@ -183,15 +171,16 @@ def two_alteration(g: PlumbingGraph, vid: str, flip: Optional[str] = None) -> Pl
     its two edge signs (``flip`` names which neighbor's edge; either choice
     is legitimate) and decrementing both neighbors."""
     v, (e1, e2), (i, j) = _at_vertex(g, vid, "two_alteration", NotApplicable, (2,), 2)
-    if i == j:
-        raise NotApplicable(f"{vid}: both edges go to {i}")
+    if i.id == j.id:
+        raise NotApplicable(f"{vid}: both edges go to {i.id}")
     if flip is None:
         flip = g.neighbors(vid)[0]
-    if flip not in (i, j):
+    if flip not in (i.id, j.id):
         raise NotApplicable(f"{vid}: flip={flip!r} is not a neighbor")
-    flip_edge = e1 if i == flip else e2
+    flip_edge = e1 if i.id == flip else e2
     return g.edit(remove=[flip_edge], add_edges=[replace(flip_edge, sign=-flip_edge.sign)],
-                  put=[replace(v, euler=-2), _bumped(g, i, -1), _bumped(g, j, -1)])
+                  put=[replace(v, euler=-2), replace(i, euler=i.euler - 1),
+                       replace(j, euler=j.euler - 1)])
 
 
 # -- scripted application ----------------------------------------------------

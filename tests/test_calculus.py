@@ -273,6 +273,32 @@ def test_moves_need_euler_numbers_at_the_neighbors(move, euler, err, es):
     assert move(g.edit(put=[Vertex("x", euler=-2)]), "t").vertices
 
 
+def test_a_move_reads_each_vertex_once(monkeypatch):
+    """A move looks up its vertex and the far end of each of its edges once;
+    split looks up its vertex and each degree-1 neighbor once."""
+    chain = [("x", -2, 0), ("y", -3, 0)], [("x", "t", 1), ("t", "y", 1)]
+    cases = [
+        (blow_down_a, graph([("t", -1, 0), ("y", -5, 0)], [("t", "y", 1)])),
+        (blow_down_b, graph([("t", 1, 0)] + chain[0], chain[1])),
+        (two_alteration, graph([("t", 2, 0)] + chain[0], chain[1])),
+        (zero_chain_absorb, graph([("t", 0, 0)] + chain[0], chain[1])),
+        (handle_absorb, graph([("t", 0, 0), ("x", -3, 0)], [("t", "x", 1), ("x", "t", -1)])),
+        (split, graph([("t", 5, 0), ("comp", 0, 0), ("p", -2, 0), ("q", -3, 0)],
+                      [("t", "comp", 1), ("t", "p", 1), ("t", "q", -1)])),
+    ]
+    lookups = []
+    vertex = PlumbingGraph.vertex
+    monkeypatch.setattr(PlumbingGraph, "vertex",
+                        lambda g, vid: lookups.append(vid) or vertex(g, vid))
+    counts = {}
+    for move, g in cases:
+        lookups.clear()
+        move(g, "t")
+        counts[move.__name__] = len(lookups)
+    assert counts == {"blow_down_a": 2, "blow_down_b": 3, "two_alteration": 3,
+                      "zero_chain_absorb": 3, "handle_absorb": 3, "split": 4}
+
+
 def test_two_alteration_is_blow_up_then_blow_down():
     base = graph([("x", -1, 0), ("t", 2, 0), ("y", -3, 0)],
                  [("x", "t", -1), ("t", "y", -1)])

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
+from mfboundary import cli
 from mfboundary.cli import main
 from mfboundary.graph_core import PlumbingGraph, graph_from_json
 from mfboundary.pipeline import boundary_graph
@@ -261,6 +262,30 @@ def test_generic_check_output(capsys):
     assert all(line.startswith("PASS n=") for line in lines)
     assert lines[0] == "PASS n=2: H1 = Z"
     assert lines[2] == "PASS n=4: H1 = Z^6 (+) Z_4"
+
+
+# name in cli, its wrong answer at n given the right one, and the FAIL note at n=4
+GENERIC_CHECK_FAULTS = [
+    ("expected_An_factors", lambda right, n: (right(n)[0], right(n)[1] + 1),
+     "SNF([1, 1, 1, 1, 1, 1, 4], corank 3) unexpected"),
+    ("check_lemma_identities", lambda right, n: {**right(n), "annihilation": False},
+     "lemma identities failed: {'gram_blocks': True, 'normal_equations': True, "
+     "'complement_blocks': True, 'annihilation': False}"),
+    ("generic_h1_closed_form", lambda right, n: right(n + 1),
+     "H1 mismatch: rank 6, torsion (4,) vs Z^10 (+) Z_5 (+) Z_5 (+) Z_5"),
+]
+
+
+@pytest.mark.parametrize("name,wrong,note", GENERIC_CHECK_FAULTS,
+                         ids=[name for name, _, _ in GENERIC_CHECK_FAULTS])
+def test_generic_check_reports_a_wrong_answer(monkeypatch, capsys, name, wrong, note):
+    right = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda n: wrong(right, n) if n == 4 else right(n))
+    code, out, err = run_cli(capsys, "generic-check", "--max-n", "5")
+    assert code == 1 and err == ""
+    lines = out.strip().splitlines()
+    assert lines.pop(2) == f"FAIL n=4: {note}"
+    assert [line.split(":")[0] for line in lines] == ["PASS n=2", "PASS n=3", "PASS n=5"]
 
 
 def test_probe_conjecture_exit_code(tmp_path, capsys):

@@ -6,7 +6,6 @@ import re
 import pytest
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
-from mfboundary.calculus import _bumped
 from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import (
     KINDS,
@@ -285,7 +284,7 @@ def test_first_betti():
 
 def test_graph_edit_helpers():
     g = path_graph([-1, -2, -1])
-    g2 = g.edit(put=[_bumped(g, "n1", 3)])
+    g2 = g.edit(put=[replace(g.vertex("n1"), euler=g.vertex("n1").euler + 3)])
     assert g2.vertex("n1").euler == 1
     g3 = g.edit(drop=["n2"])
     assert sorted(g3.ids) == ["n0", "n1"]

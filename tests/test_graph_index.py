@@ -21,7 +21,6 @@ from mfboundary.arrangement import generate_family, incidence_from_lines, random
 from mfboundary.calculus import (
     MOVES,
     MoveSpec,
-    _bumped,
     apply_move,
     apply_script,
     blow_down_b,
@@ -30,6 +29,7 @@ from mfboundary.calculus import (
 from mfboundary.errors import InternalError, InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, _order_key
 from mfboundary.pipeline import boundary_graph
+from mfboundary.record import replace
 from mfboundary.reduction import (
     double_chain_script,
     generic_reduction_script,
@@ -118,6 +118,11 @@ def fresh_id(g, prefix):
     return next(f"{prefix}{k}" for k in itertools.count() if not g.has_vertex(f"{prefix}{k}"))
 
 
+def bumped_vertex(g, vid, delta):
+    """The vertex with delta added to its Euler number."""
+    return replace(g.vertex(vid), euler=g.vertex(vid).euler + delta)
+
+
 def random_edit(rng, g):
     """One random edit of g, with the graph a rebuild gives for the plain
     edits; None when the edit does not apply."""
@@ -137,7 +142,7 @@ def random_edit(rng, g):
         u = fresh_id(g, "u")
         halves = [Edge(e.a, u, sign=sign_a), Edge(u, e.b, sign=-euler * e.sign * sign_a)]
         return g.edit(add_vertices=[Vertex(u, euler=euler)], remove=[e], add_edges=halves,
-                      put=[_bumped(g, e.a, euler), _bumped(g, e.b, euler)]), None
+                      put=[bumped_vertex(g, e.a, euler), bumped_vertex(g, e.b, euler)]), None
     if kind == "add_edge":
         e = Edge(vid, rng.choice(ids), sign=rng.choice([1, -1]))  # may be a loop
         return g.edit(add_edges=[e]), PlumbingGraph(g.vertices, g.edges + (e,))
@@ -158,7 +163,7 @@ def random_edit(rng, g):
         delta = rng.randint(-2, 2)
         v = g.vertex(vid)
         bumped = Vertex(v.id, v.genus, v.euler + delta, v.mult, v.kind, v.dec)
-        return g.edit(put=[_bumped(g, vid, delta)]), PlumbingGraph(
+        return g.edit(put=[bumped_vertex(g, vid, delta)]), PlumbingGraph(
             [bumped if u.id == vid else u for u in g.vertices], g.edges
         )
     nv = Vertex(fresh_id(g, "q"), euler=rng.randint(-2, 2))
@@ -434,11 +439,9 @@ def test_edits_reject_what_a_rebuild_rejects():
             edit()
     for edit in (lambda: g.edit(put=[Vertex("zz")]), lambda: g.edit(drop=["zz"]),
                  lambda: g.edit(drop=[["n0"]]), lambda: g.edit(drop=["n0", ["n0"]]),
-                 lambda: g.edit(put=[_bumped(g, "zz", 1)])):
+                 lambda: g.edit(put=[bumped_vertex(g, "zz", 1)])):
         with pytest.raises(UnknownVertex):
             edit()
-    with pytest.raises(InvalidInput):
-        g.edit(put=[_bumped(g, "a0", 1)])  # an arrowhead has no Euler number
     with pytest.raises(InvalidInput):  # put keeps arrowheads, even with the arrow removed
         g.edit(remove=[e[1]], put=[Vertex("a0", euler=0)])
     assert_indexed(g)  # a rejected edit leaves the graph as it was
@@ -455,6 +458,15 @@ def test_removes_take_one_occurrence_each():
     flipped = apply_move(g, MoveSpec("sign_reversal", "n0"))
     assert [x.sign for x in flipped.edges] == [-1, -1]
     assert_indexed(flipped)
+
+
+def test_an_id_twice_in_one_drop_is_dropped_once():
+    g = chain(5).edit(add_edges=[Edge("c0", "c3", -1)])
+    once = g.edit(drop=["c2"])
+    for twice in (g.edit(drop=["c2", "c2"]), g.opened().edit(drop=["c2", "c2"]).closed()):
+        assert (twice.vertices, twice.edges) == (once.vertices, once.edges)
+        assert_indexed(twice)
+    assert g == chain(5).edit(add_edges=[Edge("c0", "c3", -1)])
 
 
 def test_remove_takes_an_equal_edge_that_is_not_the_stored_object():
