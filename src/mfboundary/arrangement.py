@@ -27,12 +27,12 @@ Triple = tuple[int, int, int]
 def _primitive(ints: Sequence[int]) -> Triple:
     """Canonical representative of a nonzero integer triple: content 1,
     first nonzero entry positive."""
-    g = math.gcd(*ints)
+    a, b, c = ints
+    g = math.gcd(a, b, c)
     if g == 0:
         raise InvalidInput("zero vector does not define a projective object")
-    if next(v for v in ints if v) < 0:
+    if (a or b or c) < 0:  # the first nonzero entry
         g = -g
-    a, b, c = ints
     return (a // g, b // g, c // g)
 
 
@@ -154,8 +154,9 @@ class IncidenceData(Record):
             for i in lines:
                 through.setdefault(i, []).append(idx)
         marker, first_on, sets = {}, {}, {}
+        size = list(map(len, pts)).__getitem__  # the multiplicity of each point
         for i, on in sorted(through.items()):
-            big = max(on, key=lambda q: len(pts[q]))
+            big = max(on, key=size)
             if big not in sets:
                 sets[big] = set(pts[big])
             for q in on:
@@ -171,7 +172,7 @@ class IncidenceData(Record):
             raise InvalidIncidence(fault)
         for i in range(n):  # stops at the first line that misses one
             on = through.get(i, ())
-            if sum(len(pts[q]) - 1 for q in on) < n - 1:
+            if sum(map(size, on)) - len(on) < n - 1:
                 seen = set().union(*(pts[q] for q in on))
                 j = next(j for j in range(i + 1, n) if j not in seen)
                 raise InvalidIncidence(f"line pair {(i, j)} meets no point")
@@ -183,16 +184,29 @@ class IncidenceData(Record):
 
 def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
     """Group the pairwise intersections of distinct lines into multiple
-    points.  Two pairs meeting at the same projective point merge."""
+    points.  A point is found from its first line, and no pair of its other
+    lines is intersected again, which needs the lines distinct: a first
+    check raises at the first coincident pair."""
     if len(lines) < 1:
         raise InvalidSize("need at least one line")
     labels = [l.label for l in lines]
     if labels != list(range(len(lines))):
         raise InvalidInput("line labels must be 0..n-1 in order")
-    by_point: dict[Triple, set[int]] = {}
-    for l1, l2 in itertools.combinations(lines, 2):
-        by_point.setdefault(intersect_lines(l1, l2), set()).update((l1.label, l2.label))
-    points = tuple(MultiPoint(s) for s in by_point.values())
+    classes = {_primitive(l.coeffs) if any(l.coeffs) else None for l in lines}
+    if None in classes or len(classes) < len(lines):
+        for l1, l2 in itertools.combinations(lines, 2):
+            intersect_lines(l1, l2)  # raises at the first coincident pair
+    met: list[set[int]] = [set() for _ in lines]  # the lines each meets at a point found
+    points = []
+    for i, l1 in enumerate(lines):
+        on: dict[Triple, list[int]] = {}  # the points of line i found now, with their lines
+        for j in range(i + 1, len(lines)):
+            if j not in met[i]:
+                on.setdefault(intersect_lines(l1, lines[j]), [i]).append(j)
+        for through in on.values():
+            points.append(MultiPoint(labels[k] for k in through))
+            for k in through[1:]:
+                met[k].update(through)
     return IncidenceData(len(lines), points)
 
 

@@ -26,6 +26,7 @@ computation reads a graph in its own vertex order.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from typing import Iterable, Optional
 
 from .errors import InternalError, InvalidInput, UnknownVertex, reject_unknown_keys
@@ -152,15 +153,22 @@ def arrowhead_id(i: int) -> str:
     return f"{_ARROWHEAD}{i}"
 
 
+def _chain_head(i: int, j: int) -> str:
+    """The head shared by the ids of the chain from line i toward point j."""
+    return f"{_STRING}{i}_{j}#"
+
+
 def chain_id(i: int, j: int, pos: int) -> str:
     """Id of the string vertex at pos on the chain from line i toward
     point j, pos counted from the line end."""
-    return f"{_STRING}{i}_{j}#{pos}"
+    return _chain_head(i, j) + str(pos)
 
 
 def chain_ids(i: int, j: int, k: int) -> list[str]:
-    """chain_id(i, j, pos) for pos = 0..k-1, the whole chain of k vertices."""
-    return [chain_id(i, j, pos) for pos in range(k)]
+    """chain_id(i, j, pos) for pos = 0..k-1, the whole chain of k vertices,
+    its head formatted once."""
+    head = _chain_head(i, j)
+    return [head + str(pos) for pos in range(k)]
 
 
 def _order_key(vid: str):
@@ -272,12 +280,13 @@ class PlumbingGraph(Record):
         then keeps, open or not."""
         touched = []  # ids where an arrowhead's degree may have changed
         for v in add_vertices:
-            if v.id in index:
-                raise InvalidInput(f"duplicate vertex id {v.id!r}")
-            index[v.id] = v
-            adj[v.id] = ()
+            vid = v.id
+            if vid in index:
+                raise InvalidInput(f"duplicate vertex id {vid!r}")
+            index[vid] = v
+            adj[vid] = ()
             if v.kind == "arrowhead":
-                touched.append(v.id)
+                touched.append(vid)
         for e in remove:
             try:
                 at = adj.get(e.a, ())
@@ -305,22 +314,22 @@ class PlumbingGraph(Record):
                 other = e.b if e.a == vid else e.a
                 if other in adj:
                     adj[other] = tuple(x for x in adj[other] if x != k)
-        fresh = {}  # new keys per vertex, joined to its tuple once
+        fresh = defaultdict(list)  # new keys per vertex, joined to its tuple once
         # new keys count on from the last stored one; stored keys ascend,
         # so key order stays edge order
         for k, e in enumerate(add_edges, next(reversed(store), -1) + 1):
-            try:  # the arrowhead ends, one exactly when an arrow
-                heads = (index[e.a].kind == "arrowhead") + (index[e.b].kind == "arrowhead")
+            a, b = e.a, e.b
+            try:  # only an arrow, or an edge at an arrowhead or an unknown end, can fail
+                full = e.arrow or index[a].kind == "arrowhead" or index[b].kind == "arrowhead"
             except (KeyError, TypeError):  # TypeError: an unhashable end
-                heads = -1
-            if heads != e.arrow:
-                _check_edge(e, index)  # raises, naming the fault
+                full = True
+            if full:
+                _check_edge(e, index)  # raises, naming the fault, unless a valid arrow
+                touched += (a, b)
             store[k] = e
-            fresh.setdefault(e.a, []).append(k)
-            if e.b != e.a:
-                fresh.setdefault(e.b, []).append(k)
-            if e.arrow:  # only an arrow can reach an arrowhead
-                touched += (e.a, e.b)
+            fresh[a].append(k)
+            if b != a:
+                fresh[b].append(k)
         for vid, keys in fresh.items():
             adj[vid] += tuple(keys)
         for v in put:
@@ -498,16 +507,8 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
         dec = row.get("dec")
         if dec is not None and not isinstance(dec, list):
             raise InvalidInput(f"vertex {row['id']!r}: dec must be a list of three integers")
-        verts.append(
-            Vertex(
-                id=row["id"],
-                genus=row.get("genus", 0),
-                euler=row.get("euler"),
-                mult=row.get("mult"),
-                kind=row.get("kind", "plain"),
-                dec=tuple(dec) if dec is not None else None,
-            )
-        )
+        verts.append(Vertex(row["id"], row.get("genus", 0), row.get("euler"), row.get("mult"),
+                            row.get("kind", "plain"), None if dec is None else tuple(dec)))
     edges = []
     for row in _json_rows(obj, "edges", "edge", ("a", "b"), ("a", "b", "sign", "type", "arrow")):
         if not isinstance(row["a"], str) or not isinstance(row["b"], str):
@@ -517,15 +518,7 @@ def graph_from_json(obj: dict) -> PlumbingGraph:
         arrow = row.get("arrow")
         if arrow is not None and not isinstance(arrow, bool):
             raise InvalidInput(f"edge arrow must be true, false or null, got {arrow!r}")
-        edges.append(
-            Edge(
-                a=row["a"],
-                b=row["b"],
-                sign=sign,
-                edge_type=row.get("type"),
-                arrow=bool(arrow),
-            )
-        )
+        edges.append(Edge(row["a"], row["b"], sign, row.get("type"), bool(arrow)))
     return PlumbingGraph(tuple(verts), tuple(edges))
 
 

@@ -533,31 +533,26 @@ class AbelianGroup(Record):
 # -- graph homology ----------------------------------------------------------
 
 def _read_graph(g: PlumbingGraph) -> tuple[list[int], list[dict[int, int]], dict[str, int]]:
-    """A closed simple plumbing graph in one pass over its vertices and one
-    over its edges: the Euler numbers and the neighbours of each vertex,
+    """A closed simple plumbing graph read from its vertex list, then in one
+    pass over its edges: the Euler numbers and the neighbours of each vertex,
     vertex k being ``g.vertices[k]`` and its neighbours {position: edge
     sign} in edge order, and the graph's counts: its vertices, its edges,
     its total genus and its b_1, the last two giving the free summands
     2 * genus + b_1 of H_1 that the incidence matrix does not see.
 
-    The vertex pass checks that the graph is closed: an arrowhead has no
-    Euler number, so the first vertex without one decides between the
-    arrowhead and the missing-Euler error.  The edge pass checks that it is
+    The Euler numbers, read first, check that the graph is closed: an
+    arrowhead has no Euler number, so the first vertex without one decides
+    between the arrowhead and the missing-Euler error.  The edge pass checks that it is
     simple, a loop or a second edge between two vertices raising, and
     collects the edges as position pairs, whose ``cycle_count`` is b_1."""
     vertices = g.vertices
-    pos: dict[str, int] = {}
-    euler: list[int] = []
-    genus = 0
-    for k, v in enumerate(vertices):
-        e = v.euler
-        if e is None:
-            if any(u.kind == "arrowhead" for u in vertices):
-                raise InvalidInput("graph still has arrowheads; strip them first")
-            raise MissingEuler(f"vertex {v.id} has no Euler number")
-        pos[v.id] = k
-        euler.append(e)
-        genus += v.genus
+    euler = [v.euler for v in vertices]
+    if None in euler:
+        if any(u.kind == "arrowhead" for u in vertices):
+            raise InvalidInput("graph still has arrowheads; strip them first")
+        raise MissingEuler(f"vertex {vertices[euler.index(None)].id} has no Euler number")
+    pos = dict(zip(g.ids, range(len(euler))))
+    genus = sum([v.genus for v in vertices])
     nbrs: list[dict[int, int]] = [{} for _ in euler]
     pairs = []
     for e in g.edges:
@@ -606,37 +601,36 @@ def _contract_chains(euler: list[int], nbrs: list[dict[int, int]]
     and every other invariant factor is kept.  Components with no node,
     and vertices of degree 0, keep their rows as they are."""
     walked = []  # (u, y, last, w, s_k, A, B, a_k, b_k) per chain of two or more
-    gone: set[int] = set()  # rows v_1..v_{k-1}, never written
+    gone = [False] * len(nbrs)  # by row: one of some chain's v_1..v_{k-1}, never written
     ends: set[int] = set()  # each chain's v_k, where its other end starts
+    deg = list(map(len, nbrs))
     for u, around in enumerate(nbrs):
-        if len(around) < 3:
+        if deg[u] < 3:
             continue
         for y, s0 in around.items():
-            if y in ends or len(nbrs[y]) != 2:
+            if y in ends or deg[y] != 2:
                 continue
             # (a0, b0) and (a1, b1) are x_{i-1} and x_i, s0 is s_{i-1}
-            (a0, b0), (a1, b1) = (1, 0), (0, 1)
+            a0, b0, a1, b1 = 1, 0, 0, 1
             prev, vi, w, sk = u, y, None, 0
-            while True:
+            while deg[vi] == 2:
                 near = nbrs[vi]
-                if len(near) != 2:
-                    break
-                (p, sp), (q, sq) = near.items()
-                nxt, s = (q, sq) if p == prev else (p, sp)
-                if len(nbrs[nxt]) > 2:
+                p, q = near
+                nxt = q if p == prev else p
+                s = near[nxt]
+                if deg[nxt] > 2:
                     w, sk = nxt, s
                     break
                 e = euler[vi]
-                (a0, b0), (a1, b1), s0 = (a1, b1), (-s * (s0 * a0 + e * a1),
-                                                    -s * (s0 * b0 + e * b1)), s
-                gone.add(vi)
+                a0, b0, a1, b1, s0 = a1, b1, -s * (s0 * a0 + e * a1), -s * (s0 * b0 + e * b1), s
+                gone[vi] = True
                 prev, vi = vi, nxt
             if vi != y:
                 e = euler[vi]
                 ends.add(vi)
                 walked.append((u, y, vi, w, sk, s0 * a0 + e * a1, s0 * b0 + e * b1, a1, b1))
     rows = {k: {k: e, **around} if e else dict(around)
-            for k, (e, around) in enumerate(zip(euler, nbrs)) if (e or around) and k not in gone}
+            for k, (e, around, g) in enumerate(zip(euler, nbrs, gone)) if not g and (e or around)}
     for u, y, last, w, sk, A, B, a1, b1 in walked:
         relation = {u: A, y: B}
         if w is not None:
@@ -662,7 +656,7 @@ def _contract_chains(euler: list[int], nbrs: list[dict[int, int]]
                     for meets in (rows[u], row, wrow):
                         _add(meets, {u: sigma * meets[y]}, 1)
                 break
-    return len(gone), rows
+    return gone.count(True), rows
 
 
 def _add(row: dict[int, int], other: dict[int, int], t: int) -> None:

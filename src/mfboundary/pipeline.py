@@ -2,7 +2,9 @@
 fiber boundary.
 
 boundary_graph writes the closed graph in one pass, splicing the string
-chain Str(1, m; n) into every line-point incidence, all edges signed -.
+chain Str(1, m; n) into every line-point incidence, all edges signed -;
+each vertex and edge is one record of the checked constructors, and the
+graph's constructor checks and indexes them.
 A chain vertex's Euler number is its Hirzebruch-Jung term; a line's and a
 point's come from the local formula e_v * m_v + sum of signed neighbor
 multiplicities = 0, each line's arrow folded in.  reduce=True then runs the
@@ -34,7 +36,8 @@ with projective_complement_euler, for its torsion.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from itertools import repeat
+from typing import Iterator, Optional
 
 from .arrangement import IncidenceData, is_near_pencil, is_pencil
 from .errors import InternalError, InvalidInput, InvalidSize, NonIntegralEuler, UnsupportedLoop
@@ -55,12 +58,9 @@ def point_genus(m: int, n: int) -> int:
     return num // 2
 
 
-def _chain(line: str, point: str, i: int, j: int, k: int) -> tuple[list[str], list[Edge]]:
-    """The chain_ids of the k vertices of the chain from line i to point j
-    and the chain's - edges."""
-    ids = chain_ids(i, j, k)
-    path = [line, *ids, point]
-    return ids, [Edge(a=a, b=b, sign=-1) for a, b in zip(path, path[1:])]
+def _chain(line: str, ids: list[str], point: str) -> Iterator[Edge]:
+    """The - edges of the chain of vertices ids from line to point."""
+    return map(Edge, [line, *ids], [*ids, point], repeat(-1))
 
 
 def _line_count(inc: IncidenceData) -> int:
@@ -140,9 +140,9 @@ def decorate_and_insert(gc: PlumbingGraph) -> PlumbingGraph:
             edges.append(Edge(a=e.a, b=e.b, sign=1, arrow=True))
             continue
         line, point = (e.a, e.b) if e.a in arrows else (e.b, e.a)
-        ids, chain = _chain(line, point, index[line], index[point], len(chains[point]))
+        ids = chain_ids(index[line], index[point], len(chains[point]))
         vertices += [Vertex(id=vid, mult=k, kind="string") for vid, k in zip(ids, chains[point])]
-        edges += chain
+        edges += _chain(line, ids, point)
     return PlumbingGraph(tuple(vertices), tuple(edges))
 
 
@@ -203,15 +203,13 @@ def boundary_graph(inc: IncidenceData, reduce: bool = False) -> PlumbingGraph:
         ks, ms = strings[m].cf_terms, strings[m].interior_mults
         first, last = (ms[0], ms[-1]) if ms else (m // d, 1)
         w = point_id(j)
-        points.append(Vertex(id=w, genus=point_genus(m, n), euler=d * last,
-                             mult=m // d, kind="point"))
+        points.append(Vertex(w, point_genus(m, n), d * last, m // d, "point"))
         for i in p.lines:
             line_euler[i] += first
-            ids, chain = _chain(line_ids[i], w, i, j, len(ms))
-            chains += [Vertex(id=vid, euler=k, mult=mk, kind="string")
-                       for vid, k, mk in zip(ids, ks, ms)]
-            edges += chain
-    lines = [Vertex(id=v, euler=e, mult=1, kind="line") for v, e in zip(line_ids, line_euler)]
+            ids = chain_ids(i, j, len(ms))
+            chains += map(Vertex, ids, repeat(0), ks, ms, repeat("string"))
+            edges += _chain(line_ids[i], ids, w)
+    lines = [Vertex(v, 0, e, 1, "line") for v, e in zip(line_ids, line_euler)]
     g = PlumbingGraph(tuple(lines + points + chains), tuple(edges))
     if reduce:
         g = reduce_double_chains(g, inc)

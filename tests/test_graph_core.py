@@ -13,6 +13,8 @@ from mfboundary.graph_core import (
     PlumbingGraph,
     Vertex,
     _order_key,
+    chain_id,
+    chain_ids,
     first_betti_of_graph,
     graph_from_json,
     graph_to_json,
@@ -180,6 +182,19 @@ def test_order_key_is_the_regex_chain_key():
     for vid in ORDER_IDS + fuzz:
         assert _order_key(vid) == regex_chain_order_key(vid), repr(vid)
     assert sorted(ORDER_IDS, key=_order_key) == sorted(ORDER_IDS, key=regex_chain_order_key)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_chain_ids_are_the_literal_scheme_and_parse_back(k):
+    # the one-pass and three-stage builds both write their ids through
+    # chain_ids, so only literal strings catch a change of the scheme
+    for i in (0, 1, 9, 10, 99, 100, 999):
+        for j in (0, 3, 42, 100, 640, 999):
+            ids = chain_ids(i, j, k)
+            assert ids == [f"s{i}_{j}#{p}" for p in range(k)]
+            assert ids == [chain_id(i, j, p) for p in range(k)]
+            assert [_order_key(vid) for vid in ids] == [(1, j, 1, i, p, f"s{i}_{j}#{p}")
+                                                        for p in range(k)]
 
 
 def family_graphs():

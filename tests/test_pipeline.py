@@ -277,6 +277,32 @@ def test_boundary_graph_takes_no_stage_of_the_check_route(monkeypatch):
     assert groups() == before
 
 
+@pytest.mark.parametrize("inc", [
+    generate_family("generic", 8),
+    generate_family("near_pencil", 10),
+    generate_family("pencil", 6),
+    incidence_from_lines(random_rational_lines(9, random.Random(3))),
+], ids=["generic8", "near_pencil10", "pencil6", "random9"])
+def test_boundary_graph_builds_one_record_per_vertex_and_edge(inc, monkeypatch):
+    calls = {Vertex: 0, Edge: 0}
+    for cls, init in [(Vertex, Vertex.__init__), (Edge, Edge.__init__)]:
+        def counted(self, *args, _cls=cls, _init=init, **kwargs):
+            calls[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    g = boundary_graph(inc)
+    assert (calls[Vertex], calls[Edge]) == (len(g.vertices), len(g.edges))
+
+
+def test_boundary_graph_builds_through_the_checked_constructor(monkeypatch):
+    # a repeated string vertex id must meet the graph's duplicate check
+    inc = generate_family("generic", 5)
+    assert any(v.kind == "string" for v in boundary_graph(inc).vertices)
+    monkeypatch.setattr(pipeline, "chain_ids", lambda i, j, k: ["s0_1#0"] * k)
+    with pytest.raises(InvalidInput, match="^duplicate vertex id 's0_1#0'$"):
+        boundary_graph(inc)
+
+
 def test_one_line_is_invalid_size():
     with pytest.raises(InvalidSize, match=r"^need at least two lines, got n=1$"):
         boundary_graph(IncidenceData(1, ()))
