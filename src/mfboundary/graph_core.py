@@ -9,6 +9,8 @@ The one exception is an open graph, a private copy that ``opened`` makes:
 its edits are made in place on its indexes, which pass to the graph the
 edit returns, so an edit costs only the degree of the vertices it touches.
 The superseded graph raises ``InternalError`` when it is read again.
+A new graph indexes each vertex's edges only when first asked for them,
+so the raw route, which reads a graph whole, never pays for that index.
 
 Vertex ids double as ordering keys.  This module both writes and parses
 the structured ids, from one table of prefixes: the pipeline and the
@@ -26,7 +28,9 @@ computation reads a graph in its own vertex order.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import defaultdict, deque
+from itertools import compress
+from operator import attrgetter, ne
 from typing import Iterable, Optional
 
 from .errors import InternalError, InvalidInput, UnknownVertex, reject_unknown_keys
@@ -208,18 +212,30 @@ class PlumbingGraph(Record):
     maps an id to its vertex, in vertex order; ``_store`` maps an edge key
     to its edge, in edge order; and ``_adj`` maps an id to the keys of the
     edges at the vertex, ascending (a loop once).  ``vertices`` and
-    ``edges`` are read off ``_index`` and ``_store``.
+    ``edges`` are read off ``_index`` and ``_store``.  ``_adj`` is built
+    on its first read (a lookup, an edit, ``opened`` or an arrowhead's
+    degree check) and kept; edits then update it as they do the others.
 
     Every graph is an edit: the constructor runs the routine behind
     ``edit`` on empty indexes, adding all its vertices and edges, so it
-    checks and indexes everything in one O(V + E) pass."""
+    checks everything and fills ``_index`` and ``_store`` in one O(V + E)
+    pass."""
 
-    __slots__ = ("_index", "_adj", "_store", "_open")
+    __slots__ = ("_index", "_edge_keys", "_store", "_open")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
     def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
-        self._build(False, {}, {}, {}, add_vertices=vertices, add_edges=edges)
+        self._build(False, {}, None, {}, add_vertices=vertices, add_edges=edges)
+
+    @property
+    def _adj(self) -> dict:
+        """``_edge_keys``, which holds None until this first read builds it."""
+        adj = self._edge_keys
+        if adj is None:
+            adj = _adjacency(self._index, self._store)
+            object.__setattr__(self, "_edge_keys", adj)
+        return adj
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -274,17 +290,19 @@ class PlumbingGraph(Record):
         return _made(False, dict(self._index), dict(self._adj), dict(self._store),
                      add_vertices, remove, drop, add_edges, put)
 
-    def _build(self, open_: bool, index: dict, adj: dict, store: dict, add_vertices=(),
-               remove=(), drop=(), add_edges=(), put=()) -> None:
+    def _build(self, open_: bool, index: dict, adj: Optional[dict], store: dict,
+               add_vertices=(), remove=(), drop=(), add_edges=(), put=()) -> None:
         """Make the edit of ``edit`` on the given indexes, which this graph
-        then keeps, open or not."""
+        then keeps, open or not.  adj is None for a new graph, which only
+        adds: its adjacency is built when first read."""
         touched = []  # ids where an arrowhead's degree may have changed
         for v in add_vertices:
             vid = v.id
             if vid in index:
                 raise InvalidInput(f"duplicate vertex id {vid!r}")
             index[vid] = v
-            adj[vid] = ()
+            if adj is not None:
+                adj[vid] = ()
             if v.kind == "arrowhead":
                 touched.append(vid)
         for e in remove:
@@ -327,9 +345,10 @@ class PlumbingGraph(Record):
                 _check_edge(e, index)  # raises, naming the fault, unless a valid arrow
                 touched += (a, b)
             store[k] = e
-            fresh[a].append(k)
-            if b != a:
-                fresh[b].append(k)
+            if adj is not None:
+                fresh[a].append(k)
+                if b != a:
+                    fresh[b].append(k)
         for vid, keys in fresh.items():
             adj[vid] += tuple(keys)
         for v in put:
@@ -341,7 +360,7 @@ class PlumbingGraph(Record):
             index[v.id] = v
         object.__setattr__(self, "_open", open_)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_edge_keys", adj)
         object.__setattr__(self, "_store", store)
         for v in map(index.get, touched):  # None: dropped
             if v is not None and v.kind == "arrowhead" and self.degree(v.id) != 1:
@@ -412,6 +431,22 @@ class PlumbingGraph(Record):
         edges.sort(key=lambda e: (_order_key(e.a), _order_key(e.b), -e.sign,
                                   e.arrow, e.edge_type or 0))
         return PlumbingGraph(verts, tuple(edges))
+
+
+def _adjacency(index: dict, store: dict) -> dict:
+    """The ``_adj`` of these indexes, in C-level calls that run no Python
+    line per vertex or edge: each edge's key joins its a end's list, then its
+    b end's unless a loop, and each list is sorted."""
+    at = dict(zip(index, iter(list, None)))  # iter(list, None): a fresh list each step
+    keys = list(store)
+    a = list(map(attrgetter("a"), store.values()))
+    b = list(map(attrgetter("b"), store.values()))
+    deque(map(list.append, map(at.__getitem__, a), keys), 0)
+    loopless = list(map(ne, a, b))
+    deque(map(list.append, map(at.__getitem__, compress(b, loopless)),
+              compress(keys, loopless)), 0)
+    deque(map(list.sort, at.values()), 0)
+    return dict(zip(at, map(tuple, at.values())))
 
 
 def _made(open_: bool, *build_args) -> PlumbingGraph:

@@ -26,8 +26,10 @@ from mfboundary.calculus import (
     blow_down_b,
     run_script,
 )
+from mfboundary import graph_core
 from mfboundary.errors import InternalError, InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import Edge, PlumbingGraph, Vertex, _order_key
+from mfboundary.homology import homology_with_stats
 from mfboundary.pipeline import boundary_graph
 from mfboundary.record import replace
 from mfboundary.reduction import (
@@ -299,6 +301,112 @@ def test_a_graph_superseded_by_an_in_place_edit_raises_when_read(monkeypatch):
     assert apply_move(g, spec) == g.edit(drop=["c0"])
     with pytest.raises(InternalError):
         apply_script(g, [spec])
+    assert g == chain(5)
+
+
+@pytest.mark.parametrize("inc", [
+    generate_family("generic", 8),
+    generate_family("near_pencil", 10),
+    generate_family("pencil", 6),
+    incidence_from_lines(random_rational_lines(9, random.Random(3))),
+], ids=["generic8", "near_pencil10", "pencil6", "random9"])
+def test_the_raw_route_never_builds_the_adjacency_index(inc, monkeypatch):
+    # the raw route reads only the vertex and edge indexes; the first
+    # adjacency read builds the index once, and the graph keeps it
+    builds = []
+    build = graph_core._adjacency
+
+    def counted(index, store):
+        builds.append(len(index))
+        return build(index, store)
+
+    monkeypatch.setattr(graph_core, "_adjacency", counted)
+    g = boundary_graph(inc)
+    homology_with_stats(g)
+    assert builds == [] and g._edge_keys is None
+    vid = g.ids[0]
+    at = g.edges_at(vid)
+    assert builds == [len(g.vertices)]
+    assert g.edges_at(vid) == at and g.degree(vid) == len(at) and g.neighbors(vid)
+    assert builds == [len(g.vertices)]
+    assert_indexed(g)
+
+
+def edit_calls(rng, g):
+    """Calls of every edit verb, alone and together, that apply to g or
+    raise, and of opened and closed around one, chosen from g's vertex and
+    edge lists only."""
+    vs, es = g.vertices, g.edges
+    v, u = rng.choice(vs), rng.choice(vs)
+    bumped = replace(v, euler=v.euler + 1)
+    edge = Edge(v.id, u.id, rng.choice([1, -1]))  # may be a loop
+    fresh = Vertex(fresh_id(g, "q"), euler=-1)
+    calls = [
+        lambda g: g.edit(add_vertices=[fresh]),
+        lambda g: g.edit(add_vertices=[fresh, Vertex(u.id)]),
+        lambda g: g.edit(drop=[v.id]),
+        lambda g: g.edit(drop=[v.id, u.id, v.id]),
+        lambda g: g.edit(drop=["zz"]),
+        lambda g: g.edit(add_edges=[edge, edge]),
+        lambda g: g.edit(add_edges=[Edge(v.id, "zz")]),
+        lambda g: g.edit(put=[bumped]),
+        lambda g: g.edit(put=[Vertex("zz")]),
+        lambda g: g.edit(remove=[Edge(v.id, "zz")]),
+        lambda g: g.edit(add_vertices=[fresh], drop=[u.id],
+                         add_edges=[Edge(fresh.id, v.id)] if v.id != u.id else [], put=[bumped]),
+        lambda g: g.opened().edit(put=[bumped]).closed(),
+        lambda g: g.opened().closed(),
+        lambda g: g.closed().edit(add_edges=[edge]),
+    ]
+    if es:
+        e = rng.choice(es)
+        calls += [lambda g: g.edit(remove=[e]), lambda g: g.edit(remove=[e, e]),
+                  lambda g: g.edit(remove=[e], drop=[e.a], add_edges=[edge])]
+    return calls
+
+
+def test_a_graph_never_read_gives_what_a_graph_read_first_gives():
+    # building the adjacency index on first read must not change any answer
+    rng = random.Random(20261021)
+    checked = 0
+    cases = [random_plumbing(rng) for _ in range(120)] + [random_split_case(rng)
+                                                         for _ in range(80)]
+    for g in cases:
+        calls = edit_calls(rng, g)
+        for vid in g.ids:
+            for spec in specs_at(g, vid):
+                calls += [lambda g, spec=spec: apply_move(g, spec),
+                          lambda g, spec=spec: apply_script(g, [spec, spec])]
+        for call in calls:
+            lazy, eager = PlumbingGraph(g.vertices, g.edges), PlumbingGraph(g.vertices, g.edges)
+            eager._adj
+            assert lazy._edge_keys is None
+            out = outcome(lambda: call(lazy))
+            assert out == outcome(lambda: call(eager)), g
+            if isinstance(out, PlumbingGraph):
+                assert_indexed(out)
+            checked += 1
+    assert checked > 5000, checked
+
+
+def test_the_constructor_still_checks_arrowhead_degrees():
+    lone = Vertex("a0", kind="arrowhead")
+    with pytest.raises(InvalidInput, match="^arrowhead a0 must have degree 1$"):
+        PlumbingGraph((lone,), ())
+    twice = (Vertex("n0", euler=-1), Vertex("n1", euler=-1), lone)
+    with pytest.raises(InvalidInput, match="^arrowhead a0 must have degree 1$"):
+        PlumbingGraph(twice, (Edge("n0", "a0", arrow=True), Edge("n1", "a0", arrow=True)))
+
+
+def test_a_graph_superseded_before_its_index_was_read_raises():
+    g = chain(5)
+    assert g._edge_keys is None
+    opened = g.opened()
+    opened.edit(drop=["c0"])
+    for read in (lambda: opened.edges_at("c1"), lambda: opened.degree("c1"),
+                 lambda: opened.neighbors("c1"), lambda: opened.edit(drop=["c1"])):
+        with pytest.raises(InternalError, match="superseded by an in-place edit"):
+            read()
     assert g == chain(5)
 
 

@@ -14,7 +14,7 @@ MODULES = sorted(SRC.glob("*.py"))
 
 # the graph's private indexes; graph_core.py alone reads them, so every
 # change to a graph goes through PlumbingGraph.edit
-GRAPH_PRIVATE = {"_index", "_adj", "_store", "_build"}
+GRAPH_PRIVATE = {"_index", "_adj", "_edge_keys", "_store", "_build"}
 
 # the paper's curve-configuration labels; the pipeline works the numbers out
 # from the graph's structure, and only graph_core.py (checks, JSON, dot)
