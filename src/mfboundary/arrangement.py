@@ -203,7 +203,7 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
         for j in range(i + 1, len(lines)):
             if j not in met[i]:
                 on.setdefault(intersect_lines(l1, lines[j]), [i]).append(j)
-        for through in on.values():
+        for through in on.values():  # labels, not k: IncidenceData refuses a label True (== 1)
             points.append(MultiPoint(labels[k] for k in through))
             for k in through[1:]:
                 met[k].update(through)

@@ -29,13 +29,13 @@ from .arrangement import (
 from .calculus import MoveSpec, apply_script
 from .errors import InvalidInput, InvalidSize, MFBoundaryError, file_error
 from .generic_algebra import (
-    build_An,
+    An_rows,
     check_lemma_identities,
     expected_An_factors,
     generic_h1_closed_form,
 )
 from .graph_core import PlumbingGraph, graph_from_json, graph_to_json, to_dot
-from .homology import homology_with_stats, smith_normal_form
+from .homology import homology_with_stats, smith_form_of_rows
 from .pipeline import betti_formula, boundary_graph, build_gamma_c, probe_conjecture
 from .strings import build_string
 
@@ -170,30 +170,6 @@ def _cmd_betti(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generic_check_one(n: int) -> tuple[int, bool, str]:
-    notes = []
-    ok = True
-    factors, corank = expected_An_factors(n)
-    snf = smith_normal_form(build_An(n))
-    if snf.factors != factors or snf.corank != corank:
-        ok = False
-        notes.append(f"SNF({list(snf.factors)}, corank {snf.corank}) unexpected")
-    if n >= 3:
-        lemma = check_lemma_identities(n)
-        if not all(lemma.values()):
-            ok = False
-            notes.append(f"lemma identities failed: {lemma}")
-    # free rank = corank + b_1 of the compact generic graph: connected, n + k
-    # vertices, 2k edges (k = n(n-1)/2), so b_1 = k - n + 1 = (n-1)(n-2)/2
-    free = snf.corank + (n - 1) * (n - 2) // 2
-    torsion = tuple(d for d in snf.factors if d >= 2)
-    closed = generic_h1_closed_form(n)
-    if (free, torsion) != (closed.free_rank, closed.torsion):
-        ok = False
-        notes.append(f"H1 mismatch: rank {free}, torsion {torsion} vs {closed}")
-    return n, ok, f"H1 = {closed}" if ok else "; ".join(notes)
-
-
 # The largest --max-n generic-check accepts.  The run grows about as n^4:
 # --max-n 24 takes 0.3-0.4 s end to end and 32 about 1 s (2-core VM, Python 3.11).
 MAX_GENERIC_CHECK_N = 24
@@ -204,16 +180,27 @@ def _cmd_generic_check(args: argparse.Namespace) -> int:
         raise InvalidInput("--max-n must be at least 2")
     if args.max_n > MAX_GENERIC_CHECK_N:
         raise InvalidSize(f"--max-n must be at most {MAX_GENERIC_CHECK_N}, got {args.max_n}")
-    results = [_generic_check_one(n) for n in range(2, args.max_n + 1)]
     lines = []
-    bad = 0
-    for n, ok, note in results:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            bad += 1
-        lines.append(f"{status} n={n}: {note}")
+    for n in range(2, args.max_n + 1):
+        notes = []
+        factors, corank = expected_An_factors(n)
+        rows = An_rows(n)
+        snf = smith_form_of_rows(len(rows), len(rows), rows)
+        if snf.factors != factors or snf.corank != corank:
+            notes.append(f"SNF({list(snf.factors)}, corank {snf.corank}) unexpected")
+        lemma = check_lemma_identities(n) if n >= 3 else {}
+        if not all(lemma.values()):
+            notes.append(f"lemma identities failed: {lemma}")
+        # free rank = corank + b_1 of the compact generic graph: connected, n + k
+        # vertices, 2k edges (k = n(n-1)/2), so b_1 = k - n + 1 = (n-1)(n-2)/2
+        free = snf.corank + (n - 1) * (n - 2) // 2
+        torsion = tuple(d for d in snf.factors if d >= 2)
+        closed = generic_h1_closed_form(n)
+        if (free, torsion) != (closed.free_rank, closed.torsion):
+            notes.append(f"H1 mismatch: rank {free}, torsion {torsion} vs {closed}")
+        lines.append(f"FAIL n={n}: {'; '.join(notes)}" if notes else f"PASS n={n}: H1 = {closed}")
     _emit("\n".join(lines) + "\n", args.output)
-    return 1 if bad else 0
+    return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:

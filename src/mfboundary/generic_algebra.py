@@ -16,8 +16,9 @@ inductively by X_2 = (1 -1) and
           [ zeros   X_{n-1} ].
 
 Everything here is exact integer arithmetic on sparse rows, row -> {column:
-value} with zeros dropped as in the Smith form engine; the public builders
-render dense lists.  The identities and the Smith normal form
+value} with zeros dropped as in the Smith form engine: ``An_rows`` hands
+A_n's rows to the engine as they are, and ``build_Xn``, ``build_Bn`` and
+``build_An`` render dense lists.  The identities and the Smith normal form
 E_{2n-2} (+) n*E_{(n-2)(n-3)/2} (+) 0 feed the closed-form homology answer.
 """
 
@@ -93,14 +94,19 @@ def build_Bn(n: int) -> Matrix:
     return _dense(_sum((n, _diag(k, 1)), (-1, _mul(X, _t(X)))), k, k)
 
 
-def build_An(n: int) -> Matrix:
-    """Intersection matrix of the compact generic boundary graph."""
+def An_rows(n: int) -> Rows:
+    """The sparse rows of A_n, the intersection matrix of the compact
+    generic boundary graph: n + n(n-1)/2 rows, none of them empty."""
     if n < 2:
         raise InvalidSize(f"A_n needs n >= 2, got {n}")
     X = _x_rows(n)
-    k = len(X)
-    A = _blocks(n, n, _diag(n, -1), _sum((-1, _t(X))), _sum((-1, X)), _diag(k, -n))
-    return _dense(A, n + k, n + k)
+    return _blocks(n, n, _diag(n, -1), _sum((-1, _t(X))), _sum((-1, X)), _diag(len(X), -n))
+
+
+def build_An(n: int) -> Matrix:
+    """A_n as a dense matrix."""
+    rows = An_rows(n)
+    return _dense(rows, len(rows), len(rows))
 
 
 def check_lemma_identities(n: int) -> dict[str, bool]:

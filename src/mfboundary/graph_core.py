@@ -22,7 +22,8 @@ vertices first by line index, then point and string vertices by host
 point (strings after their point, by host line and position), then
 arrowheads, then everything else by id.
 That order is an output format (JSON, DOT, structural equality); every
-computation reads a graph in its own vertex order.
+computation reads a graph in its own vertex order.  Printing sorts the
+graph it is given once, and builds no second graph.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import attrgetter, ne
 from typing import Iterable, Optional
 
 from .errors import InternalError, InvalidInput, UnknownVertex, reject_unknown_keys
-from .record import Record, replace
+from .record import Record
 
 KINDS = ("line", "point", "string", "arrowhead", "plain")
 
@@ -422,15 +423,7 @@ class PlumbingGraph(Record):
         """Same graph with vertices in canonical order and edges sorted with
         normalized endpoint order.  Two graphs are structurally equal iff
         their canonical forms are equal."""
-        verts = tuple(sorted(self.vertices, key=lambda v: _order_key(v.id)))
-        edges = []
-        for e in self.edges:
-            if _order_key(e.b) < _order_key(e.a):
-                e = replace(e, a=e.b, b=e.a)
-            edges.append(e)
-        edges.sort(key=lambda e: (_order_key(e.a), _order_key(e.b), -e.sign,
-                                  e.arrow, e.edge_type or 0))
-        return PlumbingGraph(verts, tuple(edges))
+        return PlumbingGraph(*_canonical_order(self))
 
 
 def _adjacency(index: dict, store: dict) -> dict:
@@ -447,6 +440,20 @@ def _adjacency(index: dict, store: dict) -> dict:
               compress(keys, loopless)), 0)
     deque(map(list.sort, at.values()), 0)
     return dict(zip(at, map(tuple, at.values())))
+
+
+def _canonical_order(g: PlumbingGraph) -> tuple[list[Vertex], list[Edge]]:
+    """g's vertices and edges in canonical order, from one sort of its ids:
+    an order key ends in its id, so an id's place in the sorted ids stands
+    for its key.  Edges run from their smaller end, sorted by their ends,
+    then - sign, arrow and type."""
+    index = g._index
+    ids = sorted(index, key=_order_key)
+    rank = {vid: k for k, vid in enumerate(ids)}
+    edges = [e if rank[e.a] <= rank[e.b] else Edge(e.b, e.a, e.sign, e.edge_type, e.arrow)
+             for e in g._store.values()]
+    edges.sort(key=lambda e: (rank[e.a], rank[e.b], -e.sign, e.arrow, e.edge_type or 0))
+    return list(map(index.__getitem__, ids)), edges
 
 
 def _made(open_: bool, *build_args) -> PlumbingGraph:
@@ -487,7 +494,7 @@ def first_betti_of_graph(g: PlumbingGraph) -> int:
 # -- serialization ----------------------------------------------------------
 
 def graph_to_json(g: PlumbingGraph) -> dict:
-    g = g.canonical()
+    vertices, edges = _canonical_order(g)
     return {
         "vertices": [
             {
@@ -498,7 +505,7 @@ def graph_to_json(g: PlumbingGraph) -> dict:
                 "kind": v.kind,
                 "dec": list(v.dec) if v.dec is not None else None,
             }
-            for v in g.vertices
+            for v in vertices
         ],
         "edges": [
             {
@@ -508,7 +515,7 @@ def graph_to_json(g: PlumbingGraph) -> dict:
                 "type": e.edge_type,
                 "arrow": e.arrow,
             }
-            for e in g.edges
+            for e in edges
         ],
     }
 
@@ -580,12 +587,12 @@ def _quoted(text: str) -> str:
 def to_dot(g: PlumbingGraph) -> str:
     """Graphviz rendering.  Arrows keep their direction, ordinary edges are
     drawn without one; edge labels show the sign and, if present, the type."""
-    g = g.canonical()
+    vertices, edges = _canonical_order(g)
     lines = ["digraph plumbing {", "  edge [dir=none];"]
-    for v in g.vertices:
+    for v in vertices:
         shape = "point" if v.kind == "arrowhead" else "ellipse"
         lines.append(f"  {_quoted(v.id)} [shape={shape} label={_quoted(_vertex_label(v))}];")
-    for e in g.edges:
+    for e in edges:
         label = "+" if e.sign == 1 else "-"
         if e.edge_type is not None:
             label += f" t{e.edge_type}"

@@ -33,7 +33,8 @@ A step of the sweep visits only the rows its pivot column meets: a row
 written at step s keeps its values v, which at step t stand for
 v * P[t] / P[s], P being the pivots by step (P[0] = 1), and is brought
 up to date when read.
-`smith_normal_form` hands the engine the nonzeros of a dense matrix;
+`smith_form_of_rows` is the engine's public entry, on its own row form,
+and `smith_normal_form` the dense adapter over it;
 `homology_of_graph` hands it the nonzeros straight from the graph, so no
 V x V matrix is built.  Its one read of the graph also counts the
 vertices, edges, genus and b_1, and `homology_with_stats` returns those
@@ -464,16 +465,10 @@ def _invariant_factors(rows: dict[int, dict[int, int]], modulus: int = 0,
     return factors
 
 
-def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
-    """Invariant factors of an integer matrix, by exact sparse elimination.
-
-    The matrix is validated, and its nonzeros go to the one sparse engine
-    (``_invariant_factors``), tuned for the mostly-empty matrices of
-    boundary graphs: unit pivots from a Markowitz-cost priority queue,
-    content extraction when no unit is left, a Bezout step of Euclid steps
-    through ``row_op`` that writes a unit when a column's entries have gcd
-    1, and otherwise a finish one prime at a time, mod p^k at a doubling
-    precision, in which every entry coprime to p is a unit pivot.
+def smith_form_of_rows(nrows: int, ncols: int, rows: dict[int, dict[int, int]]) -> SmithForm:
+    """Invariant factors of the nrows x ncols integer matrix whose nonzeros
+    are ``rows`` (row -> {column: nonzero int}), which it consumes, by the
+    one sparse engine, ``_invariant_factors``, whose docstring gives its steps.
 
     The naive minimum-entry Euclidean strategy is catastrophic here: on
     the raw boundary graph of ten generic lines it manufactures pivots
@@ -483,8 +478,14 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
     core that many Bezout steps have filled hold integers of hundreds of
     digits.
     """
-    nrows, ncols, rows = _sparse_rows(M)
     return SmithForm(nrows, ncols, tuple(_invariant_factors(rows)))
+
+
+def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithForm:
+    """``smith_form_of_rows`` of a dense integer matrix, after checking that
+    M is a list or tuple of list or tuple rows of one length whose entries
+    are ints, not bools."""
+    return smith_form_of_rows(*_sparse_rows(M))
 
 
 # -- finitely generated abelian groups ---------------------------------------

@@ -10,9 +10,7 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__["__annotations__"])
-        cls._values = attrgetter(*cls._fields)  # the tuple of field values
-        # equality compares the instance dict, which holds the fields alone, or the slots
-        cls._compared = cls._values if "__slots__" in cls.__dict__ else vars
+        cls._values = attrgetter(*cls._fields)  # the tuple of field values, which == compares
 
     def __init__(self, *args, **kwargs):
         """Store each field, given by position or by name, once."""
@@ -27,7 +25,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._compared(self) == other._compared(other)
+        return self._values(self) == other._values(other)
 
     def __hash__(self):
         return hash(self._values(self))

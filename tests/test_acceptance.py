@@ -1,4 +1,4 @@
-"""Acceptance gate: the twelve deliverable-level checks, one test each.
+"""Acceptance gate: the thirteen deliverable-level checks, one test each.
 
 Each test prints a single [criterion N] PASS line on success; a failure
 anywhere in here means the package does not meet its contract.  Module
@@ -8,10 +8,13 @@ guarantees end to end.
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
 from mfboundary.arrangement import (
+    IncidenceData,
+    MultiPoint,
     ProjLine,
     generate_family,
     incidence_from_lines,
@@ -329,3 +332,20 @@ def test_criterion_12_conjecture_probes(catalog_reports):
     assert flat_checked > 0
     _ok(12, f"torsion orders divide n everywhere; Z_n^chi verified on "
             f"{flat_checked} flat cases")
+
+
+def test_criterion_13_torsion_beyond_Z_n():
+    # the paper's second result: n = 6, lines 0, 1 and 2 through one point
+    # and every other pair of lines a double point
+    n = 6
+    triple = MultiPoint((0, 1, 2))
+    doubles = [MultiPoint(p) for p in combinations(range(n), 2) if not set(p) <= set(triple)]
+    inc = IncidenceData(n, [triple, *doubles])
+    want = AbelianGroup(16, (2, 6, 6, 6, 6))
+    assert homology_of_graph(boundary_graph(inc)) == want
+    assert homology_of_graph(boundary_graph(inc, reduce=True)) == want
+    assert betti_formula(inc) == 16
+    other = sorted({d for d in want.torsion if d != n})
+    assert other == [2]
+    _ok(13, f"n=6 with one triple point gives {want} on the raw and reduced graphs, "
+            f"betti 16: torsion has a summand Z_{other[0]} other than Z_{n}")

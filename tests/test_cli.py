@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
-from mfboundary import cli
+from mfboundary import cli, generic_algebra, homology
 from mfboundary.cli import main
 from mfboundary.graph_core import PlumbingGraph, graph_from_json
 from mfboundary.pipeline import boundary_graph
@@ -262,6 +262,18 @@ def test_generic_check_output(capsys):
     assert all(line.startswith("PASS n=") for line in lines)
     assert lines[0] == "PASS n=2: H1 = Z"
     assert lines[2] == "PASS n=4: H1 = Z^6 (+) Z_4"
+
+
+def test_generic_check_hands_the_engine_A_n_rows(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("generic-check made a dense round trip")
+
+    monkeypatch.setattr(generic_algebra, "_dense", refuse)
+    monkeypatch.setattr(homology, "_sparse_rows", refuse)
+    code, out, err = run_cli(capsys, "generic-check", "--max-n", "12")
+    assert code == 0 and err == ""
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"PASS n={n}" for n in range(2, 13)]
 
 
 # name in cli, its wrong answer at n given the right one, and the FAIL note at n=4

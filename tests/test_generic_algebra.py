@@ -8,6 +8,7 @@ from mfboundary import generic_algebra
 from mfboundary.arrangement import generate_family
 from mfboundary.errors import InvalidSize
 from mfboundary.generic_algebra import (
+    An_rows,
     build_An,
     build_Bn,
     build_Xn,
@@ -15,7 +16,7 @@ from mfboundary.generic_algebra import (
     expected_An_factors,
     generic_h1_closed_form,
 )
-from mfboundary.homology import homology_of_graph, smith_normal_form
+from mfboundary.homology import homology_of_graph, smith_form_of_rows, smith_normal_form
 from mfboundary.pipeline import boundary_graph
 from oracles import dense_An, dense_Bn, dense_lemma_identities, dense_Xn, matmul, transpose
 
@@ -116,7 +117,8 @@ def test_Bn_annihilates_Xn(n):
 
 
 def test_size_validation():
-    for bad in (build_Xn, build_Bn, build_An, expected_An_factors, generic_h1_closed_form):
+    for bad in (build_Xn, build_Bn, An_rows, build_An, expected_An_factors,
+                generic_h1_closed_form):
         with pytest.raises(InvalidSize):
             bad(1)
     with pytest.raises(InvalidSize):
@@ -128,6 +130,8 @@ def test_sparse_route_matches_the_dense_oracle(n):
     assert build_Xn(n) == dense_Xn(n)
     assert build_Bn(n) == dense_Bn(n)
     assert build_An(n) == dense_An(n)
+    assert An_rows(n) == {i: {j: v for j, v in enumerate(row) if v}
+                          for i, row in enumerate(dense_An(n))}
     if n >= 3:
         got, want = check_lemma_identities(n), dense_lemma_identities(n)
         assert got == want and list(got) == list(want)
@@ -180,6 +184,7 @@ def test_An_smith_form_closed_form(n):
     snf = smith_normal_form(build_An(n))
     assert snf.factors == factors
     assert snf.corank == corank
+    assert smith_form_of_rows(snf.rows, snf.cols, An_rows(n)) == snf
 
 
 def test_An_smith_form_small_literals():

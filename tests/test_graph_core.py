@@ -6,6 +6,7 @@ import re
 import pytest
 
 from mfboundary.arrangement import generate_family, incidence_from_lines, random_rational_lines
+from mfboundary import graph_core
 from mfboundary.errors import InvalidInput, MFBoundaryError, UnknownVertex
 from mfboundary.graph_core import (
     KINDS,
@@ -216,6 +217,49 @@ def test_vertex_order_of_family_graphs_is_unchanged():
         assert g.canonical().ids == sorted(g.ids, key=regex_chain_order_key)
         count += 1
     assert count == 4 * 27
+
+
+def random_multigraph(rng):
+    """Plain vertices with structured ids in a shuffled order, and edges
+    with either end first, parallel edges, loops, both signs and all types."""
+    ids = rng.sample(["v0", "v1", "v10", "w0", "w2", "s0_2#0", "s0_2#1", "s1_0#0",
+                      "a1", "x", "n3"], rng.randint(1, 11))
+    edges = [Edge(rng.choice(ids), rng.choice(ids), rng.choice((1, -1)),
+                  rng.choice((None, 1, 2))) for _ in range(rng.randint(0, 12))]
+    return PlumbingGraph(tuple(Vertex(vid, euler=-2) for vid in ids), tuple(edges))
+
+
+def canonical_order_oracle(g):
+    """The canonical order by one order key per vertex and per edge end:
+    (vertex ids, edge rows as graph_to_json writes them)."""
+    key = regex_chain_order_key
+    edges = [e if key(e.a) <= key(e.b) else replace(e, a=e.b, b=e.a) for e in g.edges]
+    edges.sort(key=lambda e: (key(e.a), key(e.b), -e.sign, e.arrow, e.edge_type or 0))
+    rows = [{"a": e.a, "b": e.b, "sign": "+" if e.sign == 1 else "-", "type": e.edge_type,
+             "arrow": e.arrow} for e in edges]
+    return sorted(g.ids, key=key), rows
+
+
+def test_printing_sorts_the_graph_it_is_given_once(monkeypatch):
+    rng = random.Random(4242)
+    graphs = [*family_graphs(), boundary_graph(generate_family("generic", 12)),
+              *(random_multigraph(rng) for _ in range(200))]
+    keyed, built = [], []
+    order_key, build = graph_core._order_key, PlumbingGraph._build
+    monkeypatch.setattr(graph_core, "_order_key", lambda vid: keyed.append(vid) or order_key(vid))
+    monkeypatch.setattr(PlumbingGraph, "_build",
+                        lambda *args, **kwargs: built.append(1) or build(*args, **kwargs))
+    for g in graphs:
+        ids, rows = canonical_order_oracle(g)
+        keyed.clear()
+        out = graph_to_json(g)
+        assert len(keyed) <= len(g.vertices)
+        assert [v["id"] for v in out["vertices"]] == ids and out["edges"] == rows
+        keyed.clear()
+        dot = to_dot(g)
+        assert len(keyed) <= len(g.vertices)
+        assert re.findall(r'^  "(.*)" \[shape=', dot, re.M) == ids
+    assert built == []
 
 
 def test_graph_validation():
