@@ -119,13 +119,13 @@ class IncidenceData(Record):
     downstream deterministic.
     """
 
-    __slots__ = ("n", "points")
     n: int
     points: tuple[MultiPoint, ...]
 
-    def __init__(self, n: int, points: Iterable[MultiPoint]):
-        super().__init__(n, tuple(sorted(points)))
+    def __new__(cls, n: int, points: Iterable[MultiPoint]):
+        self = tuple.__new__(cls, (cls, n, tuple(sorted(points))))
         self._validate()
+        return self
 
     def _validate(self):
         # memory O(sum of multiplicities) whatever n: each line on a point marks
@@ -189,8 +189,8 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
     check raises at the first coincident pair."""
     if len(lines) < 1:
         raise InvalidSize("need at least one line")
-    labels = [l.label for l in lines]
-    if labels != list(range(len(lines))):
+    # type(x) is int: a bool label equals 0 or 1 but is no index
+    if any(type(l.label) is not int or l.label != k for k, l in enumerate(lines)):
         raise InvalidInput("line labels must be 0..n-1 in order")
     classes = {_primitive(l.coeffs) if any(l.coeffs) else None for l in lines}
     if None in classes or len(classes) < len(lines):
@@ -203,8 +203,8 @@ def incidence_from_lines(lines: Sequence[ProjLine]) -> IncidenceData:
         for j in range(i + 1, len(lines)):
             if j not in met[i]:
                 on.setdefault(intersect_lines(l1, lines[j]), [i]).append(j)
-        for through in on.values():  # labels, not k: IncidenceData refuses a label True (== 1)
-            points.append(MultiPoint(labels[k] for k in through))
+        for through in on.values():
+            points.append(MultiPoint(through))
             for k in through[1:]:
                 met[k].update(through)
     return IncidenceData(len(lines), points)

@@ -199,20 +199,19 @@ _OPTIONAL = ("keep", "flip", "companion")
 
 
 class MoveSpec(Record):
-    __slots__ = ("kind", "target", "keep", "flip", "companion")  # a script holds many
     kind: str
     target: str
     keep: Optional[str]
     flip: Optional[str]
     companion: Optional[str]
 
-    def __init__(self, kind, target, keep=None, flip=None, companion=None):
+    def __new__(cls, kind, target, keep=None, flip=None, companion=None):
         if kind not in MOVES:
             raise InvalidInput(f"unknown move kind {kind!r}")
         for key, value in zip(_OPTIONAL, (keep, flip, companion)):
             if value is not None and key != MOVES[kind][1]:
                 raise InvalidInput(f'move {kind} does not read "{key}"')
-        super().__init__(kind, target, keep, flip, companion)
+        return tuple.__new__(cls, (cls, kind, target, keep, flip, companion))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "target": self.target}

@@ -41,8 +41,7 @@ KINDS = ("line", "point", "string", "arrowhead", "plain")
 
 
 class Vertex(Record):
-    """The constructor checks the fields, then writes them straight into the
-    instance dict, past the record's refusing setattr."""
+    """The constructor checks the fields, then makes the record's tuple."""
 
     id: str
     genus: int = 0
@@ -51,9 +50,9 @@ class Vertex(Record):
     kind: str = "plain"
     dec: Optional[tuple[int, int, int]] = None
 
-    def __init__(self, id: str, genus: int = 0, euler: Optional[int] = None,
-                 mult: Optional[int] = None, kind: str = "plain",
-                 dec: Optional[tuple[int, int, int]] = None):
+    def __new__(cls, id: str, genus: int = 0, euler: Optional[int] = None,
+                mult: Optional[int] = None, kind: str = "plain",
+                dec: Optional[tuple[int, int, int]] = None):
         if not isinstance(id, str) or not id:
             raise InvalidInput(f"vertex id must be a non-empty string: {id!r}")
         # type(x) is int: a bool is not an integer here
@@ -76,18 +75,12 @@ class Vertex(Record):
                 raise InvalidInput(f"arrowhead {id} must not carry an Euler number")
             if genus != 0:
                 raise InvalidInput(f"arrowhead {id} must have genus 0")
-        d = self.__dict__
-        d["id"] = id
-        d["genus"] = genus
-        d["euler"] = euler
-        d["mult"] = mult
-        d["kind"] = kind
-        d["dec"] = dec
+        return tuple.__new__(cls, (cls, id, genus, euler, mult, kind, dec))
 
 
 class Edge(Record):
-    """Built as a Vertex is: the fields are checked, then written straight
-    into the instance dict."""
+    """Built as a Vertex is: the fields are checked, then made the record's
+    tuple."""
 
     a: str
     b: str
@@ -95,20 +88,15 @@ class Edge(Record):
     edge_type: Optional[int] = None
     arrow: bool = False
 
-    def __init__(self, a: str, b: str, sign: int = 1, edge_type: Optional[int] = None,
-                 arrow: bool = False):
+    def __new__(cls, a: str, b: str, sign: int = 1, edge_type: Optional[int] = None,
+                arrow: bool = False):
         if type(sign) is not int or sign not in (1, -1):
             raise InvalidInput(f"edge {a}--{b}: sign must be +1 or -1")
         if edge_type is not None and (type(edge_type) is not int or edge_type not in (1, 2)):
             raise InvalidInput(f"edge {a}--{b}: type must be 1, 2 or None")
         if type(arrow) is not bool:
             raise InvalidInput(f"edge {a}--{b}: arrow must be True or False")
-        d = self.__dict__
-        d["a"] = a
-        d["b"] = b
-        d["sign"] = sign
-        d["edge_type"] = edge_type
-        d["arrow"] = arrow
+        return tuple.__new__(cls, (cls, a, b, sign, edge_type, arrow))
 
     def other(self, vid: str) -> str:
         if vid == self.a:
@@ -222,12 +210,11 @@ class PlumbingGraph(Record):
     checks everything and fills ``_index`` and ``_store`` in one O(V + E)
     pass."""
 
-    __slots__ = ("_index", "_edge_keys", "_store", "_open")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
-        self._build(False, {}, None, {}, add_vertices=vertices, add_edges=edges)
+    def __new__(cls, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
+        return _made(False, {}, None, {}, add_vertices=vertices, add_edges=edges)
 
     @property
     def _adj(self) -> dict:
@@ -235,7 +222,7 @@ class PlumbingGraph(Record):
         adj = self._edge_keys
         if adj is None:
             adj = _adjacency(self._index, self._store)
-            object.__setattr__(self, "_edge_keys", adj)
+            self.__dict__["_edge_keys"] = adj
         return adj
 
     @property
@@ -258,12 +245,10 @@ class PlumbingGraph(Record):
         return _made(False, *self._released()) if self._open else self
 
     def _released(self) -> tuple[dict, dict, dict]:
-        """The indexes of this open graph, which it gives up: from now on
-        it holds a ``_Superseded`` in every slot."""
+        """The indexes of this open graph, which it gives up: from now on it
+        holds a ``_Superseded`` for each of them and for its open flag."""
         indexes = self._index, self._adj, self._store
-        superseded = _Superseded()
-        for name in self.__slots__:
-            object.__setattr__(self, name, superseded)
+        self.__dict__.update(dict.fromkeys(self.__dict__, _Superseded()))
         return indexes
 
     def edit(self, *, add_vertices: Iterable[Vertex] = (),
@@ -359,10 +344,7 @@ class PlumbingGraph(Record):
             if (old.kind == "arrowhead") != (v.kind == "arrowhead"):
                 raise InvalidInput(f"put cannot turn {v.id!r} into or out of an arrowhead")
             index[v.id] = v
-        object.__setattr__(self, "_open", open_)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_edge_keys", adj)
-        object.__setattr__(self, "_store", store)
+        self.__dict__.update(_open=open_, _index=index, _edge_keys=adj, _store=store)
         for v in map(index.get, touched):  # None: dropped
             if v is not None and v.kind == "arrowhead" and self.degree(v.id) != 1:
                 raise InvalidInput(f"arrowhead {v.id} must have degree 1")
@@ -456,10 +438,11 @@ def _canonical_order(g: PlumbingGraph) -> tuple[list[Vertex], list[Edge]]:
     return list(map(index.__getitem__, ids)), edges
 
 
-def _made(open_: bool, *build_args) -> PlumbingGraph:
-    """The graph that ``_build`` makes of these arguments."""
-    out = object.__new__(PlumbingGraph)
-    out._build(open_, *build_args)
+def _made(open_: bool, *build_args, **edits) -> PlumbingGraph:
+    """The graph that ``_build`` makes of these arguments: a record whose
+    tuple holds only its class, its indexes kept in its instance dict."""
+    out = tuple.__new__(PlumbingGraph, (PlumbingGraph,))
+    out._build(open_, *build_args, **edits)
     return out
 
 

@@ -67,10 +67,10 @@ class SmithForm(Record):
     cols: int
     factors: tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, factors: tuple[int, ...]):
+    def __new__(cls, rows: int, cols: int, factors: tuple[int, ...]):
         if _out_of_order(factors):
             raise InvalidInput(f"invariant factors out of order: {factors}")
-        super().__init__(rows, cols, factors)
+        return tuple.__new__(cls, (cls, rows, cols, factors))
 
     @property
     def rank(self) -> int:
@@ -494,11 +494,10 @@ class AbelianGroup(Record):
     """Z^free_rank plus cyclic factors in invariant-factor form (each at
     least 2, each dividing the next).  Equality is isomorphism."""
 
-    __slots__ = ("free_rank", "torsion")
     free_rank: int
     torsion: tuple[int, ...]
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
         # type(x) is int: a bool is not a rank or an order
         if type(free_rank) is not int or free_rank < 0:
             raise InvalidInput(f"free rank must be a non-negative integer, got {free_rank!r}")
@@ -510,7 +509,7 @@ class AbelianGroup(Record):
                 raise InvalidInput(f"torsion orders must be >= 2, got {d}")
         if _out_of_order(torsion):
             raise InvalidInput(f"torsion not in invariant-factor form: {torsion}")
-        super().__init__(free_rank, torsion)
+        return tuple.__new__(cls, (cls, free_rank, torsion))
 
     @classmethod
     def cyclic_powers(cls, free_rank: int, n: int, k: int) -> "AbelianGroup":

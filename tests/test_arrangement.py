@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfboundary import arrangement
 from mfboundary.arrangement import (
     RANDOM_BOX_LINES,
     IncidenceData,
@@ -369,7 +370,7 @@ ERRORS = [
     (lambda: IncidenceData(3, (MultiPoint((0, 1)), MultiPoint((0, 2)), MultiPoint((1, 2.0)))),
      InvalidInput, "point 2 has line index 2.0, not an integer"),
     (lambda: incidence_from_lines(_bool_labelled_lines()),
-     InvalidInput, "point 0 has line index True, not an integer"),
+     InvalidInput, "line labels must be 0..n-1 in order"),
 ]
 
 
@@ -378,6 +379,14 @@ def test_error_branches_raise_their_class_and_message(call, cls, message):
     with pytest.raises(MFBoundaryError) as caught:
         call()
     assert type(caught.value) is cls and str(caught.value) == message
+
+
+def test_a_bool_label_is_refused_before_any_intersection(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arrangement, "intersect_lines", lambda *args: calls.append(args))
+    with pytest.raises(InvalidInput, match=r"^line labels must be 0\.\.n-1 in order$"):
+        incidence_from_lines(_bool_labelled_lines())
+    assert calls == []
 
 
 def test_load_arrangement_reads_both_file_shapes(tmp_path):

@@ -417,13 +417,13 @@ def test_reduction_runs_no_full_validation_per_move(monkeypatch):
     g = boundary_graph(inc)
     moves = len(generic_reduction_script(g, inc))
     calls = []
-    full_check = PlumbingGraph.__init__
+    full_check = PlumbingGraph.__new__
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        full_check(self, *args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return full_check(cls, *args, **kwargs)
 
-    monkeypatch.setattr(PlumbingGraph, "__init__", counted)
+    monkeypatch.setattr(PlumbingGraph, "__new__", counted)
     reduce_double_chains(g, inc)
     assert moves > 300
     assert len(calls) <= 2, f"{len(calls)} full validations for {moves} moves"

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -285,13 +286,27 @@ def test_boundary_graph_takes_no_stage_of_the_check_route(monkeypatch):
 ], ids=["generic8", "near_pencil10", "pencil6", "random9"])
 def test_boundary_graph_builds_one_record_per_vertex_and_edge(inc, monkeypatch):
     calls = {Vertex: 0, Edge: 0}
-    for cls, init in [(Vertex, Vertex.__init__), (Edge, Edge.__init__)]:
-        def counted(self, *args, _cls=cls, _init=init, **kwargs):
-            calls[_cls] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
+    for cls, new in [(Vertex, Vertex.__new__), (Edge, Edge.__new__)]:
+        def counted(cls, *args, _new=new, **kwargs):
+            calls[cls] += 1
+            return _new(cls, *args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", counted)
     g = boundary_graph(inc)
     assert (calls[Vertex], calls[Edge]) == (len(g.vertices), len(g.edges))
+
+
+def test_the_raw_graph_holds_at_most_215_bytes_per_vertex_and_edge():
+    # each Vertex and Edge is one tuple with no instance dict: about 181 B
+    # per vertex plus edge, with the graph's indexes
+    inc = generate_family("generic", 30)
+    boundary_graph(generate_family("generic", 4))  # fills what a first call caches
+    tracemalloc.start()
+    try:
+        g = boundary_graph(inc)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 215 * (len(g.vertices) + len(g.edges))
 
 
 def test_boundary_graph_builds_through_the_checked_constructor(monkeypatch):

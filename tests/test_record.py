@@ -2,6 +2,7 @@
 assignment, ``replace`` through the constructor, copy and pickle."""
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -127,10 +128,21 @@ def test_copies_are_equal_records(make, text, clone):
     assert type(b) is type(a) and b == a and hash(b) == hash(a) and repr(b) == text
 
 
-@pytest.mark.parametrize("cls", [IncidenceData, AbelianGroup])
+@pytest.mark.parametrize("cls", [cls for cls in CLASSES if cls is not PlumbingGraph])
 def test_the_records_kept_per_sample_have_no_instance_dict(cls):
     a = next(make() for make, _ in RECORDS if type(make()) is cls)
     assert not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("make, text", RECORDS, ids=IDS)
+def test_a_record_has_no_order_no_json_and_is_not_its_values(make, text):
+    a, b = make(), make()
+    with pytest.raises(TypeError):
+        a < b
+    with pytest.raises(TypeError):
+        json.dumps(a)
+    values = a._values(a)
+    assert not a == values and not values == a
 
 
 @pytest.mark.parametrize("make, text", RECORDS, ids=IDS)
